@@ -5,7 +5,7 @@
 //!
 //!   figure   any of: fig2a fig2b fig3 fig5 fig6 fig7 fig8 fig9 fig10 all
 //!            (default: all)
-//!   --full   use the larger experiment scale recorded in EXPERIMENTS.md
+//!   --full   use the larger experiment scale (`Scale::Full`)
 //! ```
 
 use earl_bench::figures;

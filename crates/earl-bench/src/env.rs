@@ -9,9 +9,9 @@ use earl_workload::{DatasetBuilder, DatasetSpec};
 /// How big the materialised experiment inputs are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small inputs for Criterion benches and CI (seconds, not minutes).
+    /// Small inputs for tests and CI (seconds, not minutes).
     Quick,
-    /// Larger inputs matching the experiment tables in `EXPERIMENTS.md`.
+    /// Larger inputs (`experiments --full`).
     Full,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! One function per figure of the paper's evaluation (§6).  Each returns a
 //! [`Series`] — the numeric rows behind the figure — which the `experiments`
-//! binary renders as a table and `EXPERIMENTS.md` records.
+//! binary renders as a table.
 
 use std::fmt;
 
@@ -389,9 +389,7 @@ pub fn fig8(scale: Scale) -> Series {
 /// Fig. 9 — processing time of pre-map vs post-map sampling for the sample
 /// EARL actually needs, as the nominal input size grows.  Pre-map sampling
 /// touches only the sampled lines (cost ∝ sample size); post-map sampling must
-/// first scan and parse the whole input (cost ∝ data size).  A measured
-/// micro-comparison of both samplers on materialised data backs the constants
-/// (see the `fig9_sampling` Criterion bench).
+/// first scan and parse the whole input (cost ∝ data size).
 pub fn fig9(scale: Scale) -> Series {
     let env = BenchEnv::new(0x90);
     let ds = env.standard_dataset("/fig9", scale.records(), 9);
@@ -545,7 +543,7 @@ mod tests {
         // At 100 GiB the speedup is large (the paper reports ≈4x on its
         // testbed; the simulated cost model preserves who-wins with a larger
         // factor because EARL's sample size is set by SSABE rather than a
-        // fixed 1% of N — see EXPERIMENTS.md).
+        // fixed 1% of N).
         let last = *speedup.last().unwrap();
         assert!(last >= 4.0, "expected ≥4x at 100 GiB, got {last:.2}x");
         // Speedup grows monotonically with the data size.

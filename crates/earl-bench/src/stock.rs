@@ -4,7 +4,8 @@
 //! unit-testable simulator should materialise.  Stock Hadoop's cost is linear
 //! in the bytes scanned and records processed, so for the nominal-size sweeps
 //! we charge it analytically *through the same cost model* the simulator uses
-//! for everything else (this is the substitution documented in `DESIGN.md`).
+//! for everything else (the nominal-size substitution of
+//! [`earl_workload::scaling`]).
 //! EARL's cost, by contrast, depends on the sample size only and is measured by
 //! actually running the driver.
 

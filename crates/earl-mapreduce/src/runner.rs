@@ -9,26 +9,27 @@
 //!
 //! ## Execution model
 //!
-//! Map tasks run concurrently across a scoped thread pool and reduce
-//! partitions are reduced in parallel — always, even while a failure schedule
-//! is armed (the old engine fell back to a fully sequential gather path the
-//! moment the injector *might* fire):
+//! There is one round loop per phase.  Every round runs its pending tasks
+//! concurrently across a scoped thread pool, then arbitrates which of them
+//! were lost; lost tasks are re-queued (or dropped, per policy) and the loop
+//! ends when nothing is pending.  On a cluster with no failure schedule armed
+//! arbitration is a no-op, so the loop runs exactly once:
 //!
 //! * task → node assignment is planned deterministically up front (locality
 //!   first, then round-robin over available nodes), never through the cluster
 //!   RNG, so the plan is independent of execution interleaving;
-//! * each task accumulates its own [`Counters`] and stats, merged after the
-//!   barrier in task-index order — `JobResult` is bit-identical for every
-//!   `parallelism` value;
+//! * each task accumulates its own [`Counters`], stats and [`ShardBuffers`],
+//!   merged after the barrier in task-index order — `JobResult` is
+//!   bit-identical for every `parallelism` value;
 //! * cost-model charges are pure additions to the simulated clock and the
 //!   per-phase metrics, so the merged totals (and therefore `sim_time`) do
 //!   not depend on thread interleaving either.
 //!
 //! ## Deterministic failure arbitration
 //!
-//! While a schedule is armed, implicit failure polling is suppressed for the
-//! duration of each parallel phase ([`Cluster::suppress_failure_polling`]);
-//! after the barrier the injector is polled at **plan-derived task-boundary
+//! Implicit failure polling is suppressed for the duration of each parallel
+//! round ([`Cluster::suppress_failure_polling`]); while a schedule is armed,
+//! the injector is polled after the barrier at **plan-derived task-boundary
 //! instants** — the completion times the tasks would have under a serial
 //! replay of the plan through the cost model — via
 //! [`Cluster::arbitrate_failures_at`].  A task is lost iff its planned node
@@ -49,12 +50,12 @@
 //! ## Streaming shuffle (M3R-style)
 //!
 //! The shuffle is **map-side**: every map task routes its (combined) output
-//! pairs straight into per-shard buffers as it finishes
-//! ([`earl_parallel::sharded_emit`], or one [`ShardBuffers`] per task on the
-//! armed path — reassembled in task order, which merges to the same bits), so
-//! the job-wide all-pairs vector the old gather design concatenated between
-//! map and shuffle never exists.  At the reducer-ready barrier each reduce
-//! shard already holds exactly its pairs in emission order;
+//! pairs straight into its own per-shard buffers ([`ShardBuffers`]) as it
+//! emits them, so no job-wide all-pairs vector ever exists between map and
+//! shuffle, and a task that aborts or is lost simply has its buffers dropped.
+//! At the reducer-ready barrier the surviving tasks' buffers are assembled in
+//! task order ([`ShardedBuffers::from_workers`]); each reduce shard then holds
+//! exactly its pairs in emission order and
 //! [`ShuffleOutput::shuffle_streaming`] only concatenates and groups per
 //! shard.
 //!
@@ -65,9 +66,7 @@ use std::any::{Any, TypeId};
 
 use earl_cluster::{ClusterError, NodeId, Phase, SimDuration, SimInstant};
 use earl_dfs::{Dfs, InputSplit};
-use earl_parallel::{
-    indexed_map, resolve_parallelism, sharded_emit, workers_for, ShardBuffers, ShardedBuffers,
-};
+use earl_parallel::{indexed_map, resolve_parallelism, workers_for, ShardBuffers, ShardedBuffers};
 
 use crate::counters::{builtin, Counters};
 use crate::error::MrError;
@@ -82,6 +81,13 @@ use crate::Result;
 
 /// The sharded intermediate buffers a map phase produces for a mapper `M`.
 type MapperShards<M> = ShardedBuffers<(<M as Mapper>::OutKey, <M as Mapper>::OutValue)>;
+
+/// What one completed map task hands back: its counters and its own shard
+/// buffers.
+type MapTaskOutput<M> = (
+    Counters,
+    ShardBuffers<(<M as Mapper>::OutKey, <M as Mapper>::OutValue)>,
+);
 
 /// Runs a job without a combiner.
 pub fn run_job<M, R>(
@@ -227,18 +233,11 @@ where
     };
 
     // ---- map phase -----------------------------------------------------------
-    // The streaming fast path needs no arbitration bookkeeping; the armed path
-    // is the same parallel engine plus deterministic failure arbitration and
-    // the recovery round loop.  An armed schedule that never fires charges
-    // exactly the same costs, so the two produce bit-identical results.
-    let armed = cluster.failure_injection_pending();
-    let threads = resolve_parallelism(conf.parallelism);
-
     // Remote transports handle only stable-cluster memory-input jobs whose
     // mapper is wire-portable; an armed simulated failure schedule (or any
     // gate miss, or a total transport failure) falls through to the local
-    // paths untouched.
-    let remote = if armed {
+    // map phase untouched.
+    let remote = if cluster.failure_injection_pending() {
         None
     } else {
         map_phase_remote(
@@ -251,11 +250,9 @@ where
             &mut stats,
         )?
     };
-
-    let output = if let Some(output) = remote {
-        output
-    } else if armed {
-        map_phase_armed(
+    let output = match remote {
+        Some(output) => output,
+        None => map_phase_local(
             dfs,
             conf,
             mapper,
@@ -263,19 +260,7 @@ where
             &map_inputs,
             &mut counters,
             &mut stats,
-            threads,
-        )?
-    } else {
-        map_phase_streaming(
-            dfs,
-            conf,
-            mapper,
-            combiner,
-            &map_inputs,
-            &mut counters,
-            &mut stats,
-            threads,
-        )?
+        )?,
     };
     stats.map_input_records = counters.get(builtin::MAP_INPUT_RECORDS);
     stats.shuffle_records = output.total_items();
@@ -501,7 +486,7 @@ fn cast_owned<S: 'static, T: 'static>(value: S) -> Option<T> {
 
 /// Books the chunk re-dispatches a remote transport performed after worker
 /// deaths: each is one retry round (back-off charge + DFS re-sync) plus one
-/// task restart, mirroring what the local armed path books per lost task.
+/// task restart, mirroring what the local round loop books per lost task.
 /// This is the unification point for wire-level failures: a call-deadline
 /// expiry or socket death on the transport surfaces as a `retries` increment
 /// and lands in the same `FaultLog` counters as simulated-failure retries.
@@ -533,7 +518,7 @@ fn book_remote_retries(
 ///
 /// All remote calls complete *before* the first cluster charge; the
 /// coordinator then replays the exact per-task charge/counter sequence of
-/// [`map_phase_streaming`], so a remote run is bit-identical to an in-process
+/// [`map_phase_local`], so a remote run is bit-identical to an in-process
 /// run, including `sim_time`.
 fn map_phase_remote<M>(
     dfs: &Dfs,
@@ -703,85 +688,19 @@ where
     Ok(Some(outputs))
 }
 
-/// Runs all map tasks concurrently across `threads` scoped workers, each task
-/// emitting its (combined) output pairs **directly into per-reduce-shard
-/// buffers** as it finishes — the map-side streaming shuffle.  Per-task
-/// counters are merged after the barrier in task-index order, exactly like the
-/// gather design, so `JobResult` stays bit-identical at every thread count.
-///
-/// Requires a stable cluster (no pending failure injection): tasks cannot be
-/// lost mid-flight, so the only `None` outcome is data that was already
-/// missing under [`FailurePolicy::Degrade`] — which emits nothing.
-#[allow(clippy::too_many_arguments)]
-fn map_phase_streaming<M, C>(
-    dfs: &Dfs,
-    conf: &JobConf,
-    mapper: &M,
-    combiner: Option<&C>,
-    inputs: &[MapInput],
-    counters: &mut Counters,
-    stats: &mut JobStats,
-    threads: usize,
-) -> Result<MapperShards<M>>
-where
-    M: Mapper,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-{
-    let num_shards = conf.num_reducers.max(1);
-    if inputs.is_empty() {
-        return Ok(ShardedBuffers::empty(num_shards));
-    }
-    let preferred: Vec<&[NodeId]> = inputs
-        .iter()
-        .map(|input| match input {
-            MapInput::Split(split) => split.locations.as_slice(),
-            MapInput::Memory(_) => &[][..],
-        })
-        .collect();
-    let plan = plan_nodes(dfs, &preferred)?;
-
-    let (results, buffers) = sharded_emit(inputs.len(), num_shards, threads, |i, shard_buffers| {
-        run_map_task_streaming(
-            dfs,
-            conf,
-            mapper,
-            combiner,
-            &inputs[i],
-            plan[i],
-            num_shards,
-            shard_buffers,
-        )
-    });
-
-    for result in results {
-        stats.map_tasks += 1;
-        match result? {
-            Some(task_counters) => counters.merge(&task_counters),
-            None => {
-                stats.lost_map_tasks += 1;
-                counters.increment(builtin::LOST_SPLITS);
-                stats.fault_log.splits_lost += 1;
-            }
-        }
-    }
-    Ok(buffers)
-}
-
-/// The armed-schedule map phase: the same parallel engine as
-/// [`map_phase_streaming`] (identical plan, identical charges — an armed
-/// schedule that never fires is bit-identical to the unarmed path), plus
-/// deterministic failure arbitration and a recovery round loop.
+/// The local map phase: a round loop over the pending tasks with
+/// deterministic failure arbitration between rounds.
 ///
 /// Each round runs the pending tasks concurrently with implicit polling
 /// suppressed, each task streaming into its own [`ShardBuffers`]; after the
-/// barrier the round is arbitrated at the plan's estimated task boundaries.
-/// Surviving tasks commit their buffers/counters into slots indexed by the
-/// original task position, so the reassembled [`ShardedBuffers`] merges to
-/// the same bits as the single-pass fast path.  Lost tasks are re-queued
+/// barrier an armed schedule is arbitrated at the plan's estimated task
+/// boundaries (with nothing armed no task can be lost, and the loop runs
+/// once).  Surviving tasks commit their buffers/counters into slots indexed by
+/// the original task position, so the reassembled [`ShardedBuffers`] merges to
+/// the same bits however many rounds it took.  Lost tasks are re-queued
 /// (`Retry`, and always for in-memory inputs) or abandoned (`Degrade` on DFS
 /// splits, §3.4).
-#[allow(clippy::too_many_arguments)]
-fn map_phase_armed<M, C>(
+fn map_phase_local<M, C>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
@@ -789,7 +708,6 @@ fn map_phase_armed<M, C>(
     inputs: &[MapInput],
     counters: &mut Counters,
     stats: &mut JobStats,
-    threads: usize,
 ) -> Result<MapperShards<M>>
 where
     M: Mapper,
@@ -800,9 +718,11 @@ where
     if inputs.is_empty() {
         return Ok(ShardedBuffers::empty(num_shards));
     }
+    let threads = resolve_parallelism(conf.parallelism);
+    let armed = cluster.failure_injection_pending();
     // Apply any failure already due (e.g. fired during job start-up charges)
     // before planning, so the plan sees the true live set.
-    if !cluster.arbitrate_failures_at(cluster.now()).is_empty() {
+    if armed && !cluster.arbitrate_failures_at(cluster.now()).is_empty() {
         dfs.reconcile_failures();
     }
 
@@ -847,8 +767,11 @@ where
             })
             .collect();
         let plan = plan_nodes(dfs, &preferred)?;
-        let boundaries =
-            estimated_boundaries(cluster.now(), pending.iter().map(|&i| estimate(&inputs[i])));
+        let boundaries = if armed {
+            estimated_boundaries(cluster.now(), pending.iter().map(|&i| estimate(&inputs[i])))
+        } else {
+            Vec::new()
+        };
 
         let results = {
             let _pause = cluster.suppress_failure_polling();
@@ -857,8 +780,7 @@ where
                 threads,
                 || (),
                 |j, ()| {
-                    let mut buffers = ShardBuffers::new(num_shards);
-                    let outcome = run_map_task_streaming(
+                    run_map_task(
                         dfs,
                         conf,
                         mapper,
@@ -866,23 +788,25 @@ where
                         &inputs[pending[j]],
                         plan[j],
                         num_shards,
-                        &mut buffers,
-                    );
-                    (outcome, buffers)
+                    )
                 },
             )
         };
-        let lost = arbitrate_round(dfs, conf, &plan, &boundaries);
+        let lost = if armed {
+            arbitrate_round(dfs, conf, &plan, &boundaries)
+        } else {
+            vec![false; pending.len()]
+        };
 
         let mut next_pending = Vec::new();
         let mut round_salvaged = 0u64;
         let mut round_lost = false;
-        for (j, (outcome, buffers)) in results.into_iter().enumerate() {
+        for (j, outcome) in results.into_iter().enumerate() {
             let i = pending[j];
             match outcome? {
                 // The task's input blocks were already gone (§3.4 drop).
                 None => dropped[i] = true,
-                Some(task_counters) if !lost[j] => {
+                Some((task_counters, buffers)) if !lost[j] => {
                     round_salvaged += buffers.emitted();
                     buffer_slots[i] = Some(buffers);
                     counter_slots[i] = Some(task_counters);
@@ -922,19 +846,18 @@ where
 }
 
 /// One map task on a stable-for-this-round cluster: no retry loop, no
-/// survival check (the armed path decides survival by arbitration after the
-/// barrier).  The task's pairs are routed straight into `shard_buffers` with
-/// the same partitioner arithmetic the reduce-side shuffle uses; only the
-/// per-task counters are returned.  Without a combiner the `MapContext` sinks
-/// each pair into the shard buckets *as it is emitted* — no per-task
-/// all-pairs vector ever exists; a combiner still buffers, since it must see
-/// the task's full output before routing.  Returns `None` when the task's
-/// input blocks were already lost and the failure policy tolerates dropping
-/// them; on that abort (and on a hard error) the buffers are rolled back to
-/// their pre-task checkpoint, so an aborted task leaves them bit-identical to
-/// never having run at all.
-#[allow(clippy::too_many_arguments)]
-fn run_map_task_streaming<M, C>(
+/// survival check (the round loop decides survival by arbitration after the
+/// barrier).  The task's pairs are routed straight into its own
+/// [`ShardBuffers`] with the same partitioner arithmetic the reduce-side
+/// shuffle uses, and returned with the per-task counters.  Without a combiner
+/// the `MapContext` sinks each pair into the shard buckets *as it is emitted*
+/// — no per-task all-pairs vector ever exists; a combiner still buffers, since
+/// it must see the task's full output before routing.  Returns `None` when the
+/// task's input blocks were already lost and the failure policy tolerates
+/// dropping them; whatever the task emitted before that abort (or before a
+/// hard error) is dropped with its buffers, so an aborted task contributes
+/// exactly nothing.
+fn run_map_task<M, C>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
@@ -942,8 +865,7 @@ fn run_map_task_streaming<M, C>(
     input: &MapInput,
     node: NodeId,
     num_shards: usize,
-    shard_buffers: &mut ShardBuffers<(M::OutKey, M::OutValue)>,
-) -> Result<Option<Counters>>
+) -> Result<Option<MapTaskOutput<M>>>
 where
     M: Mapper,
     C: Combiner<Key = M::OutKey, Value = M::OutValue>,
@@ -954,10 +876,8 @@ where
         cluster.record_task_on(node)?;
     }
 
-    let direct = combiner.is_none();
-    let checkpoint = shard_buffers.checkpoint();
-    let mut ctx = if direct {
-        MapContext::sharded(std::mem::take(shard_buffers), num_shards)
+    let mut ctx = if combiner.is_none() {
+        MapContext::sharded(ShardBuffers::new(num_shards), num_shards)
     } else {
         MapContext::new()
     };
@@ -980,49 +900,43 @@ where
         }
         Ok(())
     })();
-    if let Err(e) = read_result {
-        if direct {
-            // Hand the buffers back and discard this task's partial emissions:
-            // an aborted task must leave the shared buffers bit-identical to
-            // never having run.
-            let (mut buffers, _) = ctx.into_shards();
-            buffers.rollback(&checkpoint);
-            *shard_buffers = buffers;
+    match read_result {
+        Ok(()) => {}
+        Err(MrError::Dfs(earl_dfs::DfsError::BlockUnavailable(_)))
+            if conf.failure_policy.is_degrade() =>
+        {
+            return Ok(None)
         }
-        return match e {
-            MrError::Dfs(earl_dfs::DfsError::BlockUnavailable(_))
-                if conf.failure_policy.is_degrade() =>
-            {
-                Ok(None)
-            }
-            e => Err(e),
-        };
+        Err(e) => return Err(e),
     }
 
     cluster.charge_map_cpu(records, mapper.is_heavy());
 
     let mut task_counters = Counters::new();
     task_counters.add(builtin::MAP_INPUT_RECORDS, records);
-    if direct {
-        // Map-side shuffle already happened inside `emit`; just reclaim the
-        // buffers and fold in the task's counters.
-        let (buffers, emitted) = ctx.into_shards();
-        task_counters.merge(&emitted);
-        *shard_buffers = buffers;
-    } else {
-        let (pairs, emitted) = ctx.into_parts();
-        task_counters.merge(&emitted);
-        let cmb = combiner.expect("buffered path implies a combiner");
-        let combined = apply_combiner(pairs, cmb);
-        task_counters.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
-        // Route the combined pairs to their reduce shards now — these pairs
-        // are never concatenated with any other task's.
-        for (key, value) in combined {
-            let shard = HashPartitioner.partition(&key, num_shards);
-            shard_buffers.emit(shard, (key, value));
+    let buffers = match combiner {
+        None => {
+            // Map-side shuffle already happened inside `emit`.
+            let (buffers, emitted) = ctx.into_shards();
+            task_counters.merge(&emitted);
+            buffers
         }
-    }
-    Ok(Some(task_counters))
+        Some(combiner) => {
+            let (pairs, emitted) = ctx.into_parts();
+            task_counters.merge(&emitted);
+            let combined = apply_combiner(pairs, combiner);
+            task_counters.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
+            // Route the combined pairs to their reduce shards now — these
+            // pairs are never concatenated with any other task's.
+            let mut buffers = ShardBuffers::new(num_shards);
+            for (key, value) in combined {
+                let shard = HashPartitioner.partition(&key, num_shards);
+                buffers.emit(shard, (key, value));
+            }
+            buffers
+        }
+    };
+    Ok(Some((task_counters, buffers)))
 }
 
 /// Reduces all non-empty partitions concurrently across `threads` scoped

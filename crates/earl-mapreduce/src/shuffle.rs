@@ -1,26 +1,18 @@
 //! The shuffle: partitioning, grouping and sorting of intermediate pairs.
 //!
-//! Three execution paths produce the **same bits**:
+//! There is one path.  The shuffle is map-side: mappers emit their pairs
+//! straight into per-shard buffers ([`earl_parallel::ShardBuffers`], one set
+//! per map task), so the pairs are never materialised into one vector.
+//! [`ShuffleOutput::shuffle_streaming`] runs only the reduce-side half —
+//! per-shard concatenation (in emission order) + grouping — via
+//! [`ShardedBuffers::merge`].  Because each shard receives its pairs in input
+//! order and grouping is per-shard, the result is bit-identical at every
+//! thread count — and to a single sequential pass over the pairs into
+//! per-partition `BTreeMap`s, the oracle the tests compare against.
 //!
-//! * [`ShuffleOutput::shuffle`] — the sequential reference: one pass over the
-//!   pairs into per-partition `BTreeMap`s.
-//! * [`ShuffleOutput::shuffle_parallel`] — the sharded path: map output is
-//!   bucketed into per-reducer hash shards by contiguous input chunks on the
-//!   `earl-parallel` pool ([`earl_parallel::shard_merge`]), then every reducer
-//!   merges + sorts its own shard independently.  Because each shard receives
-//!   its pairs in input order and grouping is per-shard, the result is
-//!   bit-identical to the sequential path at every thread count — the same
-//!   determinism contract as the `(seed, replicate)` RNG streams.
-//! * [`ShuffleOutput::shuffle_streaming`] — the map-side streaming path: the
-//!   pairs were never materialised into one vector at all.  Mappers emitted
-//!   them straight into per-shard buffers ([`earl_parallel::sharded_emit`]);
-//!   this constructor runs only the reduce-side half — per-shard concatenation
-//!   (in emission order) + grouping — via [`ShardedBuffers::merge`], the exact
-//!   code path `shuffle_parallel` merges through, so the two cannot diverge.
-//!
-//! No path ever clones a key or a value: pairs are moved from the map
-//! output into their group.  (`BTreeMap::entry` takes the key by value; for a
-//! key already present the duplicate key is dropped, not cloned.)
+//! No key or value is ever cloned: pairs are moved from the map output into
+//! their group.  (`BTreeMap::entry` takes the key by value; for a key already
+//! present the duplicate key is dropped, not cloned.)
 //!
 //! `total_records` / `total_groups` are cached at build time — they are read
 //! on every job (stats, reduce planning) and recomputing them meant an
@@ -28,9 +20,8 @@
 
 use std::collections::BTreeMap;
 
-use earl_parallel::{shard_merge, ShardedBuffers};
+use earl_parallel::ShardedBuffers;
 
-use crate::partition::Partitioner;
 use crate::types::{Combiner, MrKey, MrValue};
 
 /// Intermediate data grouped per reduce partition, with values grouped by key
@@ -55,83 +46,25 @@ fn group_pairs<K: MrKey, V: MrValue>(pairs: Vec<(K, V)>) -> BTreeMap<K, Vec<V>> 
 }
 
 impl<K: MrKey, V: MrValue> ShuffleOutput<K, V> {
-    /// Wraps grouped partitions, caching the record/group totals once.
-    /// `total_records` is passed in by the construction path (which always
-    /// knows it without a values walk: pair count or emitted count).
-    fn from_partitions(partitions: Vec<BTreeMap<K, Vec<V>>>, total_records: u64) -> Self {
+    /// Completes a **map-side** shuffle whose pairs were emitted directly into
+    /// per-shard buffers during the map phase — no all-pairs vector ever
+    /// existed.  Only the reduce-side half runs here: each shard's buckets are
+    /// concatenated in emission order and grouped, one merger per reducer
+    /// across `threads` workers.
+    ///
+    /// The caller routed each pair with the partitioner arithmetic (shard =
+    /// `partitioner.partition(key, num_shards)`, clamped); under that contract
+    /// the output is bit-identical at every thread count to one sequential
+    /// pass over the same pairs in the same emission order.
+    pub fn shuffle_streaming(buffers: ShardedBuffers<(K, V)>, threads: usize) -> Self {
+        let total_records = buffers.total_items();
+        let partitions = buffers.merge(threads, |_, shard| group_pairs(shard));
         let total_groups = partitions.iter().map(|p| p.len() as u64).sum();
         Self {
             partitions,
             total_records,
             total_groups,
         }
-    }
-
-    /// Groups `pairs` into `num_partitions` reduce partitions using
-    /// `partitioner`, single-threaded.  This is the reference implementation
-    /// the sharded and streaming paths must match bit for bit.
-    pub fn shuffle<P: Partitioner<K> + ?Sized>(
-        pairs: Vec<(K, V)>,
-        num_partitions: usize,
-        partitioner: &P,
-    ) -> Self {
-        let num_partitions = num_partitions.max(1);
-        let total_records = pairs.len() as u64;
-        let mut partitions: Vec<BTreeMap<K, Vec<V>>> =
-            (0..num_partitions).map(|_| BTreeMap::new()).collect();
-        for (key, value) in pairs {
-            let p = partitioner
-                .partition(&key, num_partitions)
-                .min(num_partitions - 1);
-            partitions[p].entry(key).or_default().push(value);
-        }
-        Self::from_partitions(partitions, total_records)
-    }
-
-    /// Sharded shuffle: partition-parallel grouping over `threads` workers.
-    ///
-    /// Each worker buckets one contiguous chunk of `pairs` into per-reducer
-    /// shards; each reducer then merges + sorts its own shard.  Output is
-    /// bit-identical to [`ShuffleOutput::shuffle`] for every `threads` value;
-    /// with `threads <= 1` it falls back to the sequential path outright.
-    pub fn shuffle_parallel<P: Partitioner<K> + ?Sized>(
-        pairs: Vec<(K, V)>,
-        num_partitions: usize,
-        partitioner: &P,
-        threads: usize,
-    ) -> Self {
-        let num_partitions = num_partitions.max(1);
-        if threads <= 1 || num_partitions == 1 {
-            // One partition means one merger: sharding buys nothing.
-            return Self::shuffle(pairs, num_partitions, partitioner);
-        }
-        let total_records = pairs.len() as u64;
-        let partitions = shard_merge(
-            pairs,
-            num_partitions,
-            threads,
-            |(key, _)| partitioner.partition(key, num_partitions),
-            |_, shard| group_pairs(shard),
-        );
-        Self::from_partitions(partitions, total_records)
-    }
-
-    /// Streaming shuffle: completes a **map-side** shuffle whose pairs were
-    /// emitted directly into per-shard buffers during the map phase
-    /// ([`earl_parallel::sharded_emit`]) — the intermediate all-pairs vector
-    /// of the gather paths never existed.  Only the reduce-side half runs
-    /// here: each shard's buckets are concatenated in emission order and
-    /// grouped, one merger per reducer across `threads` workers.
-    ///
-    /// The caller routed each pair with the **same partitioner arithmetic**
-    /// the gather paths use (shard = `partitioner.partition(key, num_shards)`,
-    /// clamped); under that contract the output is bit-identical to
-    /// [`ShuffleOutput::shuffle`] / [`shuffle_parallel`](Self::shuffle_parallel)
-    /// over the same pairs in the same emission order, at every thread count.
-    pub fn shuffle_streaming(buffers: ShardedBuffers<(K, V)>, threads: usize) -> Self {
-        let total_records = buffers.total_items();
-        let partitions = buffers.merge(threads, |_, shard| group_pairs(shard));
-        Self::from_partitions(partitions, total_records)
     }
 
     /// Number of reduce partitions.
@@ -188,13 +121,55 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::HashPartitioner;
+    use crate::partition::{HashPartitioner, Partitioner};
+    use earl_parallel::ShardBuffers;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The sequential reference the shuffle must match bit for bit: one pass
+    /// over the pairs into per-partition `BTreeMap`s.
+    fn oracle<K: MrKey, V: MrValue, P: Partitioner<K>>(
+        pairs: &[(K, V)],
+        partitions: usize,
+        partitioner: &P,
+    ) -> Vec<BTreeMap<K, Vec<V>>> {
+        let partitions = partitions.max(1);
+        let mut out: Vec<BTreeMap<K, Vec<V>>> = (0..partitions).map(|_| BTreeMap::new()).collect();
+        for (key, value) in pairs.iter().cloned() {
+            let p = partitioner.partition(&key, partitions).min(partitions - 1);
+            out[p].entry(key).or_default().push(value);
+        }
+        out
+    }
+
+    /// Emulates a map phase of `tasks` map tasks, each emitting its contiguous
+    /// slice of `pairs` into its own shard buffers, then the streaming shuffle.
+    fn stream<K: MrKey, V: MrValue, P: Partitioner<K>>(
+        pairs: &[(K, V)],
+        partitions: usize,
+        partitioner: &P,
+        tasks: usize,
+        threads: usize,
+    ) -> ShuffleOutput<K, V> {
+        let partitions = partitions.max(1);
+        let per_task = pairs.len().div_ceil(tasks.max(1)).max(1);
+        let workers = pairs
+            .chunks(per_task)
+            .map(|chunk| {
+                let mut buf = ShardBuffers::new(partitions);
+                for (key, value) in chunk.iter().cloned() {
+                    let shard = partitioner.partition(&key, partitions);
+                    buf.emit(shard, (key, value));
+                }
+                buf
+            })
+            .collect();
+        ShuffleOutput::shuffle_streaming(ShardedBuffers::from_workers(partitions, workers), threads)
+    }
 
     #[test]
     fn shuffle_groups_by_key_in_sorted_order() {
         let pairs = vec![("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5)];
-        let out = ShuffleOutput::shuffle(pairs, 1, &HashPartitioner);
+        let out = stream(&pairs, 1, &HashPartitioner, 2, 1);
         assert_eq!(out.num_partitions(), 1);
         assert_eq!(out.total_records(), 5);
         assert_eq!(out.total_groups(), 3);
@@ -208,7 +183,7 @@ mod tests {
     #[test]
     fn every_key_lands_in_exactly_one_partition() {
         let pairs: Vec<(u64, u64)> = (0..500).map(|i| (i % 50, i)).collect();
-        let out = ShuffleOutput::shuffle(pairs, 4, &HashPartitioner);
+        let out = stream(&pairs, 4, &HashPartitioner, 5, 2);
         assert_eq!(out.total_records(), 500);
         assert_eq!(out.total_groups(), 50);
         // No key appears in two partitions.
@@ -223,65 +198,23 @@ mod tests {
 
     #[test]
     fn zero_partitions_is_clamped_to_one() {
-        let out = ShuffleOutput::shuffle(vec![("k", 1)], 0, &HashPartitioner);
+        let out = stream(&[("k", 1)], 0, &HashPartitioner, 1, 8);
         assert_eq!(out.num_partitions(), 1);
-        let out = ShuffleOutput::shuffle_parallel(vec![("k", 1)], 0, &HashPartitioner, 8);
+        let out = ShuffleOutput::<&str, i32>::shuffle_streaming(ShardedBuffers::empty(0), 8);
         assert_eq!(out.num_partitions(), 1);
     }
 
     #[test]
-    fn sharded_shuffle_matches_sequential_at_every_thread_count() {
+    fn streaming_shuffle_matches_the_oracle_at_every_thread_count() {
         let pairs: Vec<(u64, u64)> = (0..5_000).map(|i| (i * 2_654_435_761 % 97, i)).collect();
         for parts in [1usize, 2, 4, 7] {
-            let reference =
-                ShuffleOutput::shuffle(pairs.clone(), parts, &HashPartitioner).into_partitions();
+            let reference = oracle(&pairs, parts, &HashPartitioner);
             for threads in [1usize, 2, 4, 8, 64] {
-                let sharded = ShuffleOutput::shuffle_parallel(
-                    pairs.clone(),
-                    parts,
-                    &HashPartitioner,
-                    threads,
-                )
-                .into_partitions();
-                assert_eq!(sharded, reference, "parts {parts}, threads {threads}");
-            }
-        }
-    }
-
-    /// Emulates a map phase emitting `pairs[i]` straight into shard buffers —
-    /// the streaming path over the same pairs in the same order.
-    fn stream<K: MrKey, V: MrValue, P: Partitioner<K>>(
-        pairs: &[(K, V)],
-        partitions: usize,
-        partitioner: &P,
-        threads: usize,
-    ) -> ShuffleOutput<K, V> {
-        let partitions = partitions.max(1);
-        let (_, buffers) =
-            earl_parallel::sharded_emit(pairs.len(), partitions, threads, |i, buf| {
-                let (key, value) = pairs[i].clone();
-                let shard = partitioner.partition(&key, partitions);
-                buf.emit(shard, (key, value));
-            });
-        ShuffleOutput::shuffle_streaming(buffers, threads)
-    }
-
-    #[test]
-    fn streaming_shuffle_matches_sequential_at_every_thread_count() {
-        let pairs: Vec<(u64, u64)> = (0..5_000).map(|i| (i * 2_654_435_761 % 97, i)).collect();
-        for parts in [1usize, 2, 4, 7] {
-            let reference = ShuffleOutput::shuffle(pairs.clone(), parts, &HashPartitioner);
-            for threads in [1usize, 2, 4, 8, 64] {
-                let streamed = stream(&pairs, parts, &HashPartitioner, threads);
-                assert_eq!(
-                    streamed.total_records(),
-                    reference.total_records(),
-                    "parts {parts}, threads {threads}"
-                );
-                assert_eq!(streamed.total_groups(), reference.total_groups());
+                let streamed = stream(&pairs, parts, &HashPartitioner, threads, threads);
+                assert_eq!(streamed.total_records(), 5_000);
                 assert_eq!(
                     streamed.into_partitions(),
-                    reference.partitions.clone(),
+                    reference,
                     "parts {parts}, threads {threads}"
                 );
             }
@@ -289,30 +222,23 @@ mod tests {
     }
 
     #[test]
-    fn cached_counts_are_identical_across_all_three_paths() {
+    fn cached_counts_match_a_manual_walk() {
         let pairs: Vec<(u64, u64)> = (0..2_500).map(|i| (i % 83, i)).collect();
-        let seq = ShuffleOutput::shuffle(pairs.clone(), 4, &HashPartitioner);
-        let par = ShuffleOutput::shuffle_parallel(pairs.clone(), 4, &HashPartitioner, 8);
-        let streamed = stream(&pairs, 4, &HashPartitioner, 8);
-        // The cached counts agree with a manual walk and with each other.
-        let manual_records: u64 = seq
+        let streamed = stream(&pairs, 4, &HashPartitioner, 8, 8);
+        let manual_records: u64 = streamed
             .partitions()
             .flat_map(|p| p.values())
             .map(|v| v.len() as u64)
             .sum();
-        let manual_groups: u64 = seq.partitions().map(|p| p.len() as u64).sum();
-        for out in [&seq, &par, &streamed] {
-            assert_eq!(out.total_records(), manual_records);
-            assert_eq!(out.total_groups(), manual_groups);
-            // Repeated calls return the same cached values.
-            assert_eq!(out.total_records(), out.total_records());
-        }
+        let manual_groups: u64 = streamed.partitions().map(|p| p.len() as u64).sum();
+        assert_eq!(streamed.total_records(), manual_records);
+        assert_eq!(streamed.total_groups(), manual_groups);
         assert_eq!(manual_records, 2_500);
         assert_eq!(manual_groups, 83);
     }
 
     /// A key that counts how many times it is cloned, to pin down the
-    /// shuffle's no-copy guarantee.
+    /// no-copy guarantees.
     #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
     struct CountedKey(u64);
 
@@ -328,24 +254,23 @@ mod tests {
         }
     }
 
-    struct IdentityPartitioner;
-    impl Partitioner<CountedKey> for IdentityPartitioner {
-        fn partition(&self, key: &CountedKey, num_partitions: usize) -> usize {
-            (key.0 as usize) % num_partitions
-        }
-    }
-
     #[test]
-    fn shuffle_paths_never_clone_keys() {
+    fn streaming_shuffle_never_clones_keys() {
         let _serial = CLONE_COUNT_LOCK.lock();
-        let pairs = |n: u64| -> Vec<(CountedKey, u64)> {
-            (0..n).map(|i| (CountedKey(i % 13), i)).collect()
-        };
         let before = KEY_CLONES.load(Ordering::Relaxed);
-        let seq = ShuffleOutput::shuffle(pairs(2_000), 4, &IdentityPartitioner);
-        assert_eq!(seq.total_records(), 2_000);
-        let par = ShuffleOutput::shuffle_parallel(pairs(2_000), 4, &IdentityPartitioner, 8);
-        assert_eq!(par.total_records(), 2_000);
+        // Keys are constructed at emission, like a mapper: nothing to clone from.
+        let workers = (0..4u64)
+            .map(|task| {
+                let mut buf = ShardBuffers::new(4);
+                for i in task * 500..(task + 1) * 500 {
+                    buf.emit((i % 13 % 4) as usize, (CountedKey(i % 13), i));
+                }
+                buf
+            })
+            .collect();
+        let out = ShuffleOutput::shuffle_streaming(ShardedBuffers::from_workers(4, workers), 8);
+        assert_eq!(out.total_records(), 2_000);
+        assert_eq!(out.total_groups(), 13);
         assert_eq!(
             KEY_CLONES.load(Ordering::Relaxed),
             before,

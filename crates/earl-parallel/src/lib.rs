@@ -100,9 +100,7 @@ where
 }
 
 /// Splits `items` into contiguous chunks of `chunk_len` (the last may be
-/// shorter), preserving input order — the one splitting policy behind both
-/// [`owned_indexed_map`] and [`shard_merge`], so their determinism contracts
-/// cannot diverge.
+/// shorter), preserving input order.
 fn split_into_chunks<I>(items: Vec<I>, chunk_len: usize) -> Vec<Vec<I>> {
     let mut chunks: Vec<Vec<I>> = Vec::with_capacity(items.len().div_ceil(chunk_len.max(1)));
     let mut iter = items.into_iter();
@@ -119,8 +117,8 @@ fn split_into_chunks<I>(items: Vec<I>, chunk_len: usize) -> Vec<Vec<I>> {
 /// Like [`indexed_map`] but takes ownership of the work items: `eval(i, item)`
 /// consumes `items[i]`.  Splitting is contiguous and chunk order is the input
 /// order, so results are in index order and identical at every thread count.
-/// The shuffle's shard/merge stages run on this (shards are moved, never
-/// cloned, into their merger).
+/// The shuffle's per-shard merge runs on this (shards are moved, never cloned,
+/// into their merger).
 pub fn owned_indexed_map<I, T, F>(items: Vec<I>, threads: usize, eval: F) -> Vec<T>
 where
     I: Send,
@@ -159,7 +157,7 @@ where
         .collect()
 }
 
-/// One worker's per-shard output buffers: the map-side half of the streaming
+/// One producer's per-shard output buffers: the map-side half of the streaming
 /// shuffle.  `emit(shard, item)` appends the item to that shard's bucket —
 /// items are moved, never cloned, and emission order within a bucket is
 /// preserved.
@@ -171,10 +169,9 @@ pub struct ShardBuffers<I> {
 
 impl<I> ShardBuffers<I> {
     /// An empty buffer set routing into `num_shards` shards (clamped to at
-    /// least one).  Callers that evaluate tasks outside [`sharded_emit`] —
-    /// e.g. a fault-tolerant round loop that must retry individual tasks —
-    /// build one buffer set per task and reassemble them with
-    /// [`ShardedBuffers::from_workers`].
+    /// least one).  Callers build one buffer set per producer (a map task, so
+    /// a retried or aborted task's buffers can simply be dropped) and
+    /// reassemble them with [`ShardedBuffers::from_workers`].
     pub fn new(num_shards: usize) -> Self {
         Self {
             buckets: (0..num_shards.max(1)).map(|_| Vec::new()).collect(),
@@ -182,8 +179,7 @@ impl<I> ShardBuffers<I> {
         }
     }
 
-    /// Routes `item` to `shard` (clamped defensively to the last shard, the
-    /// same policy as [`shard_merge`]'s `assign`).
+    /// Routes `item` to `shard` (clamped defensively to the last shard).
     pub fn emit(&mut self, shard: usize, item: I) {
         let shard = shard.min(self.buckets.len() - 1);
         self.buckets[shard].push(item);
@@ -199,59 +195,13 @@ impl<I> ShardBuffers<I> {
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
-
-    /// Captures the current fill level of every bucket so a later
-    /// [`rollback`](Self::rollback) can discard everything emitted after this
-    /// point.  This is what lets a map task emit *directly* into a shared
-    /// worker buffer set and still abort cleanly (e.g. `Degrade` on a lost
-    /// split): checkpoint before the task, roll back on abort, and the buffers
-    /// are bit-identical to never having run the task at all.
-    pub fn checkpoint(&self) -> ShardCheckpoint {
-        ShardCheckpoint {
-            lens: self.buckets.iter().map(Vec::len).collect(),
-            emitted: self.emitted,
-        }
-    }
-
-    /// Discards every item emitted after `checkpoint` was taken, restoring the
-    /// bucket contents and the emitted count exactly.  The checkpoint must
-    /// come from this buffer set (same shard count) and nothing may have
-    /// removed items since it was taken.
-    pub fn rollback(&mut self, checkpoint: &ShardCheckpoint) {
-        assert_eq!(
-            checkpoint.lens.len(),
-            self.buckets.len(),
-            "checkpoint must come from a buffer set with the same shard count"
-        );
-        for (bucket, &len) in self.buckets.iter_mut().zip(&checkpoint.lens) {
-            debug_assert!(bucket.len() >= len, "items were removed since checkpoint");
-            bucket.truncate(len);
-        }
-        self.emitted = checkpoint.emitted;
-    }
 }
 
-impl<I> Default for ShardBuffers<I> {
-    /// A single-shard empty buffer set — the placeholder `std::mem::take`
-    /// leaves behind while a task temporarily owns the real buffers.
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
-
-/// A point-in-time fill marker of a [`ShardBuffers`], produced by
-/// [`ShardBuffers::checkpoint`] and consumed by [`ShardBuffers::rollback`].
-#[derive(Debug, Clone)]
-pub struct ShardCheckpoint {
-    lens: Vec<usize>,
-    emitted: u64,
-}
-
-/// The chunk-major output of a [`sharded_emit`] map phase: one
-/// [`ShardBuffers`] per worker chunk, in input (chunk) order.  This is the
-/// reducer-ready barrier state of the streaming shuffle — every mapper has
-/// finished, nothing has been concatenated yet, and [`merge`](Self::merge)
-/// hands each shard its items in input order.
+/// The producer-major output of a map phase: one [`ShardBuffers`] per
+/// producer, in input order.  This is the reducer-ready barrier state of the
+/// streaming shuffle — every mapper has finished, nothing has been
+/// concatenated yet, and [`merge`](Self::merge) hands each shard its items in
+/// input order.
 #[derive(Debug)]
 pub struct ShardedBuffers<I> {
     num_shards: usize,
@@ -267,11 +217,11 @@ impl<I> ShardedBuffers<I> {
         }
     }
 
-    /// Assembles the barrier state from externally evaluated per-producer
-    /// buffers, in producer order.  [`merge`](Self::merge) concatenates each
-    /// shard's buckets in this order, so passing producers in input order
-    /// yields output bit-identical to [`sharded_emit`] over the same items.
-    /// Every producer must route into the same `num_shards`.
+    /// Assembles the barrier state from per-producer buffers, in producer
+    /// order.  [`merge`](Self::merge) concatenates each shard's buckets in
+    /// this order, so passing producers in input order hands every shard its
+    /// items in `(producer index, emission order)` order.  Every producer must
+    /// route into the same `num_shards`.
     pub fn from_workers(num_shards: usize, workers: Vec<ShardBuffers<I>>) -> Self {
         let num_shards = num_shards.max(1);
         for worker in &workers {
@@ -298,12 +248,11 @@ impl<I> ShardedBuffers<I> {
     }
 
     /// Merges each shard independently with `merge(shard_index, shard_items)`
-    /// across `threads` scoped workers — the reduce-side half shared by
-    /// [`shard_merge`] and the streaming shuffle, so their determinism
-    /// contracts cannot diverge.
+    /// across `threads` scoped workers — the reduce-side half of the
+    /// streaming shuffle.
     ///
-    /// Determinism contract: a shard's items are concatenated in worker-chunk
-    /// order, and chunk order is input order, so every shard sees its items
+    /// Determinism contract: a shard's items are concatenated in producer
+    /// order, and producer order is input order, so every shard sees its items
     /// **in input (emission) order** regardless of `threads` — merge output is
     /// bit-identical at every thread count.  Items are moved, never cloned.
     pub fn merge<T, M>(self, threads: usize, merge: M) -> Vec<T>
@@ -312,9 +261,9 @@ impl<I> ShardedBuffers<I> {
         T: Send,
         M: Fn(usize, Vec<I>) -> T + Sync,
     {
-        // Transpose ownership chunk-major → shard-major.  Chunk order is input
-        // order, so concatenating a shard's buckets in this order restores the
-        // original relative order of its items.
+        // Transpose ownership producer-major → shard-major.  Producer order is
+        // input order, so concatenating a shard's buckets in this order
+        // restores the original relative order of its items.
         let mut per_shard: Vec<Vec<Vec<I>>> = (0..self.num_shards)
             .map(|_| Vec::with_capacity(self.workers.len()))
             .collect();
@@ -334,132 +283,6 @@ impl<I> ShardedBuffers<I> {
             merge(shard, shard_items)
         })
     }
-}
-
-/// Map-side streaming emission: evaluates `count` independent work items like
-/// [`indexed_map`], but gives every worker a private [`ShardBuffers`] so
-/// `eval(i, buffers)` can route its outputs straight into per-shard buckets —
-/// no intermediate all-items vector ever exists.  Returns the per-item results
-/// (in index order) plus the chunk-major buffers, ready for
-/// [`ShardedBuffers::merge`] once all mappers have finished.
-///
-/// Determinism contract: workers process contiguous index chunks and the
-/// buffers are kept in chunk order, so after the merge every shard sees its
-/// items in `(item index, emission order)` order — identical at every thread
-/// count, and identical to routing the concatenated outputs through
-/// [`shard_merge`].
-pub fn sharded_emit<I, R, E>(
-    count: usize,
-    num_shards: usize,
-    threads: usize,
-    eval: E,
-) -> (Vec<R>, ShardedBuffers<I>)
-where
-    I: Send,
-    R: Send,
-    E: Fn(usize, &mut ShardBuffers<I>) -> R + Sync,
-{
-    let num_shards = num_shards.max(1);
-    let threads = threads.clamp(1, count.max(1));
-    if count == 0 {
-        return (Vec::new(), ShardedBuffers::empty(num_shards));
-    }
-    if threads <= 1 {
-        let mut buffers = ShardBuffers::new(num_shards);
-        let results = (0..count).map(|i| eval(i, &mut buffers)).collect();
-        return (
-            results,
-            ShardedBuffers {
-                num_shards,
-                workers: vec![buffers],
-            },
-        );
-    }
-    let chunk_len = count.div_ceil(threads);
-    let num_chunks = count.div_ceil(chunk_len);
-    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
-    let mut worker_slots: Vec<Option<ShardBuffers<I>>> = (0..num_chunks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((chunk_idx, slots), worker_slot) in out
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .zip(worker_slots.iter_mut())
-        {
-            let eval = &eval;
-            scope.spawn(move || {
-                let base = chunk_idx * chunk_len;
-                let mut buffers = ShardBuffers::new(num_shards);
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(eval(base + offset, &mut buffers));
-                }
-                *worker_slot = Some(buffers);
-            });
-        }
-    });
-    (
-        out.into_iter()
-            .map(|slot| slot.expect("every work item was executed"))
-            .collect(),
-        ShardedBuffers {
-            num_shards,
-            workers: worker_slots
-                .into_iter()
-                .map(|slot| slot.expect("every worker chunk produced buffers"))
-                .collect(),
-        },
-    )
-}
-
-/// Partition-parallel shard-and-merge: routes every item to the shard chosen
-/// by `assign`, then merges each shard with `merge(shard_index, shard_items)`.
-///
-/// Determinism contract: items are scanned in contiguous input chunks (one per
-/// worker) into [`ShardBuffers`] and merged through [`ShardedBuffers::merge`]
-/// — the same back half the streaming shuffle uses — so every shard sees its
-/// items **in input order** regardless of `threads` and the merge output is
-/// bit-identical at every thread count.  `assign` must return a value
-/// `< num_shards` (it is clamped defensively).  Items are moved, never cloned,
-/// end to end.
-///
-/// This is the gather-side sharding primitive (map output already materialised
-/// into one vector); [`sharded_emit`] is the streaming variant that never
-/// materialises that vector.
-pub fn shard_merge<I, T, A, M>(
-    items: Vec<I>,
-    num_shards: usize,
-    threads: usize,
-    assign: A,
-    merge: M,
-) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    A: Fn(&I) -> usize + Sync,
-    M: Fn(usize, Vec<I>) -> T + Sync,
-{
-    let num_shards = num_shards.max(1);
-    let count = items.len();
-    let threads = threads.clamp(1, count.max(1));
-
-    // Phase 1: each worker buckets one contiguous chunk of the input into its
-    // private ShardBuffers, preserving input order within the chunk.
-    let chunk_len = count.div_ceil(threads);
-    let chunks = split_into_chunks(items, chunk_len);
-    let workers: Vec<ShardBuffers<I>> = owned_indexed_map(chunks, threads, |_, chunk| {
-        let mut buffers = ShardBuffers::new(num_shards);
-        for item in chunk {
-            let shard = assign(&item);
-            buffers.emit(shard, item);
-        }
-        buffers
-    });
-
-    // Phase 2: the shared reducer-ready barrier + per-shard merge.
-    ShardedBuffers {
-        num_shards,
-        workers,
-    }
-    .merge(threads, merge)
 }
 
 /// Like [`replicate_map`] but for in-place mutation of `count` existing items:
@@ -556,158 +379,60 @@ mod tests {
         assert!(owned_indexed_map(Vec::<u8>::new(), 4, |_, b| b).is_empty());
     }
 
-    #[test]
-    fn shard_merge_preserves_input_order_within_each_shard() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let reference = shard_merge(items.clone(), 7, 1, |&x| (x % 7) as usize, |s, v| (s, v));
-        for threads in [2, 3, 8, 64] {
-            let sharded = shard_merge(
-                items.clone(),
-                7,
-                threads,
-                |&x| (x % 7) as usize,
-                |s, v| (s, v),
-            );
-            assert_eq!(sharded, reference, "threads {threads}");
-        }
-        // Within every shard, items appear in input (ascending) order.
-        for (shard, values) in &reference {
-            assert!(values.windows(2).all(|w| w[0] < w[1]));
-            assert!(values.iter().all(|v| (*v % 7) as usize == *shard));
-        }
-        let total: usize = reference.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, 10_000);
-    }
-
-    #[test]
-    fn shard_merge_clamps_out_of_range_shards_and_empty_input() {
-        let out = shard_merge(vec![1u8, 2, 3], 2, 4, |_| 99, |s, v: Vec<u8>| (s, v.len()));
-        assert_eq!(
-            out,
-            vec![(0, 0), (1, 3)],
-            "out-of-range assign clamps to last shard"
-        );
-        let empty = shard_merge(Vec::<u8>::new(), 3, 4, |_| 0, |s, v: Vec<u8>| (s, v.len()));
-        assert_eq!(empty, vec![(0, 0), (1, 0), (2, 0)]);
-    }
-
-    #[test]
-    fn sharded_emit_matches_shard_merge_at_every_thread_count() {
-        // The same logical routing through both primitives must agree bitwise:
-        // shard_merge over the materialised items vs sharded_emit generating
-        // the items in place.
-        let n = 9_973usize;
-        let gen = |i: usize| -> (u64, String) { ((i as u64) % 11, format!("v{i}")) };
-        let items: Vec<(u64, String)> = (0..n).map(gen).collect();
-        let reference = shard_merge(items, 5, 1, |(k, _)| (*k % 5) as usize, |s, v| (s, v));
-        for threads in [1usize, 2, 3, 8, 64] {
-            let (results, buffers) = sharded_emit(n, 5, threads, |i, buf| {
-                let (k, v) = gen(i);
-                buf.emit((k % 5) as usize, (k, v));
-                i
-            });
-            assert_eq!(results, (0..n).collect::<Vec<_>>(), "threads {threads}");
-            assert_eq!(buffers.num_shards(), 5);
-            assert_eq!(buffers.total_items(), n as u64);
-            let merged = buffers.merge(threads, |s, v| (s, v));
-            assert_eq!(merged, reference, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_emit_handles_empty_work_and_clamps_shards() {
-        let (results, buffers) = sharded_emit::<u8, (), _>(0, 3, 4, |_, _| ());
-        assert!(results.is_empty());
-        assert_eq!(buffers.total_items(), 0);
-        assert_eq!(buffers.merge(4, |s, v: Vec<u8>| (s, v.len())).len(), 3);
-
-        // Out-of-range emission clamps to the last shard, like shard_merge.
-        let (_, buffers) = sharded_emit(3, 2, 1, |i, buf: &mut ShardBuffers<usize>| {
-            buf.emit(99, i);
-        });
-        let merged = buffers.merge(1, |s, v: Vec<usize>| (s, v));
-        assert_eq!(merged, vec![(0, vec![]), (1, vec![0, 1, 2])]);
-    }
-
-    #[test]
-    fn sharded_emit_items_not_multiple_of_threads() {
-        // count not divisible by threads: trailing short chunk still produces
-        // its buffers and ordering holds.
-        let (results, buffers) = sharded_emit(10, 3, 4, |i, buf| {
-            buf.emit(i % 3, i);
-            i * 2
-        });
-        assert_eq!(results, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        let merged = buffers.merge(2, |s, v: Vec<usize>| (s, v));
-        assert_eq!(merged[0], (0, vec![0, 3, 6, 9]));
-        assert_eq!(merged[1], (1, vec![1, 4, 7]));
-        assert_eq!(merged[2], (2, vec![2, 5, 8]));
-    }
-
-    #[test]
-    fn from_workers_matches_sharded_emit_per_task_buffers() {
-        // One buffer set per task (the fault-tolerant round loop's shape)
-        // reassembled in task order merges bit-identically to sharded_emit.
-        let (_, reference) = sharded_emit(10, 3, 4, |i, buf: &mut ShardBuffers<usize>| {
-            buf.emit(i % 3, i);
-        });
-        let per_task: Vec<ShardBuffers<usize>> = (0..10)
-            .map(|i| {
-                let mut buf = ShardBuffers::new(3);
-                buf.emit(i % 3, i);
+    /// One buffer set per producer: producer `p` emits the items
+    /// `p * per_producer ..` in order, item `i` routed to shard `i % shards`.
+    fn per_producer_buffers(
+        producers: usize,
+        per_producer: usize,
+        shards: usize,
+    ) -> Vec<ShardBuffers<usize>> {
+        (0..producers)
+            .map(|p| {
+                let mut buf = ShardBuffers::new(shards);
+                for i in p * per_producer..(p + 1) * per_producer {
+                    buf.emit(i % shards, i);
+                }
                 buf
             })
+            .collect()
+    }
+
+    #[test]
+    fn merge_preserves_input_order_within_each_shard_at_every_thread_count() {
+        // Oracle: shard s holds exactly the items ≡ s (mod 7), ascending.
+        let expected: Vec<(usize, Vec<usize>)> = (0..7)
+            .map(|s| (s, (0..9_975).filter(|i| i % 7 == s).collect()))
             .collect();
-        let rebuilt = ShardedBuffers::from_workers(3, per_task);
-        assert_eq!(rebuilt.total_items(), 10);
-        let a = reference.merge(2, |s, v: Vec<usize>| (s, v));
-        let b = rebuilt.merge(2, |s, v: Vec<usize>| (s, v));
-        assert_eq!(a, b);
+        for threads in [1usize, 2, 3, 8, 64] {
+            let buffers = ShardedBuffers::from_workers(7, per_producer_buffers(57, 175, 7));
+            assert_eq!(buffers.num_shards(), 7);
+            assert_eq!(buffers.total_items(), 9_975);
+            let merged = buffers.merge(threads, |s, v| (s, v));
+            assert_eq!(merged, expected, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn merge_handles_empty_work_and_emit_clamps_shards() {
+        let empty = ShardedBuffers::<u8>::empty(3);
+        assert_eq!(empty.total_items(), 0);
+        assert_eq!(empty.merge(4, |s, v: Vec<u8>| (s, v.len())).len(), 3);
+        assert_eq!(ShardedBuffers::<u8>::empty(0).num_shards(), 1);
+
+        // Out-of-range emission clamps to the last shard.
+        let mut buf = ShardBuffers::new(2);
+        for i in 0..3usize {
+            buf.emit(99, i);
+        }
+        assert_eq!(buf.emitted(), 3);
+        let merged = ShardedBuffers::from_workers(2, vec![buf]).merge(1, |s, v| (s, v));
+        assert_eq!(merged, vec![(0, vec![]), (1, vec![0, 1, 2])]);
     }
 
     #[test]
     #[should_panic(expected = "same shard count")]
     fn from_workers_rejects_mismatched_shard_counts() {
         let _ = ShardedBuffers::from_workers(3, vec![ShardBuffers::<u8>::new(2)]);
-    }
-
-    #[test]
-    fn checkpoint_rollback_restores_buffers_exactly() {
-        let mut buffers = ShardBuffers::new(3);
-        buffers.emit(0, 10u32);
-        buffers.emit(2, 20);
-        let checkpoint = buffers.checkpoint();
-        buffers.emit(0, 30);
-        buffers.emit(1, 40);
-        buffers.emit(2, 50);
-        assert_eq!(buffers.emitted(), 5);
-        buffers.rollback(&checkpoint);
-        assert_eq!(buffers.emitted(), 2, "emitted count restored");
-        let merged = ShardedBuffers::from_workers(3, vec![buffers]).merge(1, |s, v| (s, v));
-        assert_eq!(
-            merged,
-            vec![(0, vec![10]), (1, vec![]), (2, vec![20])],
-            "bucket contents restored exactly"
-        );
-    }
-
-    #[test]
-    fn rollback_at_empty_checkpoint_empties_the_buffers() {
-        let mut buffers = ShardBuffers::<u8>::new(2);
-        let checkpoint = buffers.checkpoint();
-        buffers.emit(0, 1);
-        buffers.emit(1, 2);
-        buffers.rollback(&checkpoint);
-        assert_eq!(buffers.emitted(), 0);
-        let merged = ShardedBuffers::from_workers(2, vec![buffers]).merge(1, |s, v| (s, v));
-        assert_eq!(merged, vec![(0, Vec::<u8>::new()), (1, Vec::new())]);
-    }
-
-    #[test]
-    #[should_panic(expected = "same shard count")]
-    fn rollback_rejects_foreign_checkpoint() {
-        let other = ShardBuffers::<u8>::new(2).checkpoint();
-        ShardBuffers::<u8>::new(3).rollback(&other);
     }
 
     #[test]

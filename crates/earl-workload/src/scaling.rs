@@ -10,8 +10,8 @@
 //! scales charged I/O by `scale_factor()` so processing times reflect the
 //! nominal size, while all statistics run on the materialised records.
 //!
-//! This substitution is documented in `DESIGN.md`; it preserves who-wins and
-//! crossover shapes because both systems' costs are scaled by the same factor.
+//! The substitution preserves who-wins and crossover shapes because both
+//! systems' costs are scaled by the same factor.
 
 use serde::{Deserialize, Serialize};
 

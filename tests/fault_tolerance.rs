@@ -14,7 +14,8 @@
 //!   `JobResult` (outputs, counters, stats, fault log) at every thread count,
 //!   under both [`FailurePolicy::Retry`] and [`FailurePolicy::Degrade`];
 //! * `Retry` with replication ≥ 2 reproduces the no-failure outputs exactly;
-//!   `Degrade` at replication 1 drops the dead node's splits and logs them;
+//!   `Degrade` at replication 1 drops the dead node's splits and logs them —
+//!   including whatever a task emitted before it reached the dead block;
 //! * the EARL driver under its default `Degrade` policy survives a mid-run
 //!   node death at replication 1: the run returns `Ok`, the confidence
 //!   interval brackets the ground truth, and the fault log records the loss;
@@ -30,12 +31,12 @@
 //! locally the {2, 8} ladder is used.
 
 use earl_cluster::{
-    Cluster, CostModel, FailureEvent, FailureSchedule, NodeId, SimDuration, SimInstant,
+    Cluster, CostModel, FailureEvent, FailureSchedule, NodeId, Phase, SimDuration, SimInstant,
 };
 use earl_core::fault::run_despite_failures;
 use earl_core::tasks::MeanTask;
 use earl_core::{EarlConfig, EarlDriver};
-use earl_dfs::{Dfs, DfsConfig};
+use earl_dfs::{Dfs, DfsConfig, DfsError};
 use earl_mapreduce::counters::builtin;
 use earl_mapreduce::{
     contrib::{MeanReducer, ValueExtractMapper},
@@ -333,6 +334,85 @@ fn degrade_at_replication_one_drops_the_dead_nodes_splits() {
             Some(r) => {
                 assert_job_results_identical(r, &result, &format!("degrade, threads {threads}"))
             }
+        }
+    }
+}
+
+#[test]
+fn degrade_drops_what_a_task_emitted_before_its_block_went_missing() {
+    // Two-block splits at replication 1 with one of six nodes already dead:
+    // some tasks never touch the dead node, and some read (and emit) their
+    // first block, then hit `BlockUnavailable` on the second.  Those partial
+    // emissions must vanish with the task.
+    let world = || {
+        let dfs = make_dfs(6, 1, FailureSchedule::None);
+        write_mean_dataset(&dfs, 20_000, 50);
+        dfs.cluster().fail_node(NodeId(1)).unwrap();
+        let splits = dfs.splits("/data", 2 * 4096).unwrap();
+        (dfs, splits)
+    };
+
+    // Ground truth from a probe world: read every split to its end or to its
+    // first unavailable block.
+    let (probe, splits) = world();
+    let (mut surviving_records, mut lost, mut emitted_then_lost) = (0u64, 0u64, 0u64);
+    for split in &splits {
+        let mut reader = probe.open_split(split.clone(), Phase::Load);
+        let mut records = 0u64;
+        loop {
+            match reader.next_line() {
+                Ok(Some(_)) => records += 1,
+                Ok(None) => break surviving_records += records,
+                Err(DfsError::BlockUnavailable(_)) => {
+                    lost += 1;
+                    emitted_then_lost += records;
+                    break;
+                }
+                Err(e) => panic!("unexpected read error: {e}"),
+            }
+        }
+    }
+    assert!(surviving_records > 0 && lost > 0);
+    assert!(
+        emitted_then_lost > 0,
+        "the scenario needs a task that emits before it aborts"
+    );
+
+    let mut reference: Option<JobResult<f64>> = None;
+    for threads in [1usize].into_iter().chain(thread_counts()) {
+        let (dfs, splits) = world();
+        let conf = JobConf::new("mean", InputSource::Splits(splits.clone()))
+            .with_failure_policy(FailurePolicy::Degrade)
+            .with_parallelism(Some(threads));
+        let result = run_job(&dfs, &conf, &ValueExtractMapper, &MeanReducer).unwrap();
+
+        // Every record is one emitted pair, so the shuffle saw exactly the
+        // surviving tasks' records — on every accounting of it.
+        assert_eq!(result.stats.shuffle_records, surviving_records);
+        assert_eq!(
+            result.counters.get(builtin::SHARDED_SHUFFLE_RECORDS),
+            surviving_records
+        );
+        assert_eq!(
+            result.counters.get(builtin::MAP_OUTPUT_RECORDS),
+            surviving_records
+        );
+        assert_eq!(
+            result.counters.get(builtin::MAP_INPUT_RECORDS),
+            surviving_records
+        );
+        // ...and each aborted task is counted lost exactly once.
+        assert_eq!(result.stats.map_tasks, splits.len() as u64);
+        assert_eq!(result.stats.lost_map_tasks, lost);
+        assert_eq!(result.stats.fault_log.splits_lost, lost);
+        assert_eq!(result.counters.get(builtin::LOST_SPLITS), lost);
+        match &reference {
+            None => reference = Some(result),
+            Some(r) => assert_job_results_identical(
+                r,
+                &result,
+                &format!("partial-emit degrade, threads {threads}"),
+            ),
         }
     }
 }

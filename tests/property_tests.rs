@@ -1,4 +1,4 @@
-//! Property-based tests of the core invariants listed in DESIGN.md.
+//! Property-based tests of the core invariants.
 //!
 //! The build environment has no crates.io access, so instead of proptest this
 //! file drives each property over a seeded stream of randomized cases (32 per

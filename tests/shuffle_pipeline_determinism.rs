@@ -1,11 +1,10 @@
 //! Determinism suite for the sharded shuffle and the pipelined EARL schedule
-//! (PR 2), companion to `parallel_determinism.rs`.
+//! (PR 2), companion to `parallel_determinism.rs`.  (The shuffle's equivalence
+//! with the sequential BTreeMap oracle on arbitrary inputs lives in
+//! `streaming_shuffle_equivalence.rs`.)
 //!
 //! Contracts enforced here:
 //!
-//! * `ShuffleOutput::shuffle_parallel` is bit-identical to the sequential
-//!   BTreeMap reference for arbitrary key/value/partitioner combinations at
-//!   every thread count;
 //! * a full job run (map → sharded shuffle → reduce) is identical at every
 //!   thread count;
 //! * the pipelined schedule (`pipeline_depth = 2`), including a speculative
@@ -19,10 +18,7 @@
 use earl_core::tasks::{MeanTask, MedianTask};
 use earl_core::{EarlConfig, EarlDriver};
 use earl_dfs::{Dfs, DfsConfig};
-use earl_mapreduce::partition::{HashPartitioner, Partitioner};
-use earl_mapreduce::{contrib, run_job, InputSource, JobConf, ShuffleOutput};
-use rand::rngs::StdRng;
-use rand::Rng;
+use earl_mapreduce::{contrib, run_job, InputSource, JobConf};
 
 /// Thread counts under test: the `EARL_THREADS` matrix value when set, the
 /// full {1, 2, 4, 8} ladder otherwise.
@@ -30,76 +26,6 @@ fn thread_counts() -> Vec<usize> {
     match std::env::var("EARL_THREADS") {
         Ok(v) => vec![v.parse().expect("EARL_THREADS must be a positive integer")],
         Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-fn seeded(seed: u64) -> StdRng {
-    earl_bootstrap::rng::seeded_rng(seed)
-}
-
-fn rand_word(rng: &mut StdRng, max_len: usize) -> String {
-    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-";
-    let len = rng.gen_range(1..=max_len);
-    (0..len)
-        .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char)
-        .collect()
-}
-
-/// A deliberately skewed partitioner: everything below the pivot goes to
-/// partition 0 — exercises shard imbalance, the case hash partitioning never
-/// produces.
-struct PivotPartitioner(u64);
-
-impl Partitioner<u64> for PivotPartitioner {
-    fn partition(&self, key: &u64, num_partitions: usize) -> usize {
-        if *key < self.0 {
-            0
-        } else {
-            (*key % num_partitions as u64) as usize
-        }
-    }
-}
-
-/// Property: sharded shuffle ≡ sequential BTreeMap shuffle over arbitrary
-/// key/value/partitioner combinations, at every thread count (32 randomized
-/// cases; the case seed reproduces a failure).
-#[test]
-fn sharded_shuffle_matches_sequential_on_arbitrary_inputs() {
-    for case in 0u64..32 {
-        let mut rng = seeded(0x5AFE_0000 + case);
-        let n = rng.gen_range(0..4_000usize);
-        let key_space = rng.gen_range(1..200u64);
-        let partitions = rng.gen_range(1..12usize);
-
-        // u64 keys, String values, skewed partitioner.
-        let pairs: Vec<(u64, String)> = (0..n)
-            .map(|_| (rng.gen_range(0..key_space), rand_word(&mut rng, 12)))
-            .collect();
-        let pivot = PivotPartitioner(key_space / 2);
-        let reference = ShuffleOutput::shuffle(pairs.clone(), partitions, &pivot).into_partitions();
-        for &threads in &thread_counts() {
-            let sharded =
-                ShuffleOutput::shuffle_parallel(pairs.clone(), partitions, &pivot, threads)
-                    .into_partitions();
-            assert_eq!(sharded, reference, "case {case}, threads {threads}");
-        }
-
-        // String keys, f64-bits values, hash partitioner.
-        let pairs: Vec<(String, u64)> = (0..n)
-            .map(|_| (rand_word(&mut rng, 6), rng.gen_range(0..u64::MAX)))
-            .collect();
-        let reference =
-            ShuffleOutput::shuffle(pairs.clone(), partitions, &HashPartitioner).into_partitions();
-        for &threads in &thread_counts() {
-            let sharded = ShuffleOutput::shuffle_parallel(
-                pairs.clone(),
-                partitions,
-                &HashPartitioner,
-                threads,
-            )
-            .into_partitions();
-            assert_eq!(sharded, reference, "case {case}, threads {threads}");
-        }
     }
 }
 

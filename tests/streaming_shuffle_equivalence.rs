@@ -3,30 +3,32 @@
 //!
 //! Contracts enforced here:
 //!
-//! * **three-way equivalence** — `shuffle_streaming` ≡ `shuffle_parallel` ≡
-//!   the sequential `BTreeMap` reference over random key/value/partitioner
-//!   combinations, at every thread count;
+//! * **equivalence** — `shuffle_streaming` over per-task shard buffers
+//!   (`ShardedBuffers::from_workers` + `merge`) ≡ the sequential `BTreeMap`
+//!   oracle below, over random key/value/partitioner combinations, at every
+//!   thread count and task count;
 //! * **no clones** — keys and values are moved from the mapper's `emit` into
 //!   their reduce group, never cloned;
-//! * **no all-pairs vector** — the streaming path's largest single heap
-//!   allocation stays at per-shard scale, while the gather design's is the
-//!   job-wide all-pairs vector (asserted with a counting global allocator);
+//! * **no all-pairs vector** — the shuffle's largest single heap allocation
+//!   stays at per-shard scale, never the job-wide pair count (asserted with a
+//!   counting global allocator);
 //! * **pipelined-cancel interaction** — a staged iteration whose map output is
 //!   already sharded map-side cancels cleanly and leaves later iterations
 //!   bit-identical;
-//! * **cached counts** — `total_records` / `total_groups` are identical on
-//!   every path.
+//! * **cached counts** — `total_records` / `total_groups` agree with a manual
+//!   walk of the partitions.
 //!
 //! The CI thread-matrix job runs this file with `EARL_THREADS` ∈ {1, 2, 4, 8};
 //! when the variable is unset, every count is covered in-process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use earl_mapreduce::partition::{HashPartitioner, Partitioner};
 use earl_mapreduce::{contrib, run_job, InputSource, JobConf, PipelinedSession, ShuffleOutput};
-use earl_parallel::sharded_emit;
+use earl_parallel::{indexed_map, ShardBuffers, ShardedBuffers};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -129,12 +131,53 @@ impl Partitioner<u64> for PivotPartitioner {
     }
 }
 
-/// The streaming path over `pairs` in input order: every pair emitted into its
-/// shard map-side, then the reduce-side merge — no all-pairs handoff.
+/// The sequential reference the shuffle must match bit for bit: one pass over
+/// the pairs into per-partition `BTreeMap`s.
+fn oracle<K, V, P>(pairs: &[(K, V)], partitions: usize, partitioner: &P) -> Vec<BTreeMap<K, Vec<V>>>
+where
+    K: Ord + Clone,
+    V: Clone,
+    P: Partitioner<K>,
+{
+    let partitions = partitions.max(1);
+    let mut out: Vec<BTreeMap<K, Vec<V>>> = (0..partitions).map(|_| BTreeMap::new()).collect();
+    for (key, value) in pairs.iter().cloned() {
+        let p = partitioner.partition(&key, partitions).min(partitions - 1);
+        out[p].entry(key).or_default().push(value);
+    }
+    out
+}
+
+/// A map phase of `tasks` map tasks run on `threads` workers: task `t` builds
+/// its own shard buffers with `emit_task(t, buffers)`, and the buffers are
+/// assembled in task order — the shape the runner hands the shuffle.
+fn map_side<I: Send>(
+    tasks: usize,
+    shards: usize,
+    threads: usize,
+    emit_task: impl Fn(usize, &mut ShardBuffers<I>) + Sync,
+) -> ShardedBuffers<I> {
+    let workers = indexed_map(
+        tasks,
+        threads,
+        || (),
+        |task, ()| {
+            let mut buffers = ShardBuffers::new(shards);
+            emit_task(task, &mut buffers);
+            buffers
+        },
+    );
+    ShardedBuffers::from_workers(shards, workers)
+}
+
+/// The streaming path over `pairs` in input order, split over `tasks` map
+/// tasks: every pair emitted into its shard map-side, then the reduce-side
+/// merge — no all-pairs handoff.
 fn stream_pairs<K, V, P>(
     pairs: &[(K, V)],
     partitions: usize,
     partitioner: &P,
+    tasks: usize,
     threads: usize,
 ) -> ShuffleOutput<K, V>
 where
@@ -143,81 +186,76 @@ where
     P: Partitioner<K> + Sync,
 {
     let partitions = partitions.max(1);
-    let (_, buffers) = sharded_emit(pairs.len(), partitions, threads, |i, buf| {
-        let (key, value) = pairs[i].clone();
-        buf.emit(partitioner.partition(&key, partitions), (key, value));
+    let per_task = pairs.len().div_ceil(tasks).max(1);
+    let slices: Vec<&[(K, V)]> = pairs.chunks(per_task).collect();
+    let buffers = map_side(slices.len(), partitions, threads, |task, buf| {
+        for (key, value) in slices[task].iter().cloned() {
+            buf.emit(partitioner.partition(&key, partitions), (key, value));
+        }
     });
     ShuffleOutput::shuffle_streaming(buffers, threads)
 }
 
 // ---------------------------------------------------------------------------
-// Property: three-way equivalence on arbitrary inputs
+// Property: equivalence with the oracle on arbitrary inputs
 // ---------------------------------------------------------------------------
 
-/// streaming ≡ sharded ≡ sequential over arbitrary key/value/partitioner
-/// combinations at every thread count (32 randomized cases; the case seed
-/// reproduces a failure).
+/// streaming ≡ oracle over arbitrary key/value/partitioner combinations at
+/// every thread count, whether the pairs came from one map task or many (32
+/// randomized cases; the case seed reproduces a failure).
 #[test]
-fn streaming_matches_sharded_and_sequential_on_arbitrary_inputs() {
+fn streaming_matches_the_oracle_on_arbitrary_inputs() {
     for case in 0u64..32 {
         let mut rng = seeded(0x57E4_0000 + case);
         let n = rng.gen_range(0..4_000usize);
         let key_space = rng.gen_range(1..200u64);
         let partitions = rng.gen_range(1..12usize);
+        let tasks = rng.gen_range(1..40usize);
 
         // u64 keys, String values, skewed partitioner.
         let pairs: Vec<(u64, String)> = (0..n)
             .map(|_| (rng.gen_range(0..key_space), rand_word(&mut rng, 12)))
             .collect();
         let pivot = PivotPartitioner(key_space / 2);
-        let reference = ShuffleOutput::shuffle(pairs.clone(), partitions, &pivot).into_partitions();
+        let reference = oracle(&pairs, partitions, &pivot);
         for &threads in &thread_counts() {
-            let sharded =
-                ShuffleOutput::shuffle_parallel(pairs.clone(), partitions, &pivot, threads)
-                    .into_partitions();
-            assert_eq!(
-                sharded, reference,
-                "sharded: case {case}, threads {threads}"
-            );
-            let streamed = stream_pairs(&pairs, partitions, &pivot, threads).into_partitions();
-            assert_eq!(
-                streamed, reference,
-                "streaming: case {case}, threads {threads}"
-            );
+            for tasks in [1, tasks] {
+                let streamed =
+                    stream_pairs(&pairs, partitions, &pivot, tasks, threads).into_partitions();
+                assert_eq!(
+                    streamed, reference,
+                    "case {case}, tasks {tasks}, threads {threads}"
+                );
+            }
         }
 
         // String keys, u64 values, hash partitioner.
         let pairs: Vec<(String, u64)> = (0..n)
             .map(|_| (rand_word(&mut rng, 6), rng.gen_range(0..u64::MAX)))
             .collect();
-        let reference =
-            ShuffleOutput::shuffle(pairs.clone(), partitions, &HashPartitioner).into_partitions();
+        let reference = oracle(&pairs, partitions, &HashPartitioner);
         for &threads in &thread_counts() {
-            let streamed =
-                stream_pairs(&pairs, partitions, &HashPartitioner, threads).into_partitions();
+            let streamed = stream_pairs(&pairs, partitions, &HashPartitioner, tasks, threads)
+                .into_partitions();
             assert_eq!(
                 streamed, reference,
-                "streaming: case {case}, threads {threads}"
+                "case {case}, tasks {tasks}, threads {threads}"
             );
         }
     }
 }
 
-/// The cached `total_records` / `total_groups` agree across all three paths
-/// and with a manual walk of the partitions.
+/// The cached `total_records` / `total_groups` agree with the oracle and with
+/// a manual walk of the partitions.
 #[test]
-fn cached_counts_agree_on_every_path() {
+fn cached_counts_agree_with_a_manual_walk() {
     let pairs: Vec<(u64, u64)> = (0..6_000).map(|i| (i % 113, i)).collect();
-    let seq = ShuffleOutput::shuffle(pairs.clone(), 5, &HashPartitioner);
-    assert_eq!(seq.total_records(), 6_000);
-    assert_eq!(seq.total_groups(), 113);
+    let reference = oracle(&pairs, 5, &HashPartitioner);
+    assert_eq!(reference.iter().map(BTreeMap::len).sum::<usize>(), 113);
     for &threads in &thread_counts() {
-        let par = ShuffleOutput::shuffle_parallel(pairs.clone(), 5, &HashPartitioner, threads);
-        let streamed = stream_pairs(&pairs, 5, &HashPartitioner, threads);
-        for out in [&par, &streamed] {
-            assert_eq!(out.total_records(), 6_000, "threads {threads}");
-            assert_eq!(out.total_groups(), 113, "threads {threads}");
-        }
+        let streamed = stream_pairs(&pairs, 5, &HashPartitioner, 12, threads);
+        assert_eq!(streamed.total_records(), 6_000, "threads {threads}");
+        assert_eq!(streamed.total_groups(), 113, "threads {threads}");
         let manual_records: u64 = streamed
             .partitions()
             .flat_map(|p| p.values())
@@ -257,12 +295,14 @@ impl Partitioner<CountedKey> for IdentityPartitioner {
 fn streaming_path_never_clones_keys() {
     for &threads in &thread_counts() {
         let before = KEY_CLONES.load(Ordering::Relaxed);
-        let (_, buffers) = sharded_emit(2_000usize, 4, threads, |i, buf| {
-            // The pair is *constructed* here, exactly like a mapper emitting:
-            // no source collection to clone from.
-            let key = CountedKey((i as u64) % 13);
-            let shard = IdentityPartitioner.partition(&key, 4);
-            buf.emit(shard, (key, i as u64));
+        let buffers = map_side(20, 4, threads, |task, buf| {
+            for i in task * 100..(task + 1) * 100 {
+                // The pair is *constructed* here, exactly like a mapper
+                // emitting: no source collection to clone from.
+                let key = CountedKey((i as u64) % 13);
+                let shard = IdentityPartitioner.partition(&key, 4);
+                buf.emit(shard, (key, i as u64));
+            }
         });
         let out = ShuffleOutput::shuffle_streaming(buffers, threads);
         assert_eq!(out.total_records(), 2_000);
@@ -279,10 +319,10 @@ fn streaming_path_never_clones_keys() {
 // Allocation contract: the all-pairs vector is gone
 // ---------------------------------------------------------------------------
 
-/// The gather design's largest allocation is the job-wide all-pairs vector;
-/// the streaming design's largest allocation stays at per-shard scale.  Both
-/// run single-threaded on this thread so the thread-local counters see every
-/// allocation.
+/// The shuffle's largest single allocation stays at per-shard scale: the
+/// job-wide all-pairs vector a gather design would concatenate between map and
+/// shuffle never exists.  Runs single-threaded on this thread so the
+/// thread-local counters see every allocation.
 #[test]
 fn streaming_path_never_materialises_an_all_pairs_vector() {
     const TASKS: usize = 64;
@@ -290,41 +330,19 @@ fn streaming_path_never_materialises_an_all_pairs_vector() {
     const SHARDS: usize = 8;
     let n = TASKS * PAIRS_PER_TASK; // 65_536 pairs × 16 bytes = 1 MiB
     let pair_bytes = (n * std::mem::size_of::<(u64, u64)>()) as u64;
-    let gen = |task: usize, j: usize| -> (u64, u64) {
-        let i = (task * PAIRS_PER_TASK + j) as u64;
-        (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4_096, i)
-    };
 
-    // Gather design (the old engine): every task's pairs concatenated into one
-    // all-pairs vector, then sharded.
-    let ((), _, gather_max) = measure_allocations(|| {
-        let mut all_pairs: Vec<(u64, u64)> = Vec::new();
-        for task in 0..TASKS {
-            for j in 0..PAIRS_PER_TASK {
-                all_pairs.push(gen(task, j));
-            }
-        }
-        let out = ShuffleOutput::shuffle_parallel(all_pairs, SHARDS, &HashPartitioner, 1);
-        assert_eq!(out.total_records(), n as u64);
-    });
-
-    // Streaming design: each task emits straight into shard buffers.
     let ((), _, streaming_max) = measure_allocations(|| {
-        let (_, buffers) = sharded_emit(TASKS, SHARDS, 1, |task, buf| {
+        let buffers = map_side(TASKS, SHARDS, 1, |task, buf| {
             for j in 0..PAIRS_PER_TASK {
-                let (key, value) = gen(task, j);
-                let shard = HashPartitioner.partition(&key, SHARDS);
-                buf.emit(shard, (key, value));
+                let i = (task * PAIRS_PER_TASK + j) as u64;
+                let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4_096;
+                buf.emit(HashPartitioner.partition(&key, SHARDS), (key, i));
             }
         });
         let out = ShuffleOutput::shuffle_streaming(buffers, 1);
         assert_eq!(out.total_records(), n as u64);
     });
 
-    assert!(
-        gather_max >= pair_bytes,
-        "gather must have materialised the all-pairs vector ({gather_max} < {pair_bytes})"
-    );
     assert!(
         streaming_max <= pair_bytes / 4,
         "streaming max single allocation {streaming_max} should stay at per-shard scale \
