@@ -6,11 +6,28 @@
 //! deliberately independent of how the resamples were produced — the driver
 //! feeds it either fresh Monte-Carlo resamples or delta-maintained ones.
 
-use earl_bootstrap::bootstrap::{bootstrap_distribution, BootstrapConfig, BootstrapResult};
+use earl_bootstrap::bootstrap::{
+    bootstrap_distribution, BootstrapConfig, BootstrapResult, LinearSections, ResolvedKernel,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::task::{EarlTask, TaskEstimator};
 use crate::Result;
+
+/// Records a fresh bootstrap of `bootstraps` replicates over a sample of
+/// `records` touches — the work every AES charge (scalar, SSABE pilot,
+/// per group) is priced by.  The count-based kernel scans the sample once to
+/// build the section summaries, then touches one summary per section per
+/// replicate (O(n + √n·B)); every other kernel touches each record once per
+/// replicate.
+pub(crate) fn aes_work(resolved: ResolvedKernel, records: usize, bootstraps: usize) -> u64 {
+    match resolved {
+        ResolvedKernel::CountBased => {
+            (records + bootstraps * LinearSections::section_count(records)) as u64
+        }
+        _ => (bootstraps * records) as u64,
+    }
+}
 
 /// The AES output for one iteration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -83,17 +83,21 @@ pub struct EarlConfig {
     /// task execution (`None` = one per available core).  Any value produces
     /// bit-identical results; the knob only trades wall-clock time.
     pub parallelism: Option<usize>,
-    /// Iteration-stage overlap of the EARL loop.  `2` (the default) overlaps
-    /// the accuracy-estimation stage of iteration *i* with the sample draw +
-    /// map phase of iteration *i+1*; the reducer→mapper feedback channel
-    /// (§3.3) cancels the speculative iteration before its reduce phase when
-    /// the error bound is met.  `1` runs the sequential schedule: sample →
-    /// map/reduce → accuracy estimation, strictly back to back.  The delivered
-    /// result (estimate, error, sample size, iteration count) is identical at
-    /// every depth and thread count; only the simulated time/IO accounting
-    /// differs by the speculative map work that is charged and then discarded
-    /// on the final iteration (`tests/pipeline_depth_default.rs` pins the
-    /// depth-1 accounting bit-for-bit).  Values above 2 behave as 2: accuracy
+    /// Whether the EARL loop speculates.  The driver runs one ladder — stage
+    /// (draw Δ + map) → commit (shuffle + reduce) → accuracy estimation →
+    /// verdict — and this knob decides only whether the *next* step is staged
+    /// beside the accuracy estimation of the current one.  `2` (the default)
+    /// does: the reducer→mapper feedback channel (§3.3) then commits the
+    /// staged step, or cancels it before its reduce phase when the error bound
+    /// is met.  `1` never stages ahead: every step is staged right before its
+    /// commit, strictly back to back — the only schedule on which count-based
+    /// replicate batches go to remote workers, because no section call can
+    /// then interleave with a concurrent map call.  The delivered result
+    /// (estimate, error, sample size, iteration count) is identical at every
+    /// depth and thread count; only the simulated time/IO accounting differs
+    /// by the speculative map work that is charged and then discarded on the
+    /// final iteration (`tests/pipeline_depth_default.rs` pins the depth-1
+    /// accounting bit-for-bit).  Values above 2 behave as 2: accuracy
     /// estimation of iteration *i+1* cannot start before its sample is
     /// committed, so one iteration of lookahead is the maximum the dependence
     /// structure allows.

@@ -18,8 +18,8 @@
 use std::sync::Arc;
 
 use earl_bootstrap::bootstrap::{
-    bootstrap_distribution_via, BootstrapConfig, BootstrapResult, BuiltSections, LinearSections,
-    ResolvedKernel, SectionEvaluator,
+    bootstrap_distribution_via, BootstrapConfig, BootstrapResult, BuiltSections, ResolvedKernel,
+    SectionEvaluator,
 };
 use earl_bootstrap::delta::{IncrementalBootstrap, SketchConfig};
 use earl_bootstrap::rng::derive_seed;
@@ -42,7 +42,7 @@ const DELTA_STREAM: u64 = 2;
 /// Sub-seed stream base of per-iteration fresh bootstraps (non-delta mode).
 const FRESH_STREAM: u64 = 16;
 
-use crate::aes::AccuracyEstimationStage;
+use crate::aes::{aes_work, AccuracyEstimationStage};
 use crate::config::{EarlConfig, SamplingMethod};
 use crate::error::EarlError;
 use crate::progress::{EarlUpdate, Progress};
@@ -126,17 +126,18 @@ impl<T: EarlTask> Reducer for TaskReducer<'_, T> {
     }
 }
 
-/// The staged speculative iteration of the pipelined schedule (§2.1): its
-/// sample batch has been drawn and its **map phase** has already run —
-/// overlapped with the previous iteration's accuracy estimation — but nothing
-/// is committed to the driver's sample state yet.  The feedback channel either
-/// commits it (shuffle + reduce run, records/values extended) or cancels it.
+/// One staged step of the ladder: its Δ sample has been drawn and its **map
+/// phase** has run over the extended sample, but nothing is committed to the
+/// driver's sample state yet.  Every step is staged — right before its commit,
+/// or, when the schedule speculates (§2.1), beside the previous step's
+/// accuracy estimation.  The verdict on that estimate either commits it
+/// (shuffle + reduce run, records/values extended) or cancels it.
 struct Staged {
     pending: PendingIteration<u32, f64>,
     batch_records: Vec<(u64, String)>,
     delta_values: Vec<f64>,
-    /// `sampler.drawn()` right after this iteration's draw — committed to the
-    /// reported sample fraction only if the iteration itself commits.
+    /// `sampler.drawn()` right after this step's draw — committed to the
+    /// reported sample fraction only if the step itself commits.
     drawn_after: u64,
     exhausted: bool,
 }
@@ -216,17 +217,10 @@ fn accuracy_stage<T: EarlTask>(
         )
         .map_err(EarlError::Stats)?;
         // Work is accounted in records (identical to values for stride 1).
-        let records = values.len() / stride;
-        let touched = match resolved {
-            // The count-based kernel scans the sample once to build the
-            // section summaries, then touches one summary per section per
-            // replicate — the O(n + √n·B) accounting the roadmap targets.
-            ResolvedKernel::CountBased => {
-                (records + bootstraps * LinearSections::section_count(records)) as u64
-            }
-            _ => (bootstraps * records) as u64,
-        };
-        Ok((result, touched))
+        Ok((
+            result,
+            aes_work(resolved, values.len() / stride, bootstraps),
+        ))
     }
 }
 
@@ -311,34 +305,10 @@ fn summary_version(summary: &SectionSummary) -> u64 {
     hash
 }
 
-enum Sampler {
-    Pre(PreMapSampler),
-    Post(PostMapSampler),
-}
-
-impl Sampler {
-    fn draw(&mut self, count: usize) -> crate::Result<earl_sampling::SampleBatch> {
-        let batch = match self {
-            Sampler::Pre(s) => s.draw(count)?,
-            Sampler::Post(s) => s.draw(count)?,
-        };
-        Ok(batch)
-    }
-
-    fn drawn(&self) -> u64 {
-        match self {
-            Sampler::Pre(s) => s.drawn(),
-            Sampler::Post(s) => s.drawn(),
-        }
-    }
-}
-
 /// One sample expansion: up to `needed` freshly drawn records plus their
 /// extracted task values.  `exhausted` is set when the sampler cannot produce
 /// more records — whatever was drawn so far is effectively the whole usable
-/// population.  Shared by the sequential schedule, the pipelined commit path
-/// and the speculative draw, so exhaustion/extraction semantics cannot drift
-/// between them.
+/// population.
 struct DrawnBatch {
     records: Vec<(u64, String)>,
     values: Vec<f64>,
@@ -363,14 +333,15 @@ fn is_data_loss(err: &EarlError) -> bool {
 /// retried against the surviving data; what comes back remains a uniform
 /// sample of what survived, and the accuracy-estimation stage prices it
 /// (§3.4).  If loss strikes again after the re-sync the sample is treated as
-/// exhausted at its current size.  Under `Retry` the error propagates
+/// exhausted at its current size (for the pilot, whose size is still zero,
+/// the run then ends `NoUsableRecords`).  Under `Retry` the error propagates
 /// unchanged.
 ///
 /// [`FailurePolicy::Degrade`]: earl_mapreduce::FailurePolicy::Degrade
 fn draw_degrading<T: EarlTask>(
     dfs: &Dfs,
     config: &EarlConfig,
-    sampler: &mut Sampler,
+    sampler: &mut dyn SampleSource,
     task: &T,
     needed: usize,
     fault_log: &mut FaultLog,
@@ -397,7 +368,11 @@ fn draw_degrading<T: EarlTask>(
     }
 }
 
-fn draw_batch<T: EarlTask>(sampler: &mut Sampler, task: &T, needed: usize) -> Result<DrawnBatch> {
+fn draw_batch<T: EarlTask>(
+    sampler: &mut dyn SampleSource,
+    task: &T,
+    needed: usize,
+) -> Result<DrawnBatch> {
     let mut out = DrawnBatch {
         records: Vec::new(),
         values: Vec::new(),
@@ -458,6 +433,24 @@ impl EarlDriver {
     /// The configuration in effect.
     pub fn config(&self) -> &EarlConfig {
         &self.config
+    }
+
+    /// Opens the configured [`SampleSource`] over `path`.  With
+    /// `skip_unavailable` the pre-map sampler treats probes into
+    /// failure-orphaned blocks as misses: draws stay uniform over whatever
+    /// data survives (§3.4) instead of aborting the run.
+    pub(crate) fn open_sampler(
+        &self,
+        path: &DfsPath,
+        skip_unavailable: bool,
+    ) -> Result<Box<dyn SampleSource>> {
+        let (dfs, seed) = (self.dfs.clone(), self.config.seed);
+        Ok(match self.config.sampling {
+            SamplingMethod::PreMap => Box::new(
+                PreMapSampler::new(dfs, path.clone(), seed)?.skip_unavailable(skip_unavailable),
+            ),
+            SamplingMethod::PostMap => Box::new(PostMapSampler::new(dfs, path.clone(), seed)?),
+        })
     }
 
     /// Under the degrade policy, writes off data that died with failed nodes:
@@ -523,23 +516,8 @@ impl EarlDriver {
         let mut fault_log = FaultLog::default();
         let seed = self.config.seed;
 
-        // ---- sampler --------------------------------------------------------
-        // Under the degrade policy the pre-map sampler treats probes into
-        // failure-orphaned blocks as misses: draws stay uniform over whatever
-        // data survives (§3.4) instead of aborting the run.
-        let mut sampler = match self.config.sampling {
-            SamplingMethod::PreMap => Sampler::Pre(
-                PreMapSampler::new(self.dfs.clone(), path.clone(), self.config.seed)?
-                    .skip_unavailable(self.config.failure_policy.is_degrade()),
-            ),
-            SamplingMethod::PostMap => Sampler::Post(PostMapSampler::new(
-                self.dfs.clone(),
-                path.clone(),
-                self.config.seed,
-            )?),
-        };
-
-        // ---- pilot + SSABE (phase 1, run in local mode) ----------------------
+        // ---- sampler + pilot (phase 1, run in local mode) --------------------
+        let mut sampler = self.open_sampler(&path, self.config.failure_policy.is_degrade())?;
         let pilot_target = ((population as f64 * self.config.pilot_fraction).ceil() as u64)
             .max(self.config.min_pilot)
             .min(population) as usize;
@@ -547,23 +525,20 @@ impl EarlDriver {
         // cluster that lost nodes *before* the run starts (the §3.4 scenario)
         // writes the loss off up front and draws the pilot from survivors.
         self.write_off_losses(&mut fault_log);
-        let pilot_batch = match sampler.draw(pilot_target) {
-            Err(err) if self.config.failure_policy.is_degrade() && is_data_loss(&err) => {
-                let orphaned = self.dfs.reconcile_failures();
-                fault_log.splits_lost += orphaned.len().max(1) as u64;
-                sampler.draw(pilot_target)?
-            }
-            other => other?,
-        };
-        let mut records: Vec<(u64, String)> = pilot_batch.records;
+        let pilot = draw_degrading(
+            &self.dfs,
+            &self.config,
+            sampler.as_mut(),
+            task,
+            pilot_target,
+            &mut fault_log,
+        )?;
+        let mut records: Vec<(u64, String)> = pilot.records;
         // `values` is the flat extracted sample: `stride` consecutive values
         // per usable record.  All sample-size arithmetic below counts records
         // (`values.len() / stride`), which for scalar tasks is values.len().
         let stride = task.record_stride().max(1);
-        let mut values: Vec<f64> = Vec::new();
-        for (_, line) in &records {
-            task.extract_record(line, &mut values);
-        }
+        let mut values: Vec<f64> = pilot.values;
         if values.is_empty() {
             return Err(EarlError::NoUsableRecords);
         }
@@ -644,18 +619,14 @@ impl EarlDriver {
                             // pilot bootstraps resolved to; the count-based
                             // kernel additionally pays one O(n) section-build
                             // scan of the pilot).
-                            let pilot_records = values.len() / stride;
-                            let aes_pilot_cost =
-                                match self.config.bootstrap_kernel.resolve_for(&estimator) {
-                                    ResolvedKernel::CountBased => {
-                                        pilot_records
-                                            + est.b * LinearSections::section_count(pilot_records)
-                                    }
-                                    _ => est.b * pilot_records,
-                                };
+                            let aes_pilot_cost = aes_work(
+                                self.config.bootstrap_kernel.resolve_for(&estimator),
+                                values.len() / stride,
+                                est.b,
+                            );
                             cluster.charge_reduce_cpu(
                                 Phase::AccuracyEstimation,
-                                aes_pilot_cost as u64,
+                                aes_pilot_cost,
                                 task.is_heavy(),
                             );
                             let b = self.config.bootstraps.unwrap_or(est.b);
@@ -674,6 +645,13 @@ impl EarlDriver {
         }
 
         // ---- iterative approximation -----------------------------------------
+        // One ladder: stage (draw Δ + map) → commit (shuffle + reduce) → AES →
+        // verdict.  Under the pipelined schedule (§2.1) the AES of step i runs
+        // beside the staging of step i+1, and the verdict commits or cancels
+        // that staged step; the sequential schedule is the same loop never
+        // speculating, so delivered results (estimate, error, sample size,
+        // iteration count) are identical and only the speculative map work —
+        // charged to the simulated clock, discarded on the final step — differs.
         let aes = AccuracyEstimationStage::new(self.config.sigma);
         let mut session = PipelinedSession::new(self.dfs.clone());
         let feedback = session.feedback();
@@ -690,45 +668,73 @@ impl EarlDriver {
         // cancelled must not count towards the reported sample fraction.
         let mut committed_drawn = sampler.drawn();
 
-        if self.config.pipeline_depth <= 1 {
-            // ---- sequential schedule: sample → job → AES, back to back ------
-            while iterations < self.config.max_iterations {
-                iterations += 1;
-                // A node may have died during the previous iteration's
-                // charges: write the loss off before expanding the sample.
-                self.write_off_losses(&mut fault_log);
-
-                // Expand the sample up to the current target (record counts).
-                let needed = target_n.saturating_sub((values.len() / stride) as u64) as usize;
-                let drawn = draw_degrading(
-                    &self.dfs,
-                    &self.config,
-                    &mut sampler,
-                    task,
-                    needed,
-                    &mut fault_log,
-                )?;
-                exhausted |= drawn.exhausted;
-                let delta_values = drawn.values;
-                records.extend(drawn.records);
-                values.extend(delta_values.iter().copied());
-
-                // Run the user's job on the current sample through the
-                // MapReduce engine (tasks are reused across iterations —
-                // pipelining §2.1).
-                let conf = JobConf::new(
-                    format!("earl-{}", task.name()),
-                    InputSource::Memory(records.clone()),
-                )
+        // Stages one step: expands the sample by up to `needed` records and
+        // runs the user's map phase over `records` + Δ through the MapReduce
+        // engine (tasks are reused across iterations — pipelining §2.1).
+        let stage = |sampler: &mut dyn SampleSource,
+                     session: &mut PipelinedSession,
+                     fault_log: &mut FaultLog,
+                     records: &[(u64, String)],
+                     needed: usize|
+         -> Result<Staged> {
+            let drawn = draw_degrading(&self.dfs, &self.config, sampler, task, needed, fault_log)?;
+            let input = records.iter().chain(&drawn.records).cloned().collect();
+            let conf = JobConf::new(format!("earl-{}", task.name()), InputSource::Memory(input))
                 .with_failure_policy(self.config.failure_policy)
                 .with_parallelism(self.config.parallelism)
                 .with_transport(self.transport.clone())
                 .with_source_path(path.clone());
-                let job = session.run_iteration(&conf, &mapper, &reducer)?;
-                fault_log.merge(&job.stats.fault_log);
+            let pending = session.begin_iteration(&conf, &mapper)?;
+            Ok(Staged {
+                pending,
+                batch_records: drawn.records,
+                delta_values: drawn.values,
+                drawn_after: sampler.drawn(),
+                exhausted: drawn.exhausted,
+            })
+        };
 
-                // Accuracy estimation stage.
-                let (bootstrap_result, aes_records) = accuracy_stage(
+        let mut staged: Option<Staged> = None;
+        while iterations < self.config.max_iterations {
+            iterations += 1;
+            // A node may have died during the previous iteration's charges:
+            // write the loss off before expanding the sample.
+            self.write_off_losses(&mut fault_log);
+
+            // ---- stage (unless staged beside the previous AES) + commit ------
+            let step = match staged.take() {
+                Some(step) => step,
+                None => stage(
+                    sampler.as_mut(),
+                    &mut session,
+                    &mut fault_log,
+                    &records,
+                    target_n.saturating_sub((values.len() / stride) as u64) as usize,
+                )?,
+            };
+            records.extend(step.batch_records);
+            values.extend(step.delta_values.iter().copied());
+            committed_drawn = step.drawn_after;
+            exhausted |= step.exhausted;
+            let job = session.complete_iteration(step.pending, &reducer)?;
+            fault_log.merge(&job.stats.fault_log);
+            let delta_values = step.delta_values;
+
+            // ---- AES of step i, beside the staging of step i+1 iff speculating
+            let sample_records = (values.len() / stride) as u64;
+            target_n = (((sample_records as f64) * self.config.expansion_factor).ceil() as u64)
+                .min(population);
+            let speculate = self.config.pipeline_depth > 1
+                && !exhausted
+                && sample_records < population
+                && iterations < self.config.max_iterations;
+            // The accuracy stage is pure (its work is charged below, at a
+            // deterministic point), so running it off-thread cannot perturb the
+            // simulated accounting.  The remote evaluator exists only on the
+            // never-speculating schedule, so no section call ever interleaves
+            // with a concurrent speculative map.
+            let mut accuracy = || {
+                accuracy_stage(
                     &self.config,
                     &estimator,
                     &values,
@@ -737,247 +743,75 @@ impl EarlDriver {
                     iterations,
                     &mut incremental,
                     section_evaluator.as_deref(),
-                )?;
-                cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_records, task.is_heavy());
+                )
+            };
+            let (aes_out, next) = if speculate {
+                std::thread::scope(|scope| {
+                    let aes_handle = scope.spawn(accuracy);
+                    let next = stage(
+                        sampler.as_mut(),
+                        &mut session,
+                        &mut fault_log,
+                        &records,
+                        target_n.saturating_sub(sample_records) as usize,
+                    );
+                    let aes_out = aes_handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    (aes_out, next.map(Some))
+                })
+            } else {
+                (accuracy(), Ok(None))
+            };
+            let (bootstrap_result, aes_records) = aes_out?;
+            let next = next?;
+            cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_records, task.is_heavy());
 
-                // Post the error on the reducer→mapper feedback channel (§3.3).
-                feedback.post(ErrorReport {
-                    reducer: 0,
-                    error: bootstrap_result.cv,
-                    timestamp: cluster.now(),
-                });
+            // Post the error on the reducer→mapper feedback channel (§3.3).
+            feedback.post(ErrorReport {
+                reducer: 0,
+                error: bootstrap_result.cv,
+                timestamp: cluster.now(),
+            });
+            let update_fraction = (committed_drawn as f64 / population as f64).clamp(0.0, 1.0);
+            let snapshot = aes.summarise(
+                task,
+                &bootstrap_result,
+                update_fraction,
+                sample_records as usize,
+            );
+            last_bootstrap = Some(bootstrap_result);
+            let cancel_requested = observer(EarlUpdate {
+                iteration: iterations,
+                estimate: snapshot.corrected_result,
+                uncorrected: snapshot.result,
+                cv: snapshot.cv,
+                ci_low: snapshot.ci.0,
+                ci_high: snapshot.ci.1,
+                sample_size: sample_records,
+                sample_fraction: update_fraction,
+                bootstraps: snapshot.bootstraps,
+            }) == Progress::Cancel;
 
-                let cv = bootstrap_result.cv;
-                let update_fraction = (sampler.drawn() as f64 / population as f64).clamp(0.0, 1.0);
-                let snapshot = aes.summarise(
-                    task,
-                    &bootstrap_result,
-                    update_fraction,
-                    values.len() / stride,
-                );
-                last_bootstrap = Some(bootstrap_result);
-                let cancel_requested = observer(EarlUpdate {
-                    iteration: iterations,
-                    estimate: snapshot.corrected_result,
-                    uncorrected: snapshot.result,
-                    cv: snapshot.cv,
-                    ci_low: snapshot.ci.0,
-                    ci_high: snapshot.ci.1,
-                    sample_size: (values.len() / stride) as u64,
-                    sample_fraction: update_fraction,
-                    bootstraps: snapshot.bootstraps,
-                }) == Progress::Cancel;
-
-                if (values.len() / stride) as u64 >= population {
-                    exact = true;
-                    break;
+            // ---- verdict ------------------------------------------------------
+            // The feedback channel — not a driver-local — carries the error
+            // estimate that stops the ladder when the bound is met
+            // (§2.1/§3.3); the bound predicate itself is the AES's.  A boundary
+            // that is already final (exact, bound met, exhausted) completes
+            // normally even if the observer asked to cancel.
+            exact = sample_records >= population;
+            let bound_met = session.latest_error().is_some_and(|cv| aes.meets_bound(cv));
+            let last_step = exact || bound_met || exhausted;
+            cancelled = cancel_requested && !last_step;
+            if last_step || cancelled {
+                // A staged step is abandoned the same way whichever rule
+                // stopped the ladder.
+                if let Some(step) = next {
+                    fault_log.merge(&session.cancel_iteration(step.pending).fault_log);
                 }
-                if aes.meets_bound(cv) || exhausted {
-                    break;
-                }
-                if cancel_requested {
-                    cancelled = true;
-                    break;
-                }
-                // Expand and try again.
-                let next =
-                    (((values.len() / stride) as f64) * self.config.expansion_factor).ceil() as u64;
-                target_n = next.min(population);
+                break;
             }
-            committed_drawn = sampler.drawn();
-        } else {
-            // ---- pipelined schedule: AES of iteration i overlaps the sample
-            // draw + map phase of iteration i+1 (§2.1).  The speculative
-            // iteration is staged — nothing committed — until the feedback
-            // channel rules on iteration i's error estimate: bound met cancels
-            // it before its reduce phase, otherwise it commits and only its
-            // shuffle + reduce remain to run.  Delivered results (estimate,
-            // error, sample size, iteration count) are identical to the
-            // sequential schedule; the speculative map work is charged to the
-            // simulated clock and discarded on the final iteration.
-            let mut staged: Option<Staged> = None;
-            while iterations < self.config.max_iterations {
-                iterations += 1;
-                self.write_off_losses(&mut fault_log);
-
-                // ---- commit this iteration's sample + job -------------------
-                let delta_values: Vec<f64> = match staged.take() {
-                    Some(s) => {
-                        records.extend(s.batch_records);
-                        values.extend(s.delta_values.iter().copied());
-                        committed_drawn = s.drawn_after;
-                        exhausted |= s.exhausted;
-                        // The map phase already ran during the previous AES;
-                        // only shuffle + reduce are left.
-                        let job = session.complete_iteration(s.pending, &reducer)?;
-                        fault_log.merge(&job.stats.fault_log);
-                        s.delta_values
-                    }
-                    None => {
-                        let needed =
-                            target_n.saturating_sub((values.len() / stride) as u64) as usize;
-                        let drawn = draw_degrading(
-                            &self.dfs,
-                            &self.config,
-                            &mut sampler,
-                            task,
-                            needed,
-                            &mut fault_log,
-                        )?;
-                        exhausted |= drawn.exhausted;
-                        let delta_values = drawn.values;
-                        records.extend(drawn.records);
-                        values.extend(delta_values.iter().copied());
-                        committed_drawn = sampler.drawn();
-                        let conf = JobConf::new(
-                            format!("earl-{}", task.name()),
-                            InputSource::Memory(records.clone()),
-                        )
-                        .with_failure_policy(self.config.failure_policy)
-                        .with_parallelism(self.config.parallelism)
-                        .with_transport(self.transport.clone())
-                        .with_source_path(path.clone());
-                        let job = session.run_iteration(&conf, &mapper, &reducer)?;
-                        fault_log.merge(&job.stats.fault_log);
-                        delta_values
-                    }
-                };
-
-                // ---- AES of iteration i ∥ draw + map of iteration i+1 -------
-                let sample_records = (values.len() / stride) as u64;
-                let next_target = (((sample_records as f64) * self.config.expansion_factor).ceil()
-                    as u64)
-                    .min(population);
-                let speculate = !exhausted
-                    && sample_records < population
-                    && iterations < self.config.max_iterations;
-                let needed = next_target.saturating_sub(sample_records) as usize;
-
-                let (aes_out, spec_out) = std::thread::scope(|scope| {
-                    let config = &self.config;
-                    let estimator_ref = &estimator;
-                    let values_ref = &values;
-                    let delta_ref = &delta_values;
-                    let incremental_ref = &mut incremental;
-                    // The accuracy stage is pure (the caller charges its work
-                    // below, at a deterministic point), so running it off-thread
-                    // cannot perturb the simulated accounting.
-                    let aes_handle = scope.spawn(move || {
-                        accuracy_stage(
-                            config,
-                            estimator_ref,
-                            values_ref,
-                            delta_ref,
-                            bootstraps,
-                            iterations,
-                            incremental_ref,
-                            // The depth gate above means no evaluator exists
-                            // on this schedule: remote section calls may not
-                            // interleave with the concurrent speculative map.
-                            None,
-                        )
-                    });
-                    let spec_out: Result<Option<Staged>> = if speculate {
-                        (|| {
-                            let drawn = draw_degrading(
-                                &self.dfs,
-                                &self.config,
-                                &mut sampler,
-                                task,
-                                needed,
-                                &mut fault_log,
-                            )?;
-                            let mut spec_records = records.clone();
-                            spec_records.extend(drawn.records.iter().cloned());
-                            let conf = JobConf::new(
-                                format!("earl-{}", task.name()),
-                                InputSource::Memory(spec_records),
-                            )
-                            .with_failure_policy(self.config.failure_policy)
-                            .with_parallelism(self.config.parallelism)
-                            .with_transport(self.transport.clone())
-                            .with_source_path(path.clone());
-                            let pending = session.begin_iteration(&conf, &mapper)?;
-                            Ok(Some(Staged {
-                                pending,
-                                batch_records: drawn.records,
-                                delta_values: drawn.values,
-                                drawn_after: sampler.drawn(),
-                                exhausted: drawn.exhausted,
-                            }))
-                        })()
-                    } else {
-                        Ok(None)
-                    };
-                    (
-                        aes_handle.join().expect("accuracy stage thread panicked"),
-                        spec_out,
-                    )
-                });
-                let (bootstrap_result, aes_records) = aes_out?;
-                let speculative = spec_out?;
-                cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_records, task.is_heavy());
-
-                // Post the error on the reducer→mapper feedback channel (§3.3).
-                feedback.post(ErrorReport {
-                    reducer: 0,
-                    error: bootstrap_result.cv,
-                    timestamp: cluster.now(),
-                });
-                let update_fraction = (committed_drawn as f64 / population as f64).clamp(0.0, 1.0);
-                let snapshot = aes.summarise(
-                    task,
-                    &bootstrap_result,
-                    update_fraction,
-                    values.len() / stride,
-                );
-                last_bootstrap = Some(bootstrap_result);
-                let cancel_requested = observer(EarlUpdate {
-                    iteration: iterations,
-                    estimate: snapshot.corrected_result,
-                    uncorrected: snapshot.result,
-                    cv: snapshot.cv,
-                    ci_low: snapshot.ci.0,
-                    ci_high: snapshot.ci.1,
-                    sample_size: (values.len() / stride) as u64,
-                    sample_fraction: update_fraction,
-                    bootstraps: snapshot.bootstraps,
-                }) == Progress::Cancel;
-
-                if (values.len() / stride) as u64 >= population {
-                    exact = true;
-                    if let Some(s) = speculative {
-                        fault_log.merge(&session.cancel_iteration(s.pending).fault_log);
-                    }
-                    break;
-                }
-                // The feedback channel — not a driver-local — carries the
-                // error estimate that cancels the speculative iteration when
-                // the bound is met (§2.1/§3.3); the bound predicate itself is
-                // the AES's, the same one the sequential schedule applies.
-                let channel_says_stop = session
-                    .latest_error()
-                    .map(|cv| aes.meets_bound(cv))
-                    .unwrap_or(false);
-                if channel_says_stop || exhausted {
-                    if let Some(s) = speculative {
-                        fault_log.merge(&session.cancel_iteration(s.pending).fault_log);
-                    }
-                    break;
-                }
-                if cancel_requested {
-                    // Cooperative cancellation at the iteration boundary: the
-                    // staged speculative iteration is abandoned exactly like a
-                    // met bound would abandon it.
-                    if let Some(s) = speculative {
-                        fault_log.merge(&session.cancel_iteration(s.pending).fault_log);
-                    }
-                    cancelled = true;
-                    break;
-                }
-                target_n = next_target;
-                staged = speculative;
-            }
+            staged = next;
         }
 
         // ---- report ----------------------------------------------------------
@@ -1371,7 +1205,7 @@ mod tests {
 
     #[test]
     fn progress_updates_are_delivered_each_iteration_and_match_the_report() {
-        for depth in [1usize, 2] {
+        let collect = |depth: usize| {
             let dfs = dfs(4);
             build_spread(&dfs, 60_000, 21);
             let driver = EarlDriver::new(dfs, multi_iteration_config(depth));
@@ -1398,35 +1232,63 @@ mod tests {
             assert_eq!(last.estimate, report.result);
             assert_eq!(last.ci_low, report.ci_low);
             assert_eq!(last.ci_high, report.ci_high);
-        }
+            updates
+        };
+        // Whether the next step is staged beside the AES changes nothing a
+        // subscriber sees: the streams are equal element-wise, on every field.
+        assert_eq!(collect(1), collect(2));
     }
 
     #[test]
     fn cancel_at_the_first_boundary_returns_the_partial_report() {
-        for depth in [1usize, 2] {
-            let dfs = dfs(4);
-            build_spread(&dfs, 60_000, 21);
-            let driver = EarlDriver::new(dfs, multi_iteration_config(depth));
-            let mut seen = 0usize;
-            let err = driver
-                .run_with_progress("/data", &MeanTask, &mut |_| {
-                    seen += 1;
-                    Progress::Cancel
-                })
-                .unwrap_err();
-            assert_eq!(seen, 1, "cancel stops the ladder at the first boundary");
-            match err {
-                EarlError::Cancelled(report) => {
-                    assert_eq!(report.iterations, 1, "depth {depth}");
-                    assert!(!report.exact);
-                    assert!(report.sample_size > 0);
-                    assert!(
-                        report.error_estimate > 0.02,
-                        "a run worth cancelling had not met its bound yet"
-                    );
+        for boundary in [1usize, 2] {
+            let cancel_at = |depth: usize| {
+                let dfs = dfs(4);
+                build_spread(&dfs, 60_000, 21);
+                // σ = 1 % keeps the ladder climbing past the second boundary.
+                let config = EarlConfig {
+                    sigma: 0.01,
+                    ..multi_iteration_config(depth)
+                };
+                let driver = EarlDriver::new(dfs, config);
+                let mut seen = 0usize;
+                let err = driver
+                    .run_with_progress("/data", &MeanTask, &mut |_| {
+                        seen += 1;
+                        if seen == boundary {
+                            Progress::Cancel
+                        } else {
+                            Progress::Continue
+                        }
+                    })
+                    .unwrap_err();
+                assert_eq!(seen, boundary, "cancel stops the ladder at its boundary");
+                match err {
+                    EarlError::Cancelled(report) => {
+                        assert_eq!(report.iterations, boundary, "depth {depth}");
+                        assert!(!report.exact);
+                        assert!(report.sample_size > 0);
+                        assert!(
+                            report.error_estimate > 0.01,
+                            "a run worth cancelling had not met its bound yet"
+                        );
+                        *report
+                    }
+                    other => panic!("expected Cancelled, got {other:?}"),
                 }
-                other => panic!("expected Cancelled, got {other:?}"),
-            }
+            };
+            // Both schedules deliver the same partial report; only `sim_time`
+            // and `bytes_read` differ, by the cancelled speculative map.
+            let (sequential, pipelined) = (cancel_at(1), cancel_at(2));
+            assert_eq!(sequential.result, pipelined.result, "boundary {boundary}");
+            assert_eq!(sequential.error_estimate, pipelined.error_estimate);
+            assert_eq!(sequential.ci_low, pipelined.ci_low);
+            assert_eq!(sequential.ci_high, pipelined.ci_high);
+            assert_eq!(sequential.sample_size, pipelined.sample_size);
+            assert_eq!(sequential.sample_fraction, pipelined.sample_fraction);
+            assert_eq!(sequential.iterations, pipelined.iterations);
+            assert_eq!(sequential.bootstraps, pipelined.bootstraps);
+            assert_eq!(sequential.exact, pipelined.exact);
         }
     }
 

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use earl_bootstrap::bootstrap::{
-    bootstrap_distribution, BootstrapConfig, BootstrapResult, LinearSections, ResolvedKernel,
+    bootstrap_distribution, BootstrapConfig, BootstrapResult, ResolvedKernel,
 };
 use earl_bootstrap::rng::derive_seed;
 use earl_bootstrap::BootstrapKernel;
@@ -36,13 +36,12 @@ use earl_mapreduce::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::config::SamplingMethod;
+use crate::aes::{aes_work, AccuracyEstimationStage};
 use crate::driver::EarlDriver;
 use crate::error::EarlError;
 use crate::task::{EarlTask, TaskEstimator};
 use crate::tasks::{CountTask, MeanTask, SumTask, WeightedMeanTask};
 use crate::Result;
-use earl_sampling::{PostMapSampler, PreMapSampler, SampleSource};
 
 /// Sub-seed stream of the grouped accuracy-estimation stage (disjoint from the
 /// scalar driver's SSABE/delta/fresh streams).
@@ -456,27 +455,6 @@ impl std::fmt::Display for GroupedEarlReport {
     }
 }
 
-enum GroupedSampler {
-    Pre(PreMapSampler),
-    Post(PostMapSampler),
-}
-
-impl GroupedSampler {
-    fn draw(&mut self, count: usize) -> Result<earl_sampling::SampleBatch> {
-        Ok(match self {
-            GroupedSampler::Pre(s) => s.draw(count)?,
-            GroupedSampler::Post(s) => s.draw(count)?,
-        })
-    }
-
-    fn drawn(&self) -> u64 {
-        match self {
-            GroupedSampler::Pre(s) => s.drawn(),
-            GroupedSampler::Post(s) => s.drawn(),
-        }
-    }
-}
-
 impl EarlDriver {
     /// Runs a grouped per-key aggregate over `path` with early approximation:
     /// the sample expands until **every** group's bootstrap cv meets σ.
@@ -485,9 +463,10 @@ impl EarlDriver {
     /// `config.bootstraps` (default 100 per group — SSABE's scalar `B`-search
     /// does not transfer to many groups), the accuracy stage runs one
     /// bootstrap per group, each on the deterministic [`group_seed`] stream,
-    /// and the loop always follows the **sequential schedule**
-    /// (`pipeline_depth` is ignored here: the per-group AES has no single
-    /// speculative iteration to cancel yet — see ROADMAP).  Returns
+    /// and the loop is its own, never-speculating one (`pipeline_depth` is
+    /// ignored here: the per-group AES has no single error estimate to commit
+    /// or cancel a staged step on).  It shares the scalar ladder's sampler
+    /// and AES-work formula, not its loop.  Returns
     /// [`EarlError::GroupedAccuracyNotReached`] carrying the partial report
     /// when some group cannot meet the bound within the iteration budget.
     ///
@@ -514,14 +493,8 @@ impl EarlDriver {
         let start_time = cluster.elapsed();
         let start_bytes = cluster.metrics().snapshot().total_disk_bytes_read();
 
-        let mut sampler = match config.sampling {
-            SamplingMethod::PreMap => {
-                GroupedSampler::Pre(PreMapSampler::new(dfs.clone(), path.clone(), config.seed)?)
-            }
-            SamplingMethod::PostMap => {
-                GroupedSampler::Post(PostMapSampler::new(dfs.clone(), path.clone(), config.seed)?)
-            }
-        };
+        // Loss stays loud here: the grouped loop has no degrade path.
+        let mut sampler = self.open_sampler(&path, false)?;
 
         // ---- pilot -----------------------------------------------------------
         let pilot_target = ((population as f64 * config.pilot_fraction).ceil() as u64)
@@ -549,7 +522,7 @@ impl EarlDriver {
         let bcfg = BootstrapConfig::with_resamples(bootstraps)
             .with_parallelism(config.parallelism)
             .with_kernel(config.bootstrap_kernel);
-        let aes = crate::aes::AccuracyEstimationStage::new(config.sigma);
+        let aes = AccuracyEstimationStage::new(config.sigma);
         let resolved = agg.resolved_kernel(config.bootstrap_kernel);
         let mapper = GroupedTaskMapper::new(agg);
         let reducer = GroupedTaskReducer::new(agg);
@@ -600,23 +573,15 @@ impl EarlDriver {
             group_bootstraps = grouped_accuracy(config.seed, &groups, agg, &bcfg)?;
             let aes_records: u64 = groups
                 .values()
-                .map(|values| {
-                    let n = values.len() / stride;
-                    match resolved {
-                        ResolvedKernel::CountBased => {
-                            (n + bootstraps * LinearSections::section_count(n)) as u64
-                        }
-                        _ => (bootstraps * n) as u64,
-                    }
-                })
+                .map(|values| aes_work(resolved, values.len() / stride, bootstraps))
                 .sum();
             cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_records, false);
 
             // The worst per-group cv is posted on the reducer→mapper channel —
             // the §3.3 termination signal, observable via
-            // `session.latest_error()` (this sequential loop, like the scalar
-            // driver's sequential schedule, applies the bound predicate
-            // directly below rather than reading the channel back).
+            // `session.latest_error()` (the all-groups predicate below needs
+            // every cv, not just the worst, so it does not read the channel
+            // back).
             let worst = group_bootstraps
                 .iter()
                 .map(|(_, b)| {

@@ -8,9 +8,10 @@
 //! execute the same `TaskMapper`/`TaskReducer`/`HashPartitioner` code paths,
 //! which is what makes remote output byte-for-byte equal to in-process output.
 //!
-//! This enum is the authoritative list of wire-portable tasks; adding a task
-//! here (plus its `wire_spec()` override in `earl-core`) is all it takes to
-//! run it on a real cluster.
+//! This enum is the authoritative list of wire-portable tasks — for workers
+//! and for `earl-serve` admission alike, so "admissible there" and "runnable
+//! here" cannot diverge; adding a task here (plus its `wire_spec()` override in
+//! `earl-core`) is all it takes to run it on a real cluster.
 
 use earl_bootstrap::rng::replicate_rng;
 use earl_bootstrap::{
@@ -22,6 +23,7 @@ use earl_core::tasks::{
     CountTask, MaxTask, MeanTask, MedianTask, MinTask, QuantileTask, StdDevTask, SumTask,
     VarianceTask,
 };
+use earl_core::{EarlDriver, EarlReport, EarlUpdate, Progress};
 use earl_mapreduce::{
     HashPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer, SectionSummary,
     TaskSpec,
@@ -128,9 +130,35 @@ pub enum WireTask {
     Quantile(f64),
 }
 
+/// The one variant → concrete [`EarlTask`] table: evaluates `$body` with
+/// `$task` bound to the concrete task `$wire` names.  `EarlTask` is not
+/// object-safe, so each arm instantiates `$body` for its own task type.
+macro_rules! with_task {
+    ($wire:expr, $task:ident => $body:expr) => {
+        match $wire {
+            WireTask::Mean => with_task!(@bind $task = MeanTask, $body),
+            WireTask::Sum => with_task!(@bind $task = SumTask, $body),
+            WireTask::Count => with_task!(@bind $task = CountTask, $body),
+            WireTask::Variance => with_task!(@bind $task = VarianceTask, $body),
+            WireTask::StdDev => with_task!(@bind $task = StdDevTask, $body),
+            WireTask::Median => with_task!(@bind $task = MedianTask, $body),
+            WireTask::Min => with_task!(@bind $task = MinTask, $body),
+            WireTask::Max => with_task!(@bind $task = MaxTask, $body),
+            WireTask::Quantile(q) => with_task!(@bind $task = QuantileTask::new(*q), $body),
+        }
+    };
+    (@bind $task:ident = $concrete:expr, $body:expr) => {{
+        let $task = &$concrete;
+        $body
+    }};
+}
+
 impl WireTask {
-    /// Reconstructs a task from its wire spec, or `None` for an unknown name
-    /// or malformed parameter list.
+    /// Reconstructs a task from its wire spec, or `None` for an unknown name,
+    /// a malformed parameter list or a quantile level outside `0 ≤ q ≤ 1`
+    /// (NaN included).  Specs arrive from outside the program — in wire frames
+    /// at a worker, in job requests at the service — so this is where they are
+    /// checked; [`QuantileTask::new`] would silently clamp.
     pub fn from_spec(spec: &TaskSpec) -> Option<Self> {
         match (spec.name.as_str(), spec.params.as_slice()) {
             ("mean", []) => Some(WireTask::Mean),
@@ -141,7 +169,7 @@ impl WireTask {
             ("median", []) => Some(WireTask::Median),
             ("min", []) => Some(WireTask::Min),
             ("max", []) => Some(WireTask::Max),
-            ("quantile", [q]) => Some(WireTask::Quantile(*q)),
+            ("quantile", [q]) if (0.0..=1.0).contains(q) => Some(WireTask::Quantile(*q)),
             _ => None,
         }
     }
@@ -150,47 +178,35 @@ impl WireTask {
     /// emitted pairs into `num_shards` shard vectors exactly as the in-process
     /// engine does.  Returns per-shard pairs in emission order.
     pub fn run_map(&self, records: &[(u64, &str)], num_shards: usize) -> Vec<Vec<(u32, f64)>> {
-        match self {
-            WireTask::Mean => map_with(&MeanTask, records, num_shards),
-            WireTask::Sum => map_with(&SumTask, records, num_shards),
-            WireTask::Count => map_with(&CountTask, records, num_shards),
-            WireTask::Variance => map_with(&VarianceTask, records, num_shards),
-            WireTask::StdDev => map_with(&StdDevTask, records, num_shards),
-            WireTask::Median => map_with(&MedianTask, records, num_shards),
-            WireTask::Min => map_with(&MinTask, records, num_shards),
-            WireTask::Max => map_with(&MaxTask, records, num_shards),
-            WireTask::Quantile(q) => map_with(&QuantileTask::new(*q), records, num_shards),
-        }
+        with_task!(self, task => map_with(task, records, num_shards))
+    }
+
+    /// Runs the task's real reducer over `(key, values)` groups, returning one
+    /// output list in group order.
+    pub fn run_reduce(&self, groups: &[(u32, Vec<f64>)]) -> Vec<f64> {
+        with_task!(self, task => reduce_with(task, groups))
+    }
+
+    /// Runs the task through `driver` with progressive delivery — the
+    /// coordinator-side entry `earl-serve` admits jobs through: `observer`
+    /// sees one [`EarlUpdate`] per iteration and may cancel at any boundary.
+    pub fn run_with_progress(
+        &self,
+        driver: &EarlDriver,
+        path: &str,
+        observer: &mut dyn FnMut(EarlUpdate) -> Progress,
+    ) -> earl_core::Result<EarlReport> {
+        with_task!(self, task => driver.run_with_progress(path, task, observer))
     }
 
     /// The task's scalar linear form, when its statistic declares one.
     fn linear_form(&self) -> Option<LinearForm> {
-        match self {
-            WireTask::Mean => MeanTask.linear_form(),
-            WireTask::Sum => SumTask.linear_form(),
-            WireTask::Count => CountTask.linear_form(),
-            WireTask::Variance => VarianceTask.linear_form(),
-            WireTask::StdDev => StdDevTask.linear_form(),
-            WireTask::Median => MedianTask.linear_form(),
-            WireTask::Min => MinTask.linear_form(),
-            WireTask::Max => MaxTask.linear_form(),
-            WireTask::Quantile(q) => QuantileTask::new(*q).linear_form(),
-        }
+        with_task!(self, task => task.linear_form())
     }
 
     /// The task's k-ary form, when its statistic declares one.
     fn kary_form(&self) -> Option<KaryForm> {
-        match self {
-            WireTask::Mean => MeanTask.kary_form(),
-            WireTask::Sum => SumTask.kary_form(),
-            WireTask::Count => CountTask.kary_form(),
-            WireTask::Variance => VarianceTask.kary_form(),
-            WireTask::StdDev => StdDevTask.kary_form(),
-            WireTask::Median => MedianTask.kary_form(),
-            WireTask::Min => MinTask.kary_form(),
-            WireTask::Max => MaxTask.kary_form(),
-            WireTask::Quantile(q) => QuantileTask::new(*q).kary_form(),
-        }
+        with_task!(self, task => task.kary_form())
     }
 
     /// Evaluates count-based bootstrap replicates `b ∈ [b_start, b_start +
@@ -245,22 +261,6 @@ impl WireTask {
             }
         }
         Ok(out)
-    }
-
-    /// Runs the task's real reducer over `(key, values)` groups, returning one
-    /// output list in group order.
-    pub fn run_reduce(&self, groups: &[(u32, Vec<f64>)]) -> Vec<f64> {
-        match self {
-            WireTask::Mean => reduce_with(&MeanTask, groups),
-            WireTask::Sum => reduce_with(&SumTask, groups),
-            WireTask::Count => reduce_with(&CountTask, groups),
-            WireTask::Variance => reduce_with(&VarianceTask, groups),
-            WireTask::StdDev => reduce_with(&StdDevTask, groups),
-            WireTask::Median => reduce_with(&MedianTask, groups),
-            WireTask::Min => reduce_with(&MinTask, groups),
-            WireTask::Max => reduce_with(&MaxTask, groups),
-            WireTask::Quantile(q) => reduce_with(&QuantileTask::new(*q), groups),
-        }
     }
 }
 
@@ -317,6 +317,27 @@ mod tests {
         );
         assert!(WireTask::from_spec(&TaskSpec::named("quantile")).is_none());
         assert!(WireTask::from_spec(&TaskSpec::named("no-such-task")).is_none());
+        let mean_with_param = TaskSpec {
+            name: "mean".into(),
+            params: vec![1.0],
+        };
+        assert!(WireTask::from_spec(&mean_with_param).is_none());
+    }
+
+    #[test]
+    fn out_of_range_quantile_levels_are_refused() {
+        let quantile = |q: f64| {
+            WireTask::from_spec(&TaskSpec {
+                name: "quantile".into(),
+                params: vec![q],
+            })
+        };
+        for q in [f64::NAN, -0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(quantile(q), None, "level {q} must not resolve");
+        }
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(quantile(q), Some(WireTask::Quantile(q)));
+        }
     }
 
     #[test]

@@ -407,6 +407,66 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_quantile_specs_are_refused_and_the_worker_keeps_serving() {
+        let mut store = Store::new();
+        handle_message(
+            &mut store,
+            Message::Provision {
+                path: "/data".into(),
+                records: vec![(0, "1.0".into()), (4, "3.0".into())],
+            },
+        );
+        handle_message(
+            &mut store,
+            Message::ProvisionSections {
+                path: "/data#sections".into(),
+                version: 1,
+                summary: SectionSummary::Linear {
+                    total_items: 2,
+                    sections: vec![(2, 2.0, 1.0)],
+                },
+            },
+        );
+        let map_task = |name: &str, params: Vec<f64>| Message::MapTask {
+            name: name.into(),
+            params,
+            path: "/data".into(),
+            offsets: vec![0, 4],
+            num_shards: 1,
+        };
+        let section_task = |name: &str, params: Vec<f64>| Message::SectionTask {
+            name: name.into(),
+            params,
+            path: "/data#sections".into(),
+            seed: 7,
+            b_start: 0,
+            b_count: 4,
+            size: 2,
+        };
+        for level in [f64::NAN, 7.0, -0.1] {
+            for message in [
+                map_task("quantile", vec![level]),
+                section_task("quantile", vec![level]),
+            ] {
+                let reply = handle_message(&mut store, message);
+                let Some(Message::Error { message }) = reply else {
+                    panic!("level {level}: expected Error, got {reply:?}");
+                };
+                assert!(message.contains("unknown task spec"), "{message}");
+            }
+        }
+        // The refusals left the session and the store intact.
+        assert!(matches!(
+            handle_message(&mut store, map_task("quantile", vec![0.5])),
+            Some(Message::MapOk { records: 2, .. })
+        ));
+        assert!(matches!(
+            handle_message(&mut store, section_task("mean", vec![])),
+            Some(Message::SectionOk { .. })
+        ));
+    }
+
+    #[test]
     fn shutdown_ends_the_session_and_ping_answers_pong() {
         let mut store = Store::new();
         assert_eq!(

@@ -9,7 +9,12 @@
 //!   bounded queue.  A full queue answers
 //!   [`ServeError::Rejected`]`{ retry_after }` instead of growing without
 //!   bound; a job whose deadline expires while queued is shed with the
-//!   distinct [`ServeError::DeadlineExpired`].
+//!   distinct [`ServeError::DeadlineExpired`].  The task spec resolves
+//!   through [`earl_net::WireTask`], the registry the `earl-worker` processes
+//!   use — this crate keeps no task table of its own, so a spec the service
+//!   runs is one a remote pool can run, and a spec the registry refuses (an
+//!   unknown name, a quantile level outside `0 ≤ q ≤ 1`) finishes
+//!   [`ServeError::UnknownTask`].
 //! * **Fair scheduling** — a small supervisor loop drains the queue into a
 //!   shared [`WorkerPool`](earl_parallel::WorkerPool): highest priority
 //!   first, FIFO within a priority, with aging so a starved low-priority job
@@ -40,7 +45,6 @@ mod replay;
 mod request;
 mod scheduler;
 mod service;
-mod task;
 
 pub use dataset::{DatasetDef, DatasetRegistry};
 pub use log::{JobEvent, JobLog};
@@ -48,7 +52,6 @@ pub use replay::replay;
 pub use request::{JobId, JobRequest, Priority, ServeError};
 pub use scheduler::AdmissionQueue;
 pub use service::{EarlService, JobHandle, JobOutcome, RemotePoolConfig, ServiceConfig};
-pub use task::ServeTask;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

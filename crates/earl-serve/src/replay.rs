@@ -13,11 +13,11 @@
 //! canonical referee for both backends.
 
 use earl_core::EarlReport;
+use earl_net::WireTask;
 
 use crate::dataset::DatasetRegistry;
 use crate::log::JobLog;
 use crate::request::ServeError;
-use crate::task::ServeTask;
 
 /// Re-runs the job described by `log` standalone and returns its report.
 ///
@@ -44,7 +44,7 @@ pub fn replay(log: &JobLog, registry: &DatasetRegistry) -> Result<EarlReport, Se
     let def = registry
         .get(&log.request.dataset)
         .ok_or_else(|| ServeError::UnknownDataset(log.request.dataset.clone()))?;
-    let task = ServeTask::from_spec(&log.request.task)
+    let task = WireTask::from_spec(&log.request.task)
         .ok_or_else(|| ServeError::UnknownTask(log.request.task.clone()))?;
     let dfs = def.build()?;
     let driver = earl_core::EarlDriver::new(dfs, log.request.config);

@@ -37,13 +37,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use earl_core::{EarlDriver, EarlReport, EarlUpdate, Progress};
-use earl_net::TcpTransport;
+use earl_net::{TcpTransport, WireTask};
 use earl_parallel::WorkerPool;
 
 use crate::dataset::DatasetRegistry;
 use crate::log::{JobEvent, JobLog};
 use crate::request::{JobId, JobRequest, ServeError};
-use crate::task::ServeTask;
 
 /// How often the supervisor re-checks deadlines while idle.
 const SCHEDULE_TICK: Duration = Duration::from_millis(5);
@@ -394,7 +393,7 @@ fn run_job(shared: &Shared, entry: &JobEntry, log: &mut JobLog) -> Result<EarlRe
         .registry
         .get(&entry.request.dataset)
         .ok_or_else(|| ServeError::UnknownDataset(entry.request.dataset.clone()))?;
-    let task = ServeTask::from_spec(&entry.request.task)
+    let task = WireTask::from_spec(&entry.request.task)
         .ok_or_else(|| ServeError::UnknownTask(entry.request.task.clone()))?;
     let dfs = def.build()?;
     let mut driver = EarlDriver::new(dfs.clone(), entry.request.config);
@@ -487,6 +486,24 @@ mod tests {
             bogus.wait().unwrap().result,
             Err(ServeError::UnknownTask(_))
         ));
+        // A quantile level outside 0 ≤ q ≤ 1 is refused, not clamped into an
+        // answer for a different question.
+        for level in [f64::NAN, 7.0] {
+            let spec = TaskSpec {
+                name: "quantile".into(),
+                params: vec![level],
+            };
+            let out_of_range = service
+                .admit(JobRequest::new(spec, "small", EarlConfig::default()))
+                .unwrap();
+            assert!(
+                matches!(
+                    out_of_range.wait().unwrap().result,
+                    Err(ServeError::UnknownTask(_))
+                ),
+                "level {level}"
+            );
+        }
     }
 
     #[test]
