@@ -100,8 +100,10 @@ impl Reducer for MedianReducer {
         if values.is_empty() {
             return;
         }
+        // `total_cmp`: a `NaN` input line parses as a value, and must sort
+        // (after every number) rather than panic the reduce task.
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in numeric workloads"));
+        sorted.sort_by(f64::total_cmp);
         let mid = sorted.len() / 2;
         let median = if sorted.len() % 2 == 1 {
             sorted[mid]

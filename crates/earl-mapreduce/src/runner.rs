@@ -9,11 +9,15 @@
 //!
 //! ## Execution model
 //!
-//! There is one round loop per phase.  Every round runs its pending tasks
-//! concurrently across a scoped thread pool, then arbitrates which of them
-//! were lost; lost tasks are re-queued (or dropped, per policy) and the loop
-//! ends when nothing is pending.  On a cluster with no failure schedule armed
-//! arbitration is a no-op, so the loop runs exactly once:
+//! There is one task loop (`run_rounds`), and the map phase and the reduce
+//! phase both run through it.  A phase hands the loop a task list — per task
+//! its preferred nodes, its estimated work and whether it may be dropped when
+//! lost — and a task body.  Every round plans the pending tasks onto nodes,
+//! runs them concurrently across a scoped thread pool (start-up charge → node
+//! placement → body), then arbitrates which of them were lost; lost tasks are
+//! re-queued (or dropped, per policy) and the loop ends when nothing is
+//! pending.  On a cluster with no failure schedule armed arbitration is a
+//! no-op, so the loop runs exactly once:
 //!
 //! * task → node assignment is planned deterministically up front (locality
 //!   first, then round-robin over available nodes), never through the cluster
@@ -24,6 +28,20 @@
 //! * cost-model charges are pure additions to the simulated clock and the
 //!   per-phase metrics, so the merged totals (and therefore `sim_time`) do
 //!   not depend on thread interleaving either.
+//!
+//! ## Compute source
+//!
+//! A task body is *compute → CPU charge → counters*, and only the compute has
+//! a source: the mapper or reducer run in-process, or the outcome a remote
+//! [`TaskTransport`](crate::TaskTransport) already produced.  A phase that
+//! qualifies for remote execution (cluster mode, stable cluster, wire-portable
+//! spec and pair types) makes **all** of its wire calls before the loop, hence
+//! before its first cluster charge, and all-or-nothing: a failed call or a
+//! malformed outcome discards every outcome and the tasks compute in-process,
+//! the simulation untouched.  Outcomes that pass are handed to the same task
+//! bodies, so placement, charges and counters come from the same lines on
+//! both paths and a remote `JobResult` is bit-identical to an in-process one,
+//! `sim_time` included.
 //!
 //! ## Deterministic failure arbitration
 //!
@@ -63,10 +81,12 @@
 //! [`Cluster::arbitrate_failures_at`]: earl_cluster::Cluster::arbitrate_failures_at
 
 use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
 
 use earl_cluster::{ClusterError, NodeId, Phase, SimDuration, SimInstant};
-use earl_dfs::{Dfs, InputSplit};
+use earl_dfs::{Dfs, DfsError, InputSplit};
 use earl_parallel::{indexed_map, resolve_parallelism, workers_for, ShardBuffers, ShardedBuffers};
+use parking_lot::Mutex;
 
 use crate::counters::{builtin, Counters};
 use crate::error::MrError;
@@ -79,15 +99,27 @@ use crate::transport::{RemoteMapRequest, RemoteReduceRequest};
 use crate::types::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
 use crate::Result;
 
-/// The sharded intermediate buffers a map phase produces for a mapper `M`.
-type MapperShards<M> = ShardedBuffers<(<M as Mapper>::OutKey, <M as Mapper>::OutValue)>;
+/// A combiner over a mapper's intermediate pair type, passed by reference
+/// when a job has one.
+type MapCombiner<'a, M> =
+    &'a dyn Combiner<Key = <M as Mapper>::OutKey, Value = <M as Mapper>::OutValue>;
 
-/// What one completed map task hands back: its counters and its own shard
-/// buffers.
-type MapTaskOutput<M> = (
-    Counters,
+/// What the compute step of one map task yields: input records consumed, the
+/// task's own shard buffers, and the counters its emits produced.
+type MapCompute<M> = (
+    u64,
     ShardBuffers<(<M as Mapper>::OutKey, <M as Mapper>::OutValue)>,
+    Counters,
 );
+
+/// What the compute step of one reduce task yields: the partition's outputs
+/// and the counters its emits produced.
+type ReduceCompute<R> = (Vec<<R as Reducer>::Output>, Counters);
+
+/// Per-task compute results a remote transport produced before the loop ran
+/// (empty when it produced none).  A task body takes its entry; an attempt
+/// that finds none, or finds it taken (a re-run), computes in-process.
+type RemoteComputes<T> = Vec<Mutex<Option<T>>>;
 
 /// Runs a job without a combiner.
 pub fn run_job<M, R>(
@@ -100,7 +132,7 @@ where
     M: Mapper,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    run_inner::<M, R, NeverCombiner<M::OutKey, M::OutValue>>(dfs, conf, mapper, reducer, None)
+    finish_job(dfs, conf, map_phase(dfs, conf, mapper, None)?, reducer)
 }
 
 /// Runs a job with a combiner applied to each map task's local output.
@@ -116,37 +148,7 @@ where
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
     C: Combiner<Key = M::OutKey, Value = M::OutValue>,
 {
-    run_inner::<M, R, C>(dfs, conf, mapper, reducer, Some(combiner))
-}
-
-/// A combiner type used only to instantiate the generic runner when no
-/// combiner is supplied.  The runner short-circuits on the combiner `Option`
-/// before grouping or copying anything, so `combine` can never be reached —
-/// the previous implementation materialised `values.to_vec()` here for
-/// nothing.
-struct NeverCombiner<K, V>(std::marker::PhantomData<(K, V)>);
-
-impl<K: crate::types::MrKey, V: crate::types::MrValue> Combiner for NeverCombiner<K, V> {
-    type Key = K;
-    type Value = V;
-    fn combine(&self, _key: &K, _values: &[V]) -> Vec<V> {
-        unreachable!("NeverCombiner is a type-level placeholder; the runner never invokes it")
-    }
-}
-
-fn run_inner<M, R, C>(
-    dfs: &Dfs,
-    conf: &JobConf,
-    mapper: &M,
-    reducer: &R,
-    combiner: Option<&C>,
-) -> Result<JobResult<R::Output>>
-where
-    M: Mapper,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-{
-    let phase = map_phase_inner(dfs, conf, mapper, combiner)?;
+    let phase = map_phase(dfs, conf, mapper, Some(combiner))?;
     finish_job(dfs, conf, phase, reducer)
 }
 
@@ -192,19 +194,28 @@ pub fn run_map_phase<M>(
 where
     M: Mapper,
 {
-    map_phase_inner::<M, NeverCombiner<M::OutKey, M::OutValue>>(dfs, conf, mapper, None)
+    map_phase(dfs, conf, mapper, None)
 }
 
-fn map_phase_inner<M, C>(
+/// The input of one map task.  In-memory records are borrowed from the
+/// [`JobConf`] — the mapper reads them where they are.
+enum MapInput<'a> {
+    Split(InputSplit),
+    Memory(&'a [(u64, String)]),
+}
+
+/// The map phase: one task per input split (or one over the in-memory
+/// records), each streaming into its own [`ShardBuffers`].  Buffers and
+/// counters of surviving tasks are merged in task order, so the reassembled
+/// [`ShardedBuffers`] holds the same bits however many rounds it took.  Lost
+/// DFS splits may be abandoned under `Degrade` (§3.4); in-memory inputs are
+/// driver-held (nothing was lost but work) and are always re-run.
+fn map_phase<M: Mapper>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
-    combiner: Option<&C>,
-) -> Result<MapPhase<M::OutKey, M::OutValue>>
-where
-    M: Mapper,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-{
+    combiner: Option<MapCombiner<'_, M>>,
+) -> Result<MapPhase<M::OutKey, M::OutValue>> {
     let cluster = dfs.cluster();
     let start = cluster.elapsed();
     let events_seen = cluster.failure_events().len();
@@ -215,53 +226,85 @@ where
         cluster.charge_job_startup();
     }
 
-    // ---- plan map tasks ----------------------------------------------------
-    let map_inputs: Vec<MapInput> = match &conf.input {
+    let inputs: Vec<MapInput<'_>> = match &conf.input {
         InputSource::Path(path) => dfs
             .default_splits(path.clone())?
             .into_iter()
             .map(MapInput::Split)
             .collect(),
         InputSource::Splits(splits) => splits.iter().cloned().map(MapInput::Split).collect(),
-        InputSource::Memory(records) => {
-            if records.is_empty() {
-                Vec::new()
-            } else {
-                vec![MapInput::Memory(records.clone())]
+        InputSource::Memory(records) if records.is_empty() => Vec::new(),
+        InputSource::Memory(records) => vec![MapInput::Memory(records)],
+    };
+    let num_shards = conf.num_reducers.max(1);
+
+    let armed = cluster.failure_injection_pending();
+    // A combiner has no wire form, so it keeps the compute in-process.
+    let remote = match combiner {
+        None => remote_map(dfs, conf, mapper, &inputs, num_shards, &mut stats),
+        Some(_) => None,
+    }
+    .unwrap_or_default();
+    // Apply any failure already due (e.g. fired during job start-up charges)
+    // before planning, so the plan sees the true live set.
+    if armed && !inputs.is_empty() && !cluster.arbitrate_failures_at(cluster.now()).is_empty() {
+        dfs.reconcile_failures();
+    }
+
+    let heavy = mapper.is_heavy();
+    let cost = cluster.cost_model();
+    let tasks: Vec<Task<'_>> = inputs
+        .iter()
+        .map(|input| match input {
+            MapInput::Split(split) => Task {
+                preferred: &split.locations,
+                work: cost.disk_read(split.length),
+                droppable: true,
+            },
+            MapInput::Memory(records) => Task {
+                preferred: &[],
+                work: cost.map_cpu(records.len() as u64, heavy),
+                droppable: false,
+            },
+        })
+        .collect();
+    let slots = run_rounds(
+        dfs,
+        conf,
+        &tasks,
+        &mut stats,
+        |(_, buffers): &(Counters, ShardBuffers<_>)| buffers.emitted(),
+        |i| {
+            let remote = remote.get(i).and_then(|compute| compute.lock().take());
+            let (records, buffers, mut task_counters) = match remote {
+                Some(compute) => compute,
+                None => match run_mapper(dfs, conf, mapper, combiner, &inputs[i], num_shards)? {
+                    Some(compute) => compute,
+                    None => return Ok(None),
+                },
+            };
+            cluster.charge_map_cpu(records, heavy);
+            task_counters.add(builtin::MAP_INPUT_RECORDS, records);
+            Ok(Some((task_counters, buffers)))
+        },
+    )?;
+
+    let mut workers = Vec::with_capacity(slots.len());
+    for slot in slots {
+        stats.map_tasks += 1;
+        match slot {
+            Some((task_counters, buffers)) => {
+                counters.merge(&task_counters);
+                workers.push(buffers);
+            }
+            None => {
+                stats.lost_map_tasks += 1;
+                counters.increment(builtin::LOST_SPLITS);
+                stats.fault_log.splits_lost += 1;
             }
         }
-    };
-
-    // ---- map phase -----------------------------------------------------------
-    // Remote transports handle only stable-cluster memory-input jobs whose
-    // mapper is wire-portable; an armed simulated failure schedule (or any
-    // gate miss, or a total transport failure) falls through to the local
-    // map phase untouched.
-    let remote = if cluster.failure_injection_pending() {
-        None
-    } else {
-        map_phase_remote(
-            dfs,
-            conf,
-            mapper,
-            combiner.is_some(),
-            &map_inputs,
-            &mut counters,
-            &mut stats,
-        )?
-    };
-    let output = match remote {
-        Some(output) => output,
-        None => map_phase_local(
-            dfs,
-            conf,
-            mapper,
-            combiner,
-            &map_inputs,
-            &mut counters,
-            &mut stats,
-        )?,
-    };
+    }
+    let output = ShardedBuffers::from_workers(num_shards, workers);
     stats.map_input_records = counters.get(builtin::MAP_INPUT_RECORDS);
     stats.shuffle_records = output.total_items();
     record_new_failure_events(dfs, events_seen, &mut stats);
@@ -294,7 +337,6 @@ where
         start,
         events_seen,
     } = phase;
-    let threads = resolve_parallelism(conf.parallelism);
 
     // ---- shuffle -------------------------------------------------------------
     // Cost charges are driven by the record count, so sim_time cannot depend
@@ -310,21 +352,21 @@ where
             cluster.charge_net_transfer(Phase::Shuffle, nodes[0], nodes[1], crossing);
         }
     }
-    let shuffle_workers = workers_for(shuffle_records as usize, conf.parallelism).min(threads);
+    let shuffle_workers = workers_for(shuffle_records as usize, conf.parallelism)
+        .min(resolve_parallelism(conf.parallelism));
     // Streaming shuffle always: the pairs are already in their shards; only
     // the per-shard concatenate + group remains.
     let shuffled = ShuffleOutput::shuffle_streaming(output, shuffle_workers);
     stats.reduce_groups = shuffled.total_groups();
 
     // ---- reduce phase --------------------------------------------------------
-    let outputs = reduce_phase_parallel(
+    let outputs = reduce_phase(
         dfs,
         conf,
         reducer,
         shuffled.into_partitions(),
         &mut counters,
         &mut stats,
-        threads,
     )?;
 
     // ---- output --------------------------------------------------------------
@@ -336,19 +378,19 @@ where
     }
 
     record_new_failure_events(dfs, events_seen, &mut stats);
-    // Fault counters are added only when non-zero: a zero-valued entry would
-    // make an armed-but-quiet run's counters differ from an unarmed run's.
-    if shuffle_records > 0 {
-        counters.add(builtin::SHARDED_SHUFFLE_RECORDS, shuffle_records);
-    }
-    if !stats.fault_log.events.is_empty() {
-        counters.add(builtin::FAILURE_EVENTS, stats.fault_log.events.len() as u64);
-    }
-    if stats.fault_log.records_salvaged > 0 {
-        counters.add(builtin::SALVAGED_RECORDS, stats.fault_log.records_salvaged);
-    }
-    if stats.fault_log.backoff > SimDuration::ZERO {
-        counters.add(builtin::BACKOFF_MICROS, stats.fault_log.backoff.as_micros());
+    // Shuffle and fault counters are derived from the stats, and added only
+    // when non-zero: a zero-valued entry would make an armed-but-quiet run's
+    // counters differ from an unarmed run's.
+    for (name, value) in [
+        (builtin::SHARDED_SHUFFLE_RECORDS, shuffle_records),
+        (builtin::RESTARTED_TASKS, stats.restarted_tasks),
+        (builtin::FAILURE_EVENTS, stats.fault_log.events.len() as u64),
+        (builtin::SALVAGED_RECORDS, stats.fault_log.records_salvaged),
+        (builtin::BACKOFF_MICROS, stats.fault_log.backoff.as_micros()),
+    ] {
+        if value > 0 {
+            counters.add(name, value);
+        }
     }
 
     stats.sim_time = cluster.elapsed() - start;
@@ -368,9 +410,182 @@ fn record_new_failure_events(dfs: &Dfs, events_seen: usize, stats: &mut JobStats
     }
 }
 
-enum MapInput {
-    Split(InputSplit),
-    Memory(Vec<(u64, String)>),
+/// The reduce phase: one task per non-empty partition, outputs concatenated
+/// in partition order.  Lost partitions are **always** re-run (under either
+/// policy — only map-side sample loss is tolerated by §3.4; the partition data
+/// is driver-held and still exists).
+fn reduce_phase<R: Reducer>(
+    dfs: &Dfs,
+    conf: &JobConf,
+    reducer: &R,
+    partitions: Vec<BTreeMap<R::InKey, Vec<R::InValue>>>,
+    counters: &mut Counters,
+    stats: &mut JobStats,
+) -> Result<Vec<R::Output>> {
+    let partitions: Vec<_> = partitions.into_iter().filter(|p| !p.is_empty()).collect();
+    let cluster = dfs.cluster();
+    let records_in: Vec<u64> = partitions
+        .iter()
+        .map(|p| p.values().map(|v| v.len() as u64).sum())
+        .collect();
+    let remote = remote_reduce(dfs, conf, reducer, &partitions, stats).unwrap_or_default();
+
+    let heavy = reducer.is_heavy();
+    let cost = cluster.cost_model();
+    let tasks: Vec<Task<'_>> = records_in
+        .iter()
+        .map(|&records| Task {
+            preferred: &[],
+            work: cost.reduce_cpu(records, heavy),
+            droppable: false,
+        })
+        .collect();
+    let slots = run_rounds(
+        dfs,
+        conf,
+        &tasks,
+        stats,
+        |_| 0,
+        |i| {
+            let remote = remote.get(i).and_then(|compute| compute.lock().take());
+            let compute: ReduceCompute<R> = remote.unwrap_or_else(|| {
+                let mut ctx = ReduceContext::new();
+                for (key, values) in &partitions[i] {
+                    reducer.reduce(key, values, &mut ctx);
+                }
+                ctx.into_parts()
+            });
+            cluster.charge_reduce_cpu(Phase::Reduce, records_in[i], heavy);
+            Ok(Some(compute))
+        },
+    )?;
+
+    let mut outputs = Vec::new();
+    for (i, slot) in slots.into_iter().enumerate() {
+        let (out, task_counters) = slot.expect("reduce partitions are never dropped");
+        stats.reduce_tasks += 1;
+        counters.add(builtin::REDUCE_INPUT_GROUPS, partitions[i].len() as u64);
+        counters.add(builtin::REDUCE_INPUT_RECORDS, records_in[i]);
+        counters.merge(&task_counters);
+        outputs.extend(out);
+    }
+    Ok(outputs)
+}
+
+/// One task as the round loop sees it.
+struct Task<'a> {
+    /// Nodes holding the task's input; the planner tries them first.
+    preferred: &'a [NodeId],
+    /// Estimated duration of the task's work after start-up, from the cost
+    /// model — positions the task's arbitration boundary.
+    work: SimDuration,
+    /// Whether the task's input dies with its node (a DFS split), so that
+    /// `Degrade` abandons the task when it is lost instead of re-running it.
+    droppable: bool,
+}
+
+/// The task loop both phases run through: rounds of plan → run → arbitrate →
+/// re-queue until nothing is pending.
+///
+/// Each round plans the pending tasks onto nodes and runs them concurrently
+/// with implicit polling suppressed: start-up charge, node placement, then
+/// `body(i)` — the phase's compute, CPU charge and counters.  After the
+/// barrier an armed schedule is arbitrated at the plan's estimated task
+/// boundaries (with nothing armed no task can be lost, and the loop runs
+/// once).  A surviving task's result is committed to slot `i`; a lost task is
+/// dropped (`Degrade`, droppable tasks only) or booked as a retry and
+/// re-queued behind the policy back-off.  `body` returns `None` when the
+/// task's input was already gone and the policy tolerates dropping it.
+///
+/// Returns one slot per task: the committed result, or `None` if dropped.
+/// `salvageable` weighs a committed result for the fault log's
+/// `records_salvaged`, counted in rounds that lost another task.
+fn run_rounds<T: Send>(
+    dfs: &Dfs,
+    conf: &JobConf,
+    tasks: &[Task<'_>],
+    stats: &mut JobStats,
+    salvageable: impl Fn(&T) -> u64,
+    body: impl Fn(usize) -> Result<Option<T>> + Sync,
+) -> Result<Vec<Option<T>>> {
+    let cluster = dfs.cluster();
+    let threads = resolve_parallelism(conf.parallelism);
+    let armed = cluster.failure_injection_pending();
+    // Local-mode tasks run in the driver process: no start-up, no placement.
+    let startup = if conf.local_mode {
+        SimDuration::ZERO
+    } else {
+        cluster.cost_model().task_startup
+    };
+
+    let mut slots: Vec<Option<T>> = tasks.iter().map(|_| None).collect();
+    let mut pending: Vec<usize> = (0..tasks.len()).collect();
+    // A pending task has run in every round so far: the round number is its
+    // attempt count.
+    let mut attempt = 0u32;
+
+    while !pending.is_empty() {
+        attempt += 1;
+        if attempt > 1 {
+            charge_retry_round(dfs, conf, stats);
+        }
+
+        let preferred: Vec<&[NodeId]> = pending.iter().map(|&i| tasks[i].preferred).collect();
+        let plan = plan_nodes(dfs, &preferred)?;
+        let round_start = cluster.now();
+
+        let results = {
+            let _pause = cluster.suppress_failure_polling();
+            indexed_map(
+                pending.len(),
+                threads,
+                || (),
+                |j, ()| {
+                    if !conf.local_mode {
+                        cluster.charge_task_startup();
+                        cluster.record_task_on(plan[j])?;
+                    }
+                    body(pending[j])
+                },
+            )
+        };
+        let lost = if armed {
+            let estimates = pending.iter().map(|&i| startup + tasks[i].work);
+            arbitrate_round(dfs, conf, &plan, round_start, estimates)
+        } else {
+            vec![false; pending.len()]
+        };
+
+        let mut next_pending = Vec::new();
+        let mut round_salvaged = 0u64;
+        let mut round_lost = false;
+        for (j, result) in results.into_iter().enumerate() {
+            let i = pending[j];
+            match result? {
+                // The task's input blocks were already gone (§3.4 drop).
+                None => {}
+                Some(value) if !lost[j] => {
+                    round_salvaged += salvageable(&value);
+                    slots[i] = Some(value);
+                }
+                Some(_) => {
+                    round_lost = true;
+                    if !(tasks[i].droppable && conf.failure_policy.is_degrade()) {
+                        if attempt >= conf.failure_policy.max_attempts().max(1) {
+                            return Err(MrError::ClusterLost);
+                        }
+                        book_restart(dfs, stats);
+                        next_pending.push(i);
+                    }
+                }
+            }
+        }
+        if round_lost {
+            stats.fault_log.records_salvaged += round_salvaged;
+        }
+        pending = next_pending;
+    }
+    Ok(slots)
 }
 
 /// Plans the node of every task deterministically: first live preferred
@@ -389,53 +604,46 @@ fn plan_nodes(dfs: &Dfs, preferred: &[&[NodeId]]) -> Result<Vec<NodeId>> {
             candidates
                 .iter()
                 .copied()
-                .find(|&n| node_alive(dfs, n))
+                .find(|n| available.contains(n))
                 .unwrap_or(available[i % available.len()])
         })
         .collect())
 }
 
-/// Estimated completion boundaries of `tasks` replayed serially from
-/// `phase_start` through the cost model.  These are the instants at which the
-/// injector is polled after a parallel phase — a pure function of the plan,
-/// so failure outcomes cannot depend on execution interleaving.  The real
-/// (makespan-charged) clock generally lags these serial estimates; the
-/// injector's monotonic poll window makes the two composable.
-fn estimated_boundaries(
-    phase_start: SimInstant,
-    durations: impl Iterator<Item = SimDuration>,
-) -> Vec<SimInstant> {
-    let mut acc = SimDuration::ZERO;
-    durations
-        .map(|d| {
-            acc += d;
-            phase_start + acc
-        })
-        .collect()
-}
-
-/// Arbitration for one executed round: polls the injector at each estimated
-/// task boundary (then catches up to the charged clock) and marks which tasks
-/// were lost — a task is lost iff its planned node is dead at its boundary.
+/// Arbitration for one executed round: polls the injector at each task's
+/// estimated completion boundary — the tasks' estimated durations replayed
+/// serially from `round_start` through the cost model — then catches up to
+/// the charged clock, and marks which tasks were lost: a task is lost iff its
+/// planned node is dead at its boundary.  The boundaries are a pure function
+/// of the plan, so failure outcomes cannot depend on execution interleaving.
+/// The real (makespan-charged) clock generally lags these serial estimates;
+/// the injector's monotonic poll window makes the two composable.
 fn arbitrate_round(
     dfs: &Dfs,
     conf: &JobConf,
     plan: &[NodeId],
-    boundaries: &[SimInstant],
+    round_start: SimInstant,
+    estimates: impl Iterator<Item = SimDuration>,
 ) -> Vec<bool> {
     let cluster = dfs.cluster();
     let mut dead: Vec<NodeId> = Vec::new();
-    let mut lost = vec![false; plan.len()];
-    for (j, boundary) in boundaries.iter().enumerate() {
-        for ev in cluster.arbitrate_failures_at(*boundary) {
-            if !dead.contains(&ev.node) {
-                dead.push(ev.node);
+    let mut boundary = round_start;
+    let lost = plan
+        .iter()
+        .zip(estimates)
+        .map(|(node, estimate)| {
+            boundary = boundary + estimate;
+            for ev in cluster.arbitrate_failures_at(boundary) {
+                if !dead.contains(&ev.node) {
+                    dead.push(ev.node);
+                }
             }
-        }
-        // Local-mode tasks run in the driver process and cannot be killed by
-        // a node failure; the arbitration still advances the injector window.
-        lost[j] = !conf.local_mode && dead.contains(&plan[j]);
-    }
+            // Local-mode tasks run in the driver process and cannot be killed
+            // by a node failure; the arbitration still advances the injector
+            // window.
+            !conf.local_mode && dead.contains(node)
+        })
+        .collect();
     cluster.arbitrate_failures_at(cluster.now());
     lost
 }
@@ -451,481 +659,224 @@ fn charge_retry_round(dfs: &Dfs, conf: &JobConf, stats: &mut JobStats) {
     dfs.reconcile_failures();
 }
 
-/// Books one task retry (cluster metric, stats, counters, fault log) and
-/// errors with [`MrError::ClusterLost`] once the attempt cap is reached.
-fn book_task_retry(
-    dfs: &Dfs,
-    conf: &JobConf,
-    attempts: u32,
-    counters: &mut Counters,
-    stats: &mut JobStats,
-) -> Result<()> {
-    if attempts >= conf.failure_policy.max_attempts().max(1) {
-        return Err(MrError::ClusterLost);
-    }
+/// Books one task restart: cluster metric, stats, fault log.  (The
+/// `RESTARTED_TASKS` counter is derived from the stats when the job finishes.)
+fn book_restart(dfs: &Dfs, stats: &mut JobStats) {
     dfs.cluster().record_task_restart();
     stats.restarted_tasks += 1;
-    counters.increment(builtin::RESTARTED_TASKS);
     stats.fault_log.task_retries += 1;
-    Ok(())
-}
-
-/// Whether the intermediate pair type is the `(u32, f64)` wire pair every
-/// remote transport speaks.
-fn is_wire_pair<K: 'static, V: 'static>() -> bool {
-    TypeId::of::<K>() == TypeId::of::<u32>() && TypeId::of::<V>() == TypeId::of::<f64>()
-}
-
-/// Moves a value between two types already proven identical by `TypeId`
-/// (e.g. `Vec<(u32, f64)>` → `Vec<(M::OutKey, M::OutValue)>` once
-/// [`is_wire_pair`] held).  Returns `None` if they were not the same type.
-fn cast_owned<S: 'static, T: 'static>(value: S) -> Option<T> {
-    let boxed: Box<dyn Any> = Box::new(value);
-    boxed.downcast::<T>().ok().map(|b| *b)
 }
 
 /// Books the chunk re-dispatches a remote transport performed after worker
 /// deaths: each is one retry round (back-off charge + DFS re-sync) plus one
-/// task restart, mirroring what the local round loop books per lost task.
+/// task restart, exactly what the round loop books per lost task.
 /// This is the unification point for wire-level failures: a call-deadline
 /// expiry or socket death on the transport surfaces as a `retries` increment
 /// and lands in the same `FaultLog` counters as simulated-failure retries.
 /// Transparent revives never reach here (the transport's `retries` field
 /// excludes them by contract), so a fully-recovered run books nothing.
-fn book_remote_retries(
-    dfs: &Dfs,
-    conf: &JobConf,
-    retries: u64,
-    counters: &mut Counters,
-    stats: &mut JobStats,
-) {
+fn book_remote_retries(dfs: &Dfs, conf: &JobConf, retries: u64, stats: &mut JobStats) {
     for _ in 0..retries {
         charge_retry_round(dfs, conf, stats);
-        dfs.cluster().record_task_restart();
-        stats.restarted_tasks += 1;
-        counters.increment(builtin::RESTARTED_TASKS);
-        stats.fault_log.task_retries += 1;
+        book_restart(dfs, stats);
     }
 }
 
-/// Runs the map phase on a remote transport when every gate holds: non-local
-/// transport, cluster mode, no combiner, a wire-portable mapper spec, a
-/// provisioned source path, memory-only inputs and the `(u32, f64)` wire pair
-/// type.  Returns `Ok(None)` — leaving the simulation completely untouched —
-/// when any gate misses or the transport fails outright, so the caller can
-/// fall back to the in-process paths (memory inputs are driver-held; nothing
-/// is lost but remote work).
-///
-/// All remote calls complete *before* the first cluster charge; the
-/// coordinator then replays the exact per-task charge/counter sequence of
-/// [`map_phase_local`], so a remote run is bit-identical to an in-process
-/// run, including `sim_time`.
-fn map_phase_remote<M>(
+/// Whether a phase with intermediate pairs `(K, V)` may compute on the job's
+/// transport at all: a non-local transport, cluster mode, a stable cluster
+/// (an armed simulated failure schedule keeps the compute in-process, where
+/// the loop can re-run it), and the `(u32, f64)` wire pair every remote
+/// transport speaks.
+fn remote_eligible<K: 'static, V: 'static>(dfs: &Dfs, conf: &JobConf) -> bool {
+    !conf.transport.is_local()
+        && !conf.local_mode
+        && !dfs.cluster().failure_injection_pending()
+        && TypeId::of::<(K, V)>() == TypeId::of::<(u32, f64)>()
+}
+
+/// Moves a value between two types already proven identical by `TypeId`
+/// (e.g. `Vec<(u32, f64)>` → `Vec<(M::OutKey, M::OutValue)>` once
+/// [`remote_eligible`] held).  Returns `None` if they were not the same type.
+fn cast_owned<S: 'static, T: 'static>(value: S) -> Option<T> {
+    let boxed: Box<dyn Any> = Box::new(value);
+    boxed.downcast::<T>().ok().map(|b| *b)
+}
+
+/// Computes the map tasks on the job's remote transport when every gate
+/// holds: [`remote_eligible`], a wire-portable mapper spec, a provisioned
+/// source path and memory-only inputs.  Returns `None` — having charged
+/// nothing — when a gate misses, a call fails or an outcome does not have
+/// exactly `num_shards` shards (routing its pairs anyway would change
+/// partition order, hence output bits); the tasks then run the mapper
+/// in-process (memory inputs are driver-held; nothing is lost but remote
+/// work).  On success the transport's reported retries are booked and every
+/// task body finds its compute here.
+fn remote_map<M: Mapper>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
-    has_combiner: bool,
-    inputs: &[MapInput],
-    counters: &mut Counters,
+    inputs: &[MapInput<'_>],
+    num_shards: usize,
     stats: &mut JobStats,
-) -> Result<Option<MapperShards<M>>>
-where
-    M: Mapper,
-{
-    if conf.transport.is_local() || conf.local_mode || has_combiner || inputs.is_empty() {
-        return Ok(None);
+) -> Option<RemoteComputes<MapCompute<M>>> {
+    if !remote_eligible::<M::OutKey, M::OutValue>(dfs, conf) {
+        return None;
     }
-    if !is_wire_pair::<M::OutKey, M::OutValue>() {
-        return Ok(None);
-    }
-    let Some(spec) = mapper.remote_spec() else {
-        return Ok(None);
-    };
-    let Some(source_path) = &conf.source_path else {
-        return Ok(None);
-    };
+    let spec = mapper.remote_spec()?;
+    let source_path = conf.source_path.as_ref()?.as_str();
     // Summary-only deployments (workers provisioned with O(√n) section
     // summaries, never the raw records) cannot resolve offsets remotely;
     // skipping here keeps the decision deterministic instead of burning a
     // doomed wire round-trip per task.
-    if !conf.transport.serves_records(source_path.as_str()) {
-        return Ok(None);
+    if !conf.transport.serves_records(source_path) {
+        return None;
     }
-    let mut tasks: Vec<Vec<u64>> = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        match input {
-            MapInput::Memory(records) => tasks.push(records.iter().map(|&(o, _)| o).collect()),
-            MapInput::Split(_) => return Ok(None),
-        }
-    }
+    let outcomes = inputs
+        .iter()
+        .map(|input| {
+            let MapInput::Memory(records) = input else {
+                return None;
+            };
+            let offsets: Vec<u64> = records.iter().map(|&(offset, _)| offset).collect();
+            let request = RemoteMapRequest {
+                spec: &spec,
+                source_path,
+                offsets: &offsets,
+                num_shards,
+                max_attempts: conf.failure_policy.max_attempts().max(1),
+            };
+            let outcome = conf.transport.remote_map(&request).ok()?;
+            (outcome.shards.len() == num_shards).then_some(outcome)
+        })
+        .collect::<Option<Vec<_>>>()?;
 
-    let num_shards = conf.num_reducers.max(1);
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for offsets in &tasks {
-        let request = RemoteMapRequest {
-            spec: &spec,
-            source_path: source_path.as_str(),
-            offsets,
-            num_shards,
-            max_attempts: conf.failure_policy.max_attempts().max(1),
-        };
-        match conf.transport.remote_map(&request) {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(_) => return Ok(None),
-        }
-    }
-
-    // User compute is done; now replay the in-process accounting.  The plan is
-    // computed on the post-run live set so tasks are never booked on a node a
-    // worker death already removed (on a quiet run the live set — and hence
-    // the plan — matches the in-process one exactly).
-    let cluster = dfs.cluster();
-    let preferred: Vec<&[NodeId]> = inputs.iter().map(|_| &[][..]).collect();
-    let plan = plan_nodes(dfs, &preferred)?;
-    let heavy = mapper.is_heavy();
-    let mut workers = Vec::with_capacity(outcomes.len());
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        book_remote_retries(dfs, conf, outcome.retries, counters, stats);
-        cluster.charge_task_startup();
-        cluster.record_task_on(plan[i])?;
-        cluster.charge_map_cpu(outcome.records, heavy);
-
-        let mut task_counters = Counters::new();
-        task_counters.add(builtin::MAP_INPUT_RECORDS, outcome.records);
+    let mut retries = 0;
+    let mut computes = Vec::with_capacity(outcomes.len());
+    for outcome in outcomes {
+        retries += outcome.retries;
+        let shards: Vec<Vec<(M::OutKey, M::OutValue)>> = cast_owned(outcome.shards)?;
         let mut buffers = ShardBuffers::new(num_shards);
-        let mut emitted = 0u64;
-        for (shard, pairs) in outcome.shards.into_iter().enumerate() {
-            emitted += pairs.len() as u64;
-            let pairs: Vec<(M::OutKey, M::OutValue)> = cast_owned(pairs)
-                .ok_or_else(|| MrError::Transport("wire pair cast failed".into()))?;
+        for (shard, pairs) in shards.into_iter().enumerate() {
             for pair in pairs {
                 buffers.emit(shard, pair);
             }
         }
-        if emitted > 0 {
-            task_counters.add(builtin::MAP_OUTPUT_RECORDS, emitted);
+        let mut emitted = Counters::new();
+        if buffers.emitted() > 0 {
+            emitted.add(builtin::MAP_OUTPUT_RECORDS, buffers.emitted());
         }
-        stats.map_tasks += 1;
-        counters.merge(&task_counters);
-        workers.push(buffers);
+        computes.push(Mutex::new(Some((outcome.records, buffers, emitted))));
     }
-    Ok(Some(ShardedBuffers::from_workers(num_shards, workers)))
+    book_remote_retries(dfs, conf, retries, stats);
+    Some(computes)
 }
 
-/// Runs the reduce phase on a remote transport when every gate holds (the
-/// reduce-side analogue of [`map_phase_remote`]: non-local transport, cluster
-/// mode, wire-portable reducer spec, `(u32, f64)` groups and `f64` outputs).
-/// Returns `Ok(None)` without touching the simulation when a gate misses or
-/// the transport fails, so [`reduce_phase_parallel`] runs the partitions
-/// in-process instead — partition data is driver-held, so nothing is lost.
-fn reduce_phase_remote<R>(
+/// The reduce-side analogue of [`remote_map`]: computes the partitions on the
+/// job's remote transport when [`remote_eligible`] holds, the reducer has a
+/// wire-portable spec and its outputs are `f64`.  An outcome must carry one
+/// output per group; anything else declines the whole phase, which then
+/// reduces in-process — partition data is driver-held, so nothing is lost.
+fn remote_reduce<R: Reducer>(
     dfs: &Dfs,
     conf: &JobConf,
     reducer: &R,
-    non_empty: &[std::collections::BTreeMap<R::InKey, Vec<R::InValue>>],
-    records_in: &[u64],
-    counters: &mut Counters,
+    partitions: &[BTreeMap<R::InKey, Vec<R::InValue>>],
     stats: &mut JobStats,
-) -> Result<Option<Vec<R::Output>>>
-where
-    R: Reducer,
-{
-    if conf.transport.is_local() || conf.local_mode {
-        return Ok(None);
+) -> Option<RemoteComputes<ReduceCompute<R>>> {
+    if !remote_eligible::<R::InKey, R::InValue>(dfs, conf)
+        || TypeId::of::<R::Output>() != TypeId::of::<f64>()
+    {
+        return None;
     }
-    if !is_wire_pair::<R::InKey, R::InValue>() || TypeId::of::<R::Output>() != TypeId::of::<f64>() {
-        return Ok(None);
-    }
-    let Some(spec) = reducer.remote_spec() else {
-        return Ok(None);
-    };
+    let spec = reducer.remote_spec()?;
+    let outcomes = partitions
+        .iter()
+        .map(|partition| {
+            let partition: &BTreeMap<u32, Vec<f64>> = (partition as &dyn Any).downcast_ref()?;
+            let groups: Vec<(u32, Vec<f64>)> =
+                partition.iter().map(|(&k, v)| (k, v.clone())).collect();
+            let request = RemoteReduceRequest {
+                spec: &spec,
+                groups: &groups,
+                max_attempts: conf.failure_policy.max_attempts().max(1),
+            };
+            let outcome = conf.transport.remote_reduce(&request).ok()?;
+            (outcome.outputs.len() == groups.len()).then_some(outcome)
+        })
+        .collect::<Option<Vec<_>>>()?;
 
-    let mut all_groups: Vec<Vec<(u32, Vec<f64>)>> = Vec::with_capacity(non_empty.len());
-    for partition in non_empty {
-        let any: &dyn Any = partition;
-        let Some(partition) = any.downcast_ref::<std::collections::BTreeMap<u32, Vec<f64>>>()
-        else {
-            return Ok(None);
-        };
-        all_groups.push(partition.iter().map(|(&k, v)| (k, v.clone())).collect());
-    }
-
-    let mut outcomes = Vec::with_capacity(all_groups.len());
-    for groups in &all_groups {
-        let request = RemoteReduceRequest {
-            spec: &spec,
-            groups,
-            max_attempts: conf.failure_policy.max_attempts().max(1),
-        };
-        match conf.transport.remote_reduce(&request) {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(_) => return Ok(None),
+    let mut retries = 0;
+    let mut computes = Vec::with_capacity(outcomes.len());
+    for outcome in outcomes {
+        retries += outcome.retries;
+        let outputs: Vec<R::Output> = cast_owned(outcome.outputs)?;
+        let mut emitted = Counters::new();
+        if !outputs.is_empty() {
+            emitted.add(builtin::REDUCE_OUTPUT_RECORDS, outputs.len() as u64);
         }
+        computes.push(Mutex::new(Some((outputs, emitted))));
     }
-
-    let cluster = dfs.cluster();
-    let preferred: Vec<&[NodeId]> = non_empty.iter().map(|_| &[][..]).collect();
-    let plan = plan_nodes(dfs, &preferred)?;
-    let heavy = reducer.is_heavy();
-    let mut outputs: Vec<R::Output> = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        book_remote_retries(dfs, conf, outcome.retries, counters, stats);
-        cluster.charge_task_startup();
-        cluster.record_task_on(plan[i])?;
-        cluster.charge_reduce_cpu(Phase::Reduce, records_in[i], heavy);
-
-        let emitted = outcome.outputs.len() as u64;
-        let out: Vec<R::Output> = cast_owned(outcome.outputs)
-            .ok_or_else(|| MrError::Transport("wire output cast failed".into()))?;
-        stats.reduce_tasks += 1;
-        counters.add(builtin::REDUCE_INPUT_GROUPS, non_empty[i].len() as u64);
-        counters.add(builtin::REDUCE_INPUT_RECORDS, records_in[i]);
-        if emitted > 0 {
-            counters.add(builtin::REDUCE_OUTPUT_RECORDS, emitted);
-        }
-        outputs.extend(out);
-    }
-    Ok(Some(outputs))
+    book_remote_retries(dfs, conf, retries, stats);
+    Some(computes)
 }
 
-/// The local map phase: a round loop over the pending tasks with
-/// deterministic failure arbitration between rounds.
-///
-/// Each round runs the pending tasks concurrently with implicit polling
-/// suppressed, each task streaming into its own [`ShardBuffers`]; after the
-/// barrier an armed schedule is arbitrated at the plan's estimated task
-/// boundaries (with nothing armed no task can be lost, and the loop runs
-/// once).  Surviving tasks commit their buffers/counters into slots indexed by
-/// the original task position, so the reassembled [`ShardedBuffers`] merges to
-/// the same bits however many rounds it took.  Lost tasks are re-queued
-/// (`Retry`, and always for in-memory inputs) or abandoned (`Degrade` on DFS
-/// splits, §3.4).
-fn map_phase_local<M, C>(
+/// The in-process compute of one map task: the mapper over the task's input,
+/// with the task's pairs routed straight into its own [`ShardBuffers`] by the
+/// same partitioner arithmetic the reduce-side shuffle uses.  Without a
+/// combiner the `MapContext` sinks each pair into the shard buckets *as it is
+/// emitted* — no per-task all-pairs vector ever exists; a combiner still
+/// buffers, since it must see the task's full output before routing.  Returns
+/// `None` when the task's input blocks were already lost and the failure
+/// policy tolerates dropping them; whatever the task emitted before that
+/// abort (or before a hard error) is dropped with its buffers, so an aborted
+/// task contributes exactly nothing.
+fn run_mapper<M: Mapper>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
-    combiner: Option<&C>,
-    inputs: &[MapInput],
-    counters: &mut Counters,
-    stats: &mut JobStats,
-) -> Result<MapperShards<M>>
-where
-    M: Mapper,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-{
-    let cluster = dfs.cluster();
-    let num_shards = conf.num_reducers.max(1);
-    if inputs.is_empty() {
-        return Ok(ShardedBuffers::empty(num_shards));
-    }
-    let threads = resolve_parallelism(conf.parallelism);
-    let armed = cluster.failure_injection_pending();
-    // Apply any failure already due (e.g. fired during job start-up charges)
-    // before planning, so the plan sees the true live set.
-    if armed && !cluster.arbitrate_failures_at(cluster.now()).is_empty() {
-        dfs.reconcile_failures();
-    }
-
-    let heavy = mapper.is_heavy();
-    let cost = cluster.cost_model().clone();
-    let estimate = |input: &MapInput| -> SimDuration {
-        let startup = if conf.local_mode {
-            SimDuration::ZERO
-        } else {
-            cost.task_startup
-        };
-        startup
-            + match input {
-                MapInput::Split(split) => cost.disk_read(split.length),
-                MapInput::Memory(records) => cost.map_cpu(records.len() as u64, heavy),
-            }
-    };
-
-    type BufferSlots<K, V> = Vec<Option<ShardBuffers<(K, V)>>>;
-    let mut buffer_slots: BufferSlots<M::OutKey, M::OutValue> =
-        (0..inputs.len()).map(|_| None).collect();
-    let mut counter_slots: Vec<Option<Counters>> = (0..inputs.len()).map(|_| None).collect();
-    let mut dropped = vec![false; inputs.len()];
-    let mut attempts = vec![0u32; inputs.len()];
-    let mut pending: Vec<usize> = (0..inputs.len()).collect();
-    let mut first_round = true;
-
-    while !pending.is_empty() {
-        if !first_round {
-            charge_retry_round(dfs, conf, stats);
-        }
-        first_round = false;
-        for &i in &pending {
-            attempts[i] += 1;
-        }
-
-        let preferred: Vec<&[NodeId]> = pending
-            .iter()
-            .map(|&i| match &inputs[i] {
-                MapInput::Split(split) => split.locations.as_slice(),
-                MapInput::Memory(_) => &[][..],
-            })
-            .collect();
-        let plan = plan_nodes(dfs, &preferred)?;
-        let boundaries = if armed {
-            estimated_boundaries(cluster.now(), pending.iter().map(|&i| estimate(&inputs[i])))
-        } else {
-            Vec::new()
-        };
-
-        let results = {
-            let _pause = cluster.suppress_failure_polling();
-            indexed_map(
-                pending.len(),
-                threads,
-                || (),
-                |j, ()| {
-                    run_map_task(
-                        dfs,
-                        conf,
-                        mapper,
-                        combiner,
-                        &inputs[pending[j]],
-                        plan[j],
-                        num_shards,
-                    )
-                },
-            )
-        };
-        let lost = if armed {
-            arbitrate_round(dfs, conf, &plan, &boundaries)
-        } else {
-            vec![false; pending.len()]
-        };
-
-        let mut next_pending = Vec::new();
-        let mut round_salvaged = 0u64;
-        let mut round_lost = false;
-        for (j, outcome) in results.into_iter().enumerate() {
-            let i = pending[j];
-            match outcome? {
-                // The task's input blocks were already gone (§3.4 drop).
-                None => dropped[i] = true,
-                Some((task_counters, buffers)) if !lost[j] => {
-                    round_salvaged += buffers.emitted();
-                    buffer_slots[i] = Some(buffers);
-                    counter_slots[i] = Some(task_counters);
-                }
-                Some(_) => {
-                    round_lost = true;
-                    // Lost DFS splits are abandoned under Degrade; in-memory
-                    // inputs are driver-held (nothing was lost but work) and
-                    // are always re-run.
-                    if conf.failure_policy.is_degrade() && matches!(inputs[i], MapInput::Split(_)) {
-                        dropped[i] = true;
-                    } else {
-                        book_task_retry(dfs, conf, attempts[i], counters, stats)?;
-                        next_pending.push(i);
-                    }
-                }
-            }
-        }
-        if round_lost {
-            stats.fault_log.records_salvaged += round_salvaged;
-        }
-        pending = next_pending;
-    }
-
-    for i in 0..inputs.len() {
-        stats.map_tasks += 1;
-        if dropped[i] {
-            stats.lost_map_tasks += 1;
-            counters.increment(builtin::LOST_SPLITS);
-            stats.fault_log.splits_lost += 1;
-        } else if let Some(task_counters) = &counter_slots[i] {
-            counters.merge(task_counters);
-        }
-    }
-    let workers: Vec<_> = buffer_slots.into_iter().flatten().collect();
-    Ok(ShardedBuffers::from_workers(num_shards, workers))
-}
-
-/// One map task on a stable-for-this-round cluster: no retry loop, no
-/// survival check (the round loop decides survival by arbitration after the
-/// barrier).  The task's pairs are routed straight into its own
-/// [`ShardBuffers`] with the same partitioner arithmetic the reduce-side
-/// shuffle uses, and returned with the per-task counters.  Without a combiner
-/// the `MapContext` sinks each pair into the shard buckets *as it is emitted*
-/// — no per-task all-pairs vector ever exists; a combiner still buffers, since
-/// it must see the task's full output before routing.  Returns `None` when the
-/// task's input blocks were already lost and the failure policy tolerates
-/// dropping them; whatever the task emitted before that abort (or before a
-/// hard error) is dropped with its buffers, so an aborted task contributes
-/// exactly nothing.
-fn run_map_task<M, C>(
-    dfs: &Dfs,
-    conf: &JobConf,
-    mapper: &M,
-    combiner: Option<&C>,
-    input: &MapInput,
-    node: NodeId,
+    combiner: Option<MapCombiner<'_, M>>,
+    input: &MapInput<'_>,
     num_shards: usize,
-) -> Result<Option<MapTaskOutput<M>>>
-where
-    M: Mapper,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-{
-    let cluster = dfs.cluster();
-    if !conf.local_mode {
-        cluster.charge_task_startup();
-        cluster.record_task_on(node)?;
-    }
-
+) -> Result<Option<MapCompute<M>>> {
     let mut ctx = if combiner.is_none() {
         MapContext::sharded(ShardBuffers::new(num_shards), num_shards)
     } else {
         MapContext::new()
     };
     let mut records = 0u64;
-    let read_result: Result<()> = (|| {
-        match input {
-            MapInput::Split(split) => {
-                let mut reader = dfs.open_split(split.clone(), Phase::Load);
-                while let Some((offset, line)) = reader.next_line()? {
-                    mapper.map(offset, &line, &mut ctx);
-                    records += 1;
+    match input {
+        MapInput::Split(split) => {
+            let mut reader = dfs.open_split(split.clone(), Phase::Load);
+            loop {
+                match reader.next_line() {
+                    Ok(Some((offset, line))) => mapper.map(offset, &line, &mut ctx),
+                    Ok(None) => break,
+                    Err(DfsError::BlockUnavailable(_)) if conf.failure_policy.is_degrade() => {
+                        return Ok(None)
+                    }
+                    Err(e) => return Err(e.into()),
                 }
-            }
-            MapInput::Memory(lines) => {
-                for (offset, line) in lines {
-                    mapper.map(*offset, line, &mut ctx);
-                    records += 1;
-                }
+                records += 1;
             }
         }
-        Ok(())
-    })();
-    match read_result {
-        Ok(()) => {}
-        Err(MrError::Dfs(earl_dfs::DfsError::BlockUnavailable(_)))
-            if conf.failure_policy.is_degrade() =>
-        {
-            return Ok(None)
+        MapInput::Memory(lines) => {
+            for (offset, line) in *lines {
+                mapper.map(*offset, line, &mut ctx);
+            }
+            records = lines.len() as u64;
         }
-        Err(e) => return Err(e),
     }
 
-    cluster.charge_map_cpu(records, mapper.is_heavy());
-
-    let mut task_counters = Counters::new();
-    task_counters.add(builtin::MAP_INPUT_RECORDS, records);
-    let buffers = match combiner {
+    Ok(Some(match combiner {
+        // Map-side shuffle already happened inside `emit`.
         None => {
-            // Map-side shuffle already happened inside `emit`.
             let (buffers, emitted) = ctx.into_shards();
-            task_counters.merge(&emitted);
-            buffers
+            (records, buffers, emitted)
         }
         Some(combiner) => {
-            let (pairs, emitted) = ctx.into_parts();
-            task_counters.merge(&emitted);
+            let (pairs, mut emitted) = ctx.into_parts();
             let combined = apply_combiner(pairs, combiner);
-            task_counters.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
+            emitted.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
             // Route the combined pairs to their reduce shards now — these
             // pairs are never concatenated with any other task's.
             let mut buffers = ShardBuffers::new(num_shards);
@@ -933,160 +884,23 @@ where
                 let shard = HashPartitioner.partition(&key, num_shards);
                 buffers.emit(shard, (key, value));
             }
-            buffers
+            (records, buffers, emitted)
         }
-    };
-    Ok(Some((task_counters, buffers)))
-}
-
-/// Reduces all non-empty partitions concurrently across `threads` scoped
-/// workers and concatenates their outputs in partition order.  While the
-/// failure injector can still fire, each round is arbitrated like the map
-/// phase; lost partitions are **always** re-run (under either policy — only
-/// map-side sample loss is tolerated by §3.4; the partition data is
-/// driver-held and still exists).
-fn reduce_phase_parallel<R>(
-    dfs: &Dfs,
-    conf: &JobConf,
-    reducer: &R,
-    partitions: Vec<std::collections::BTreeMap<R::InKey, Vec<R::InValue>>>,
-    counters: &mut Counters,
-    stats: &mut JobStats,
-    threads: usize,
-) -> Result<Vec<R::Output>>
-where
-    R: Reducer,
-{
-    let non_empty: Vec<_> = partitions.into_iter().filter(|p| !p.is_empty()).collect();
-    if non_empty.is_empty() {
-        return Ok(Vec::new());
-    }
-    let cluster = dfs.cluster();
-    let armed = cluster.failure_injection_pending();
-    let records_in: Vec<u64> = non_empty
-        .iter()
-        .map(|p| p.values().map(|v| v.len() as u64).sum())
-        .collect();
-    if !armed {
-        if let Some(outputs) =
-            reduce_phase_remote(dfs, conf, reducer, &non_empty, &records_in, counters, stats)?
-        {
-            return Ok(outputs);
-        }
-    }
-    let cost = cluster.cost_model().clone();
-    let heavy = reducer.is_heavy();
-    let estimate = |records: u64| -> SimDuration {
-        let startup = if conf.local_mode {
-            SimDuration::ZERO
-        } else {
-            cost.task_startup
-        };
-        startup + cost.reduce_cpu(records, heavy)
-    };
-
-    type ReduceSlot<O> = (Vec<O>, Counters, u64, u64);
-    let mut slots: Vec<Option<ReduceSlot<R::Output>>> =
-        (0..non_empty.len()).map(|_| None).collect();
-    let mut attempts = vec![0u32; non_empty.len()];
-    let mut pending: Vec<usize> = (0..non_empty.len()).collect();
-    let mut first_round = true;
-
-    while !pending.is_empty() {
-        if !first_round {
-            charge_retry_round(dfs, conf, stats);
-        }
-        first_round = false;
-        for &i in &pending {
-            attempts[i] += 1;
-        }
-
-        let preferred: Vec<&[NodeId]> = pending.iter().map(|_| &[][..]).collect();
-        let plan = plan_nodes(dfs, &preferred)?;
-        let boundaries = if armed {
-            estimated_boundaries(
-                cluster.now(),
-                pending.iter().map(|&i| estimate(records_in[i])),
-            )
-        } else {
-            Vec::new()
-        };
-
-        let results = {
-            let _pause = cluster.suppress_failure_polling();
-            indexed_map(
-                pending.len(),
-                threads,
-                || (),
-                |j, ()| -> Result<_> {
-                    let i = pending[j];
-                    let partition = &non_empty[i];
-                    if !conf.local_mode {
-                        cluster.charge_task_startup();
-                        cluster.record_task_on(plan[j])?;
-                    }
-                    let mut ctx = ReduceContext::new();
-                    for (key, values) in partition {
-                        reducer.reduce(key, values, &mut ctx);
-                    }
-                    cluster.charge_reduce_cpu(Phase::Reduce, records_in[i], reducer.is_heavy());
-                    let (outputs, task_counters) = ctx.into_parts();
-                    Ok((
-                        outputs,
-                        task_counters,
-                        partition.len() as u64,
-                        records_in[i],
-                    ))
-                },
-            )
-        };
-        let lost = if armed {
-            arbitrate_round(dfs, conf, &plan, &boundaries)
-        } else {
-            vec![false; pending.len()]
-        };
-
-        let mut next_pending = Vec::new();
-        for (j, result) in results.into_iter().enumerate() {
-            let i = pending[j];
-            let value = result?;
-            if lost[j] {
-                book_task_retry(dfs, conf, attempts[i], counters, stats)?;
-                next_pending.push(i);
-            } else {
-                slots[i] = Some(value);
-            }
-        }
-        pending = next_pending;
-    }
-
-    let mut outputs = Vec::new();
-    for slot in slots {
-        let (out, task_counters, groups, records) = slot.expect("every partition was reduced");
-        stats.reduce_tasks += 1;
-        counters.add(builtin::REDUCE_INPUT_GROUPS, groups);
-        counters.add(builtin::REDUCE_INPUT_RECORDS, records);
-        counters.merge(&task_counters);
-        outputs.extend(out);
-    }
-    Ok(outputs)
-}
-
-fn node_alive(dfs: &Dfs, node: NodeId) -> bool {
-    dfs.cluster()
-        .node(node)
-        .map(|n| n.is_available())
-        .unwrap_or(false)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contrib::{
-        CountCombiner, MeanReducer, TokenCountMapper, ValueExtractMapper, WordCountReducer,
+        CountCombiner, MeanReducer, MedianReducer, TokenCountMapper, ValueExtractMapper,
+        WordCountReducer,
     };
+    use crate::transport::{RemoteMapOutcome, RemoteReduceOutcome, TaskSpec, TaskTransport};
     use earl_cluster::{Cluster, CostModel, FailureEvent, FailureSchedule, SimInstant};
     use earl_dfs::DfsConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn test_dfs(nodes: u32, free: bool) -> Dfs {
         let mut builder = Cluster::builder().nodes(nodes);
@@ -1376,5 +1190,232 @@ mod tests {
             result.stats.shuffle_records,
             "all intermediate records travel through the sharded shuffle"
         );
+    }
+
+    #[test]
+    fn a_nan_line_does_not_panic_the_median_job() {
+        // "NaN" parses as an f64, so the mapper emits it; the reducer must
+        // order it (after every number) instead of panicking its task.
+        let dfs = test_dfs(2, true);
+        dfs.write_lines("/nan", ["1", "2", "NaN", "3", "4"])
+            .unwrap();
+        let conf = JobConf::new("median", InputSource::Path("/nan".into()));
+        let result = run_job(&dfs, &conf, &ValueExtractMapper, &MedianReducer).unwrap();
+        assert_eq!(result.outputs, vec![3.0]);
+    }
+
+    /// A wire-portable mapper: the line's value under key `offset % 11`, so
+    /// several reduce partitions receive groups.
+    struct SpecMapper;
+    impl Mapper for SpecMapper {
+        type OutKey = u32;
+        type OutValue = f64;
+        fn map(&self, offset: u64, line: &str, ctx: &mut MapContext<u32, f64>) {
+            if let Ok(value) = line.parse::<f64>() {
+                ctx.emit((offset % 11) as u32, value);
+            }
+        }
+        fn remote_spec(&self) -> Option<TaskSpec> {
+            Some(TaskSpec::named("loopback"))
+        }
+    }
+
+    /// A wire-portable reducer: the group mean.
+    struct SpecReducer;
+    impl Reducer for SpecReducer {
+        type InKey = u32;
+        type InValue = f64;
+        type Output = f64;
+        fn reduce(&self, _key: &u32, values: &[f64], ctx: &mut ReduceContext<f64>) {
+            ctx.emit(values.iter().sum::<f64>() / values.len() as f64);
+        }
+        fn remote_spec(&self) -> Option<TaskSpec> {
+            Some(TaskSpec::named("loopback"))
+        }
+    }
+
+    /// A non-local transport that runs the real mapper and reducer in this
+    /// process, with knobs for the ways a transport can misbehave.
+    #[derive(Debug, Default)]
+    struct Loopback {
+        records: BTreeMap<u64, String>,
+        /// Retries every map outcome reports.
+        retries: u64,
+        /// Refuse every call.
+        refuse: bool,
+        /// Partition map output into `num_shards * shard_factor` shards
+        /// (1 = as requested).
+        shard_factor: usize,
+        /// Drop the last output of every reduce outcome.
+        short_reduce: bool,
+        calls: AtomicUsize,
+    }
+
+    impl Loopback {
+        fn over(records: &[(u64, String)]) -> Self {
+            Self {
+                records: records.iter().cloned().collect(),
+                shard_factor: 1,
+                ..Self::default()
+            }
+        }
+    }
+
+    impl TaskTransport for Loopback {
+        fn is_local(&self) -> bool {
+            false
+        }
+
+        fn remote_map(&self, request: &RemoteMapRequest<'_>) -> Result<RemoteMapOutcome> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if self.refuse {
+                return Err(MrError::Transport("refused".into()));
+            }
+            let shards = request.num_shards * self.shard_factor;
+            let mut ctx = MapContext::sharded(ShardBuffers::new(shards), shards);
+            for offset in request.offsets {
+                SpecMapper.map(*offset, &self.records[offset], &mut ctx);
+            }
+            let (buffers, _) = ctx.into_shards();
+            Ok(RemoteMapOutcome {
+                shards: ShardedBuffers::from_workers(shards, vec![buffers])
+                    .merge(1, |_, pairs| pairs),
+                records: request.offsets.len() as u64,
+                retries: self.retries,
+            })
+        }
+
+        fn remote_reduce(&self, request: &RemoteReduceRequest<'_>) -> Result<RemoteReduceOutcome> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            let mut ctx = ReduceContext::new();
+            for (key, values) in request.groups {
+                SpecReducer.reduce(key, values, &mut ctx);
+            }
+            let (mut outputs, _) = ctx.into_parts();
+            if self.short_reduce {
+                outputs.pop();
+            }
+            Ok(RemoteReduceOutcome {
+                outputs,
+                retries: 0,
+            })
+        }
+    }
+
+    fn loopback_records() -> Vec<(u64, String)> {
+        let InputSource::Memory(records) =
+            InputSource::from_lines((1..=400).map(|i| (i * 7 % 31).to_string()))
+        else {
+            unreachable!("from_lines builds a memory source");
+        };
+        records
+    }
+
+    /// Runs the spec job over `records` on a fresh costed cluster, on
+    /// `transport` (in-process when `None`).
+    fn run_spec_job(
+        records: &[(u64, String)],
+        reducers: usize,
+        parallelism: usize,
+        transport: Option<Arc<Loopback>>,
+    ) -> JobResult<f64> {
+        let dfs = test_dfs(3, false);
+        let mut conf = JobConf::new("spec", InputSource::Memory(records.to_vec()))
+            .with_reducers(reducers)
+            .with_parallelism(Some(parallelism))
+            .with_source_path("/data")
+            .with_failure_policy(FailurePolicy::Retry {
+                max_attempts: 4,
+                backoff: SimDuration::from_millis(250),
+            });
+        if let Some(transport) = transport {
+            conf = conf.with_transport(transport);
+        }
+        run_job(&dfs, &conf, &SpecMapper, &SpecReducer).unwrap()
+    }
+
+    fn assert_same_result(a: &JobResult<f64>, b: &JobResult<f64>, what: &str) {
+        assert_eq!(a.outputs, b.outputs, "{what}: outputs");
+        assert_eq!(a.counters, b.counters, "{what}: counters");
+        assert_eq!(a.stats, b.stats, "{what}: stats (incl. sim_time)");
+    }
+
+    #[test]
+    fn loopback_transport_is_bit_identical_to_in_process() {
+        let records = loopback_records();
+        for reducers in [1usize, 3] {
+            for parallelism in [1usize, 4] {
+                let local = run_spec_job(&records, reducers, parallelism, None);
+                let transport = Arc::new(Loopback::over(&records));
+                let remote = run_spec_job(&records, reducers, parallelism, Some(transport.clone()));
+                assert_same_result(
+                    &remote,
+                    &local,
+                    &format!("{reducers} reducers, {parallelism} threads"),
+                );
+                assert_eq!(
+                    transport.calls.load(Ordering::Relaxed),
+                    1 + local.stats.reduce_tasks as usize,
+                    "one wire call per map task and per reduce partition"
+                );
+                assert!(remote.stats.fault_log.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn reported_remote_retries_are_booked_like_lost_tasks() {
+        let records = loopback_records();
+        let local = run_spec_job(&records, 3, 1, None);
+        let transport = Arc::new(Loopback {
+            retries: 2,
+            ..Loopback::over(&records)
+        });
+        let remote = run_spec_job(&records, 3, 1, Some(transport));
+        assert_eq!(remote.outputs, local.outputs);
+        assert_eq!(remote.stats.restarted_tasks, 2);
+        assert_eq!(remote.stats.fault_log.task_retries, 2);
+        assert_eq!(remote.counters.get(builtin::RESTARTED_TASKS), 2);
+        let backoff = SimDuration::from_millis(500);
+        assert_eq!(remote.stats.fault_log.backoff, backoff, "twice the policy");
+        assert_eq!(
+            remote.counters.get(builtin::BACKOFF_MICROS),
+            backoff.as_micros()
+        );
+        assert_eq!(remote.stats.sim_time, local.stats.sim_time + backoff);
+    }
+
+    #[test]
+    fn a_refusing_transport_yields_the_in_process_result() {
+        let records = loopback_records();
+        let local = run_spec_job(&records, 3, 4, None);
+        let transport = Arc::new(Loopback {
+            refuse: true,
+            ..Loopback::over(&records)
+        });
+        let fallback = run_spec_job(&records, 3, 4, Some(transport.clone()));
+        assert_same_result(&fallback, &local, "refused map call");
+        assert!(transport.calls.load(Ordering::Relaxed) > 0, "it was asked");
+    }
+
+    #[test]
+    fn malformed_remote_outcomes_are_declined_not_misrouted() {
+        let records = loopback_records();
+        let local = run_spec_job(&records, 3, 1, None);
+        // Twice the requested shard count: routing those pairs anyway would
+        // clamp shards 3..6 into the last one and reorder the output.
+        let wrong_shards = Arc::new(Loopback {
+            shard_factor: 2,
+            ..Loopback::over(&records)
+        });
+        let result = run_spec_job(&records, 3, 1, Some(wrong_shards));
+        assert_same_result(&result, &local, "wrong map shard count");
+        // One output short of one per group.
+        let short_reduce = Arc::new(Loopback {
+            short_reduce: true,
+            ..Loopback::over(&records)
+        });
+        let result = run_spec_job(&records, 3, 1, Some(short_reduce));
+        assert_same_result(&result, &local, "short reduce outcome");
     }
 }

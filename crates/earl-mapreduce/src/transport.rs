@@ -1,8 +1,8 @@
 //! Task transports: where a job's map tasks and reduce partitions execute.
 //!
 //! The runner plans, charges and accounts every task on the simulated cluster
-//! regardless of transport; the transport only decides *which process runs
-//! the user compute*:
+//! in one task loop regardless of transport; the transport only decides
+//! *which process runs the user compute* a task's body then charges for:
 //!
 //! * [`InProcess`] (the default) — tasks run on the caller's threads, exactly
 //!   as the engine always has.
@@ -13,10 +13,13 @@
 //!   shard pairs / per-group outputs (reduce side) — never raw input data at
 //!   job time.
 //!
-//! Because every simulated charge stays with the coordinator and the wire
-//! carries the same pairs in the same order the in-process engine would emit,
-//! a remote run's `JobResult` — and the `EarlReport` built from it — is
-//! bit-identical to the in-process run, including `sim_time` and byte
+//! A phase makes all of its remote calls before its first cluster charge and
+//! keeps their outcomes only if every call succeeded and every outcome is
+//! well-formed; otherwise its tasks compute in-process, the simulation
+//! untouched.  Because every simulated charge stays with the coordinator and
+//! the wire carries the same pairs in the same order the in-process engine
+//! would emit, a remote run's `JobResult` — and the `EarlReport` built from
+//! it — is bit-identical to the in-process run, including `sim_time` and byte
 //! counters.  `docs/WIRE_PROTOCOL.md` specifies the frame format; this module
 //! only defines the transport-neutral request/outcome types.
 
@@ -75,7 +78,9 @@ pub struct RemoteMapRequest<'a> {
 #[derive(Debug, Clone)]
 pub struct RemoteMapOutcome {
     /// Intermediate pairs per reduce shard, in the exact order a single
-    /// in-process pass over the records would have emitted them.
+    /// in-process pass over the records would have emitted them.  Exactly
+    /// [`RemoteMapRequest::num_shards`] vectors: the runner declines an
+    /// outcome of any other shape and maps in-process.
     pub shards: Vec<Vec<(u32, f64)>>,
     /// Input records consumed (drives the coordinator's CPU charge and the
     /// `MAP_INPUT_RECORDS` counter).
@@ -190,7 +195,8 @@ pub struct RemoteReduceRequest<'a> {
 /// What a remote reduce partition produced.
 #[derive(Debug, Clone)]
 pub struct RemoteReduceOutcome {
-    /// Reducer outputs in group order.
+    /// Reducer outputs in group order, one per group: the runner declines an
+    /// outcome of any other length and reduces in-process.
     pub outputs: Vec<f64>,
     /// Re-dispatches performed after *reported* worker deaths.  Like
     /// [`RemoteMapOutcome::retries`], transparent same-worker recoveries are
@@ -205,6 +211,10 @@ pub struct RemoteReduceOutcome {
 /// inputs, in the same order (real-world wall-clock and retry behaviour are
 /// free to vary — they are invisible to the simulated accounting except
 /// through the explicit `retries` field and externally reported node deaths).
+/// An outcome stands in for the compute of one task only; the runner places,
+/// charges and counts that task itself, exactly as if it had computed
+/// in-process.  An `Err` (or a malformed outcome) from any call of a phase
+/// makes the runner discard the phase's outcomes and compute in-process.
 pub trait TaskTransport: fmt::Debug + Send + Sync {
     /// Whether tasks execute in the coordinator process.  Local transports
     /// never receive `remote_map`/`remote_reduce` calls.
