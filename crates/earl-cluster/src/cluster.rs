@@ -133,6 +133,16 @@ impl Cluster {
             .ok_or(ClusterError::UnknownNode(id))
     }
 
+    /// Whether node `id` exists and can currently serve blocks and run tasks
+    /// (the per-read liveness test of the DFS, without snapshotting the node).
+    pub fn is_node_available(&self, id: NodeId) -> bool {
+        self.inner
+            .nodes
+            .read()
+            .get(id.index())
+            .is_some_and(Node::is_available)
+    }
+
     /// Snapshot of all nodes.
     pub fn nodes(&self) -> Vec<Node> {
         self.inner.nodes.read().clone()
@@ -473,6 +483,11 @@ impl Cluster {
 
     fn poll_failures(&self) {
         if self.inner.poll_suppressed.load(Ordering::SeqCst) > 0 {
+            return;
+        }
+        // An injector that can never fire again (`may_fail` only ever goes
+        // from true to false) makes the poll a no-op: skip the node snapshot.
+        if !self.inner.failures.lock().may_fail() {
             return;
         }
         let now = self.inner.clock.now();

@@ -174,6 +174,12 @@ impl Metrics {
         self.inner.lock().jobs_run += 1;
     }
 
+    /// Current counters of one phase (zeroes if the phase never ran), without
+    /// cloning the whole registry.
+    pub fn phase(&self, phase: Phase) -> PhaseCounters {
+        self.inner.lock().phase(phase)
+    }
+
     /// Returns a snapshot of all counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.inner.lock().clone()

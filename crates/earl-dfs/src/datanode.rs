@@ -39,6 +39,11 @@ impl BlockStore {
             .ok_or(DfsError::BlockUnavailable(id))
     }
 
+    /// Borrows a block payload in place (no refcount traffic), if stored.
+    pub fn payload(&self, id: BlockId) -> Option<&[u8]> {
+        self.payloads.get(&id).map(|data| &data[..])
+    }
+
     /// Removes a block payload.
     pub fn remove(&mut self, id: BlockId) {
         self.payloads.remove(&id);

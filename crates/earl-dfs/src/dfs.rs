@@ -220,65 +220,26 @@ impl Dfs {
         offset: u64,
         len: u64,
     ) -> Result<Bytes> {
-        let path = path.into();
-        let (file_len, blocks) = {
-            let nn = self.inner.namenode.read();
-            let meta = nn.file(&path)?;
-            (meta.len, meta.blocks.clone())
-        };
-        if offset > file_len || offset + len > file_len {
-            return Err(DfsError::OutOfBounds {
-                offset: offset + len,
-                len: file_len,
-            });
-        }
-        if len == 0 {
-            return Ok(Bytes::new());
-        }
-        let mut out = Vec::with_capacity(len as usize);
-        let end = offset + len;
-        for block in blocks
-            .iter()
-            .filter(|b| b.file_offset < end && b.file_offset + b.len > offset)
-        {
-            self.ensure_live_replica(block.id)?;
-            let data = self.inner.store.read().get(block.id)?;
-            let from = offset.saturating_sub(block.file_offset) as usize;
-            let to = (end.min(block.file_offset + block.len) - block.file_offset) as usize;
-            out.extend_from_slice(&data[from..to]);
-        }
-        let sequential = {
-            // Bound on retained stream heads per file.  Streaming readers keep
-            // the multiset size constant (each read consumes one head and
-            // inserts one), so the cap is only approached by long runs of
-            // random probes — which are sequential driver code, keeping the
-            // cap deterministic.  At the cap, new heads are simply not
-            // recorded: later reads at those offsets charge a seek, which is
-            // what a cold random probe pays anyway.
-            const MAX_STREAM_HEADS: usize = 4096;
-            let mut cursors = self.inner.read_cursors.write();
-            let heads = cursors.entry(path).or_default();
-            let sequential = match heads.get_mut(&offset) {
-                Some(count) if *count > 0 => {
-                    *count -= 1;
-                    if *count == 0 {
-                        heads.remove(&offset);
-                    }
-                    true
+        self.with_file(&path.into(), |file| {
+            let file_len = file.meta.len;
+            match offset.checked_add(len) {
+                Some(end) if end <= file_len => {}
+                _ => {
+                    return Err(DfsError::OutOfBounds {
+                        offset: offset.saturating_add(len),
+                        len: file_len,
+                    })
                 }
-                _ => false,
-            };
-            if heads.len() < MAX_STREAM_HEADS {
-                *heads.entry(end).or_insert(0) += 1;
             }
-            sequential
-        };
-        if sequential {
-            self.inner.cluster.charge_disk_read(phase, len);
-        } else {
-            self.inner.cluster.charge_disk_seek_read(phase, len);
-        }
-        Ok(Bytes::from(out))
+            if len == 0 {
+                return Ok(Bytes::new());
+            }
+            let mut out = Vec::with_capacity(len as usize);
+            for piece in self.charge_read(file, phase, offset, len)? {
+                out.extend_from_slice(piece);
+            }
+            Ok(Bytes::from(out))
+        })
     }
 
     /// Reads an entire file.
@@ -348,86 +309,62 @@ impl Dfs {
         path: impl Into<DfsPath>,
         offset: u64,
     ) -> Result<Option<(u64, String)>> {
-        let path = path.into();
-        let file_len = self.status(path.clone())?.len;
-        if offset >= file_len {
-            return Ok(None);
-        }
-        let chunk = self.inner.config.io_chunk.max(16);
-        // Buffered scan starting one byte before `offset` (so the previous
-        // byte tells us whether `offset` is already a line start).  Reads
-        // continue sequentially from there, so each probe costs one seek.
-        let read_start = offset.saturating_sub(1);
-        let mut buf: Vec<u8> = Vec::new();
-        let mut buf_start = read_start;
-        let mut fetched_until = read_start;
-        let fetch_more = |buf: &mut Vec<u8>, fetched_until: &mut u64| -> Result<bool> {
-            if *fetched_until >= file_len {
-                return Ok(false);
-            }
-            let len = chunk.min(file_len - *fetched_until);
-            let data = self.read_range(phase, path.clone(), *fetched_until, len)?;
-            buf.extend_from_slice(&data);
-            *fetched_until += len;
-            Ok(true)
-        };
+        self.probe_line(phase, &path.into(), offset)
+    }
 
-        // Determine the line start.
-        let mut line_start = offset;
-        if offset > 0 {
-            if buf.is_empty() && !fetch_more(&mut buf, &mut fetched_until)? {
+    /// [`Self::read_line_at`] for a caller that holds the path: a sampler
+    /// probing one file thousands of times builds no path per probe.
+    ///
+    /// The probe is *charged* as a buffered scan — reads of
+    /// `max(io_chunk, 16)` bytes starting one byte before `offset` (that byte
+    /// tells whether `offset` is already a line start), continuing
+    /// sequentially until the line's newline or EOF, so each probe costs one
+    /// seek — but it scans the block payloads in place and copies only the
+    /// line it returns.
+    pub fn probe_line(
+        &self,
+        phase: Phase,
+        path: &DfsPath,
+        offset: u64,
+    ) -> Result<Option<(u64, String)>> {
+        self.with_file(path, |file| {
+            let file_len = file.meta.len;
+            if offset >= file_len {
                 return Ok(None);
             }
-            if buf[0] != b'\n' {
-                // Skip forward to the byte after the next newline.
-                let mut scan_pos = 1usize; // relative to buf_start
-                loop {
-                    if let Some(rel) = buf[scan_pos..].iter().position(|b| *b == b'\n') {
-                        line_start = buf_start + (scan_pos + rel) as u64 + 1;
-                        break;
+            let chunk = self.inner.config.io_chunk.max(16);
+            // The line starts after the first newline at or after
+            // `offset - 1`; at offset 0 it starts right there.
+            let mut line_start = (offset == 0).then_some(0);
+            let mut line = Vec::new();
+            let mut pos = offset.saturating_sub(1);
+            while pos < file_len {
+                let len = chunk.min(file_len - pos);
+                for mut piece in self.charge_read(file, phase, pos, len)? {
+                    let piece_start = pos;
+                    pos += piece.len() as u64;
+                    if line_start.is_none() {
+                        let Some(nl) = piece.iter().position(|b| *b == b'\n') else {
+                            continue;
+                        };
+                        let start = piece_start + nl as u64 + 1;
+                        if start >= file_len {
+                            return Ok(None);
+                        }
+                        line_start = Some(start);
+                        piece = &piece[nl + 1..];
                     }
-                    scan_pos = buf.len();
-                    if !fetch_more(&mut buf, &mut fetched_until)? {
-                        return Ok(None);
+                    if let Some(nl) = piece.iter().position(|b| *b == b'\n') {
+                        line.extend_from_slice(&piece[..nl]);
+                        return Ok(line_start.map(|start| (start, lossy_string(line))));
                     }
-                }
-                if line_start >= file_len {
-                    return Ok(None);
+                    line.extend_from_slice(piece);
                 }
             }
-        } else {
-            buf_start = 0;
-        }
-
-        // Read the line starting at line_start, continuing the sequential scan.
-        let mut line = Vec::new();
-        let mut pos = line_start;
-        loop {
-            while pos >= fetched_until {
-                if !fetch_more(&mut buf, &mut fetched_until)? {
-                    // EOF before a newline: the remainder is the (final) line.
-                    return Ok(Some((
-                        line_start,
-                        String::from_utf8_lossy(&line).into_owned(),
-                    )));
-                }
-            }
-            let rel = (pos - buf_start) as usize;
-            match buf[rel..].iter().position(|b| *b == b'\n') {
-                Some(nl) => {
-                    line.extend_from_slice(&buf[rel..rel + nl]);
-                    break;
-                }
-                None => {
-                    line.extend_from_slice(&buf[rel..]);
-                    pos = fetched_until;
-                }
-            }
-        }
-        Ok(Some((
-            line_start,
-            String::from_utf8_lossy(&line).into_owned(),
-        )))
+            // EOF before a newline: what was read is the (final) line — or, if
+            // the scan never reached a line start, there is no line.
+            Ok(line_start.map(|start| (start, lossy_string(line))))
+        })
     }
 
     /// Opens a buffered line reader over an input split.
@@ -514,13 +451,9 @@ impl Dfs {
             .blocks
             .iter()
             .filter(|b| {
-                nn.locations(b.id).iter().any(|n| {
-                    self.inner
-                        .cluster
-                        .node(*n)
-                        .map(|n| n.is_available())
-                        .unwrap_or(false)
-                })
+                nn.locations(b.id)
+                    .iter()
+                    .any(|n| self.inner.cluster.is_node_available(*n))
             })
             .map(|b| b.len)
             .sum();
@@ -529,25 +462,104 @@ impl Dfs {
 
     // ----- internals --------------------------------------------------------
 
-    fn ensure_live_replica(&self, block: BlockId) -> Result<()> {
-        let nn = self.inner.namenode.read();
-        let replicas = nn.locations(block);
-        if replicas.is_empty() {
-            // Files written before any failure bookkeeping: accept if payload exists.
-            return self.inner.store.read().get(block).map(|_| ());
+    /// Resolves `path` once and runs `read` on it, holding the namenode and
+    /// block-store read locks for the duration — so `read` must not take
+    /// either again (a recursive read lock can deadlock behind a waiting
+    /// writer).
+    fn with_file<R>(
+        &self,
+        path: &DfsPath,
+        read: impl FnOnce(&OpenFile<'_>) -> Result<R>,
+    ) -> Result<R> {
+        let namenode = self.inner.namenode.read();
+        let store = self.inner.store.read();
+        read(&OpenFile {
+            path,
+            meta: namenode.file(path)?,
+            namenode: &namenode,
+            store: &store,
+        })
+    }
+
+    /// The cost model's one read step, for the non-empty in-bounds range
+    /// `[offset, offset + len)` of `file`, in this order:
+    ///
+    /// 1. liveness of every overlapping block — an unavailable one fails the
+    ///    read with stream heads and metrics untouched;
+    /// 2. the stream-head update that decides seek vs sequential;
+    /// 3. the disk charge, which also polls the failure injector.
+    ///
+    /// Returns the bytes of the range as borrowed slices of the block
+    /// payloads, in file order.
+    fn charge_read<'a>(
+        &self,
+        file: &OpenFile<'a>,
+        phase: Phase,
+        offset: u64,
+        len: u64,
+    ) -> Result<impl Iterator<Item = &'a [u8]>> {
+        let end = offset + len;
+        // Blocks are contiguous and in file order (`DfsWriter` cuts them so).
+        let blocks = &file.meta.blocks;
+        let first = blocks.partition_point(|b| b.file_offset + b.len <= offset);
+        let overlapping = blocks[first..].partition_point(|b| b.file_offset < end);
+        let blocks = &blocks[first..first + overlapping];
+        for block in blocks {
+            // No recorded replicas: a file written before any failure
+            // bookkeeping, readable as long as the payload exists.
+            let replicas = file.namenode.locations(block.id);
+            let dead = !replicas.is_empty()
+                && !replicas
+                    .iter()
+                    .any(|n| self.inner.cluster.is_node_available(*n));
+            if dead || file.store.payload(block.id).is_none() {
+                return Err(DfsError::BlockUnavailable(block.id));
+            }
         }
-        let any_live = replicas.iter().any(|n| {
-            self.inner
-                .cluster
-                .node(*n)
-                .map(|n| n.is_available())
-                .unwrap_or(false)
-        });
-        if any_live {
-            Ok(())
+        let sequential = {
+            // Bound on retained stream heads per file.  Streaming readers keep
+            // the multiset size constant (each read consumes one head and
+            // inserts one), so the cap is only approached by long runs of
+            // random probes — which are sequential driver code, keeping the
+            // cap deterministic.  At the cap, new heads are simply not
+            // recorded: later reads at those offsets charge a seek, which is
+            // what a cold random probe pays anyway.
+            const MAX_STREAM_HEADS: usize = 4096;
+            let mut cursors = self.inner.read_cursors.write();
+            let heads = if let Some(heads) = cursors.get_mut(file.path) {
+                heads
+            } else {
+                cursors.entry(file.path.clone()).or_default()
+            };
+            let sequential = match heads.get_mut(&offset) {
+                Some(count) if *count > 0 => {
+                    *count -= 1;
+                    if *count == 0 {
+                        heads.remove(&offset);
+                    }
+                    true
+                }
+                _ => false,
+            };
+            if heads.len() < MAX_STREAM_HEADS {
+                *heads.entry(end).or_insert(0) += 1;
+            }
+            sequential
+        };
+        if sequential {
+            self.inner.cluster.charge_disk_read(phase, len);
         } else {
-            Err(DfsError::BlockUnavailable(block))
+            self.inner.cluster.charge_disk_seek_read(phase, len);
         }
+        let store = file.store;
+        Ok(blocks.iter().map(move |block| {
+            let data = store
+                .payload(block.id)
+                .expect("payload checked above, under the same store lock");
+            let from = offset.saturating_sub(block.file_offset) as usize;
+            let to = (end.min(block.file_offset + block.len) - block.file_offset) as usize;
+            &data[from..to]
+        }))
     }
 
     fn place_replicas(&self, count: u32) -> Result<Vec<NodeId>> {
@@ -653,6 +665,22 @@ impl Dfs {
             .map(|b| b.len() as u64)
             .unwrap_or(0)
     }
+}
+
+/// A file resolved for reading: its metadata and the block payloads, borrowed
+/// under their read locks (see [`Dfs::with_file`]), so a probe that spans
+/// several chunks looks nothing up twice.
+struct OpenFile<'a> {
+    path: &'a DfsPath,
+    meta: &'a FileMeta,
+    namenode: &'a NameNode,
+    store: &'a BlockStore,
+}
+
+/// `bytes` as a string, replacing invalid UTF-8 sequences; valid input (the
+/// common case) is not copied again.
+fn lossy_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Streaming writer that cuts a file into blocks as data arrives.
@@ -831,6 +859,21 @@ mod tests {
     }
 
     #[test]
+    fn read_range_length_overflow_is_out_of_bounds() {
+        let dfs = dfs_with(8, 2);
+        dfs.write_lines("/f", ["abc", "defg"]).unwrap();
+        for (offset, len) in [(1, u64::MAX), (u64::MAX, 1), (u64::MAX, u64::MAX)] {
+            assert!(
+                matches!(
+                    dfs.read_range(Phase::Load, "/f", offset, len),
+                    Err(DfsError::OutOfBounds { len: 9, .. })
+                ),
+                "offset {offset} len {len}"
+            );
+        }
+    }
+
+    #[test]
     fn duplicate_create_fails() {
         let dfs = dfs_with(16, 1);
         dfs.write_lines("/x", ["a"]).unwrap();
@@ -1002,5 +1045,345 @@ mod tests {
         let from_dfs: u64 = (0..2).map(|i| dfs.bytes_on_node(NodeId(i))).sum();
         let from_cluster: u64 = dfs.cluster().nodes().iter().map(|n| n.stored_bytes()).sum();
         assert_eq!(from_dfs, from_cluster);
+    }
+
+    // ----- charge equivalence against the pre-PR-19 probe ------------------
+
+    /// The read path as it was before the in-place probe, kept verbatim as the
+    /// oracle: `read_line_at` buffering chunk copies fetched through a
+    /// `read_range` that does its own liveness, stream-head and charge steps.
+    impl Dfs {
+        fn reference_read_range(
+            &self,
+            phase: Phase,
+            path: DfsPath,
+            offset: u64,
+            len: u64,
+        ) -> Result<Bytes> {
+            let (file_len, blocks) = {
+                let nn = self.inner.namenode.read();
+                let meta = nn.file(&path)?;
+                (meta.len, meta.blocks.clone())
+            };
+            if offset > file_len || offset + len > file_len {
+                return Err(DfsError::OutOfBounds {
+                    offset: offset + len,
+                    len: file_len,
+                });
+            }
+            if len == 0 {
+                return Ok(Bytes::new());
+            }
+            let mut out = Vec::with_capacity(len as usize);
+            let end = offset + len;
+            for block in blocks
+                .iter()
+                .filter(|b| b.file_offset < end && b.file_offset + b.len > offset)
+            {
+                self.reference_ensure_live_replica(block.id)?;
+                let data = self.inner.store.read().get(block.id)?;
+                let from = offset.saturating_sub(block.file_offset) as usize;
+                let to = (end.min(block.file_offset + block.len) - block.file_offset) as usize;
+                out.extend_from_slice(&data[from..to]);
+            }
+            let sequential = {
+                const MAX_STREAM_HEADS: usize = 4096;
+                let mut cursors = self.inner.read_cursors.write();
+                let heads = cursors.entry(path).or_default();
+                let sequential = match heads.get_mut(&offset) {
+                    Some(count) if *count > 0 => {
+                        *count -= 1;
+                        if *count == 0 {
+                            heads.remove(&offset);
+                        }
+                        true
+                    }
+                    _ => false,
+                };
+                if heads.len() < MAX_STREAM_HEADS {
+                    *heads.entry(end).or_insert(0) += 1;
+                }
+                sequential
+            };
+            if sequential {
+                self.inner.cluster.charge_disk_read(phase, len);
+            } else {
+                self.inner.cluster.charge_disk_seek_read(phase, len);
+            }
+            Ok(Bytes::from(out))
+        }
+
+        fn reference_ensure_live_replica(&self, block: BlockId) -> Result<()> {
+            let nn = self.inner.namenode.read();
+            let replicas = nn.locations(block);
+            if replicas.is_empty() {
+                return self.inner.store.read().get(block).map(|_| ());
+            }
+            let any_live = replicas.iter().any(|n| {
+                self.inner
+                    .cluster
+                    .node(*n)
+                    .map(|n| n.is_available())
+                    .unwrap_or(false)
+            });
+            if any_live {
+                Ok(())
+            } else {
+                Err(DfsError::BlockUnavailable(block))
+            }
+        }
+
+        fn reference_read_line_at(
+            &self,
+            phase: Phase,
+            path: DfsPath,
+            offset: u64,
+        ) -> Result<Option<(u64, String)>> {
+            let file_len = self.status(path.clone())?.len;
+            if offset >= file_len {
+                return Ok(None);
+            }
+            let chunk = self.inner.config.io_chunk.max(16);
+            let read_start = offset.saturating_sub(1);
+            let mut buf: Vec<u8> = Vec::new();
+            let mut buf_start = read_start;
+            let mut fetched_until = read_start;
+            let fetch_more = |buf: &mut Vec<u8>, fetched_until: &mut u64| -> Result<bool> {
+                if *fetched_until >= file_len {
+                    return Ok(false);
+                }
+                let len = chunk.min(file_len - *fetched_until);
+                let data = self.reference_read_range(phase, path.clone(), *fetched_until, len)?;
+                buf.extend_from_slice(&data);
+                *fetched_until += len;
+                Ok(true)
+            };
+
+            let mut line_start = offset;
+            if offset > 0 {
+                if buf.is_empty() && !fetch_more(&mut buf, &mut fetched_until)? {
+                    return Ok(None);
+                }
+                if buf[0] != b'\n' {
+                    let mut scan_pos = 1usize;
+                    loop {
+                        if let Some(rel) = buf[scan_pos..].iter().position(|b| *b == b'\n') {
+                            line_start = buf_start + (scan_pos + rel) as u64 + 1;
+                            break;
+                        }
+                        scan_pos = buf.len();
+                        if !fetch_more(&mut buf, &mut fetched_until)? {
+                            return Ok(None);
+                        }
+                    }
+                    if line_start >= file_len {
+                        return Ok(None);
+                    }
+                }
+            } else {
+                buf_start = 0;
+            }
+
+            let mut line = Vec::new();
+            let mut pos = line_start;
+            loop {
+                while pos >= fetched_until {
+                    if !fetch_more(&mut buf, &mut fetched_until)? {
+                        return Ok(Some((
+                            line_start,
+                            String::from_utf8_lossy(&line).into_owned(),
+                        )));
+                    }
+                }
+                let rel = (pos - buf_start) as usize;
+                match buf[rel..].iter().position(|b| *b == b'\n') {
+                    Some(nl) => {
+                        line.extend_from_slice(&buf[rel..rel + nl]);
+                        break;
+                    }
+                    None => {
+                        line.extend_from_slice(&buf[rel..]);
+                        pos = fetched_until;
+                    }
+                }
+            }
+            Ok(Some((
+                line_start,
+                String::from_utf8_lossy(&line).into_owned(),
+            )))
+        }
+    }
+
+    /// Short and long lines (some straddle every block and chunk
+    /// boundary of the configurations below), two empty lines, invalid UTF-8,
+    /// and a final line without a newline.
+    const PROBED: &[u8] = b"alpha\nbravo charlie delta echo foxtrot golf hotel\n\nindia\n\
+        juliet kilo lima mike november oscar papa quebec romeo sierra tango\n\n\xff\xfe\nx\ny\nuniform victor";
+
+    /// A two-node priced cluster holding `content` at `/probed`.
+    fn probed_dfs(
+        content: &[u8],
+        block_size: u64,
+        io_chunk: u64,
+        replication: u32,
+        schedule: earl_cluster::FailureSchedule,
+    ) -> Dfs {
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .cost_model(earl_cluster::CostModel::commodity_2012())
+            .failure_schedule(schedule)
+            .build()
+            .unwrap();
+        let dfs = Dfs::new(
+            cluster,
+            DfsConfig {
+                block_size,
+                replication,
+                io_chunk,
+            },
+        )
+        .unwrap();
+        let mut writer = dfs.create("/probed").unwrap();
+        writer.write_bytes(content).unwrap();
+        writer.close().unwrap();
+        dfs
+    }
+
+    /// Compares what a read can move in the cluster: counters, clock, fired
+    /// failures and node states.
+    fn assert_same_charges(old: &Dfs, new: &Dfs, what: std::fmt::Arguments<'_>) {
+        let state = |dfs: &Dfs| {
+            let cluster = dfs.cluster();
+            (
+                cluster.metrics().snapshot(),
+                cluster.elapsed(),
+                cluster.failure_events(),
+                cluster.failed_nodes(),
+            )
+        };
+        assert_eq!(state(new), state(old), "{what}");
+    }
+
+    /// Probes `offsets` in order with the reference on `old` and the in-place
+    /// probe on `new`, comparing results and charges after every probe and
+    /// after a follow-up `read_range` at the returned line's end (charged a
+    /// seek or not by the stream heads the probe left), and the stream heads
+    /// themselves at the end.  Returns how many probes failed, so a failure
+    /// scenario can check it is one.
+    fn assert_same_probes(
+        old: &Dfs,
+        new: &Dfs,
+        offsets: impl Iterator<Item = u64>,
+        what: &str,
+    ) -> usize {
+        let path = DfsPath::new("/probed");
+        let file_len = new.status(path.clone()).unwrap().len;
+        let mut failed = 0;
+        for offset in offsets {
+            let expected = old.reference_read_line_at(Phase::Load, path.clone(), offset);
+            let got = new.read_line_at(Phase::Load, path.clone(), offset);
+            assert_eq!(got, expected, "{what}: probe at {offset}");
+            assert_same_charges(old, new, format_args!("{what}: after probe at {offset}"));
+            failed += usize::from(got.is_err());
+            if let Ok(Some((start, line))) = got {
+                let end = (start + line.len() as u64 + 1).min(file_len - 1);
+                let expected = old.reference_read_range(Phase::Map, path.clone(), end, 1);
+                assert_eq!(
+                    new.read_range(Phase::Map, path.clone(), end, 1),
+                    expected,
+                    "{what}: read after probe at {offset}"
+                );
+                assert_same_charges(
+                    old,
+                    new,
+                    format_args!("{what}: after the read following probe at {offset}"),
+                );
+            }
+        }
+        assert_eq!(
+            *new.inner.read_cursors.read(),
+            *old.inner.read_cursors.read(),
+            "{what}: stream heads"
+        );
+        failed
+    }
+
+    #[test]
+    fn in_place_probe_charges_exactly_like_the_buffered_one() {
+        let none = || earl_cluster::FailureSchedule::None;
+        let len = PROBED.len() as u64;
+        for block_size in [16, 64, 256] {
+            for io_chunk in [1, 16, 32, 4096] {
+                let what = format!("block {block_size} chunk {io_chunk}");
+                let build = || probed_dfs(PROBED, block_size, io_chunk, 2, none());
+                // Every offset on its own, from cold stream heads …
+                for offset in 0..len + 2 {
+                    assert_same_probes(&build(), &build(), offset..offset + 1, &what);
+                }
+                // … and all of them in sequence, heads accumulating, up and down.
+                let (old, new) = (build(), build());
+                assert_same_probes(&old, &new, (0..len + 2).chain((0..len).rev()), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_probe_fails_exactly_like_the_buffered_one() {
+        let len = PROBED.len() as u64;
+        for io_chunk in [16, 32, 4096] {
+            // Replication 1 over two nodes, one of them down: the probes that
+            // touch its blocks fail, after charging the chunks before them.
+            for reconcile in [false, true] {
+                let what = format!("node 0 down, reconciled {reconcile}, chunk {io_chunk}");
+                let build = || {
+                    let dfs =
+                        probed_dfs(PROBED, 16, io_chunk, 1, earl_cluster::FailureSchedule::None);
+                    dfs.cluster().fail_node(NodeId(0)).unwrap();
+                    if reconcile {
+                        assert!(!dfs.reconcile_failures().is_empty());
+                    }
+                    dfs
+                };
+                let (old, new) = (build(), build());
+                let failed = assert_same_probes(&old, &new, 0..len, &what);
+                assert!(failed > 0 && failed < len as usize, "{what}: {failed}");
+            }
+
+            // A scheduled failure that fires part-way through the sequence:
+            // the implicit poll after a charge takes node 1 down mid-run.
+            let dry = probed_dfs(PROBED, 16, io_chunk, 1, earl_cluster::FailureSchedule::None);
+            for offset in 0..len / 2 {
+                dry.read_line_at(Phase::Load, "/probed", offset).unwrap();
+            }
+            let event = earl_cluster::FailureEvent {
+                node: NodeId(1),
+                at: dry.cluster().now(),
+            };
+            let what = format!("node 1 fails at {:?}, chunk {io_chunk}", event.at);
+            let build = || {
+                let schedule = earl_cluster::FailureSchedule::Deterministic(vec![event]);
+                probed_dfs(PROBED, 16, io_chunk, 1, schedule)
+            };
+            let (old, new) = (build(), build());
+            let failed = assert_same_probes(&old, &new, 0..len, &what);
+            assert_eq!(new.cluster().failure_events(), vec![event], "{what}");
+            assert!(failed > 0 && failed < len as usize, "{what}: {failed}");
+        }
+    }
+
+    #[test]
+    fn in_place_probe_crosses_the_stream_head_cap_like_the_buffered_one() {
+        // 5 000 six-byte lines probed at every line start with 16-byte chunks:
+        // each probe (and the read that follows it) leaves a head the next
+        // ones never consume, so the 4 096 cap is crossed part-way.
+        let content: Vec<u8> = (0..5_000)
+            .flat_map(|i| format!("{:05}\n", i % 7919).into_bytes())
+            .collect();
+        let build = || probed_dfs(&content, 256, 16, 2, earl_cluster::FailureSchedule::None);
+        let (old, new) = (build(), build());
+        let offsets = (0..content.len() as u64).step_by(6);
+        assert_same_probes(&old, &new, offsets, "head cap");
+        let heads = new.inner.read_cursors.read()[&DfsPath::new("/probed")].len();
+        assert_eq!(heads, 4096);
     }
 }

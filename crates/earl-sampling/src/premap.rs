@@ -87,6 +87,11 @@ impl PreMapSampler {
     pub fn used_offsets(&self) -> usize {
         self.used_offsets.len()
     }
+
+    fn load_bytes_read(&self) -> u64 {
+        let metrics = self.dfs.cluster().metrics();
+        metrics.phase(Phase::Load).disk_bytes_read
+    }
 }
 
 impl SampleSource for PreMapSampler {
@@ -105,23 +110,14 @@ impl SampleSource for PreMapSampler {
                 });
             }
         }
-        let before = self
-            .dfs
-            .cluster()
-            .metrics()
-            .snapshot()
-            .phase(Phase::Load)
-            .disk_bytes_read;
+        let before = self.load_bytes_read();
         let mut records = Vec::with_capacity(count);
         let mut probes = 0usize;
         let max_probes = count.saturating_mul(self.max_probe_factor).max(1_000);
         while records.len() < count && probes < max_probes {
             probes += 1;
             let offset = self.rng.gen_range(0..self.file_len);
-            let probe = match self
-                .dfs
-                .read_line_at(Phase::Load, self.path.clone(), offset)
-            {
+            let probe = match self.dfs.probe_line(Phase::Load, &self.path, offset) {
                 Err(DfsError::BlockUnavailable(_)) if self.skip_unavailable => continue,
                 other => other?,
             };
@@ -138,16 +134,9 @@ impl SampleSource for PreMapSampler {
             }
         }
         self.drawn += records.len() as u64;
-        let after = self
-            .dfs
-            .cluster()
-            .metrics()
-            .snapshot()
-            .phase(Phase::Load)
-            .disk_bytes_read;
         Ok(SampleBatch {
             records,
-            bytes_read: after - before,
+            bytes_read: self.load_bytes_read() - before,
         })
     }
 
