@@ -132,8 +132,7 @@ impl BootstrapKernel {
     }
 
     /// Resolves the kernel for evaluation over *already materialised* items
-    /// (delta-maintained resamples, moving-block resamples, jackknife
-    /// leave-one-out sets) where count-based evaluation does not apply:
+    /// (delta-maintained resamples) where count-based evaluation does not apply:
     /// `CountBased`/`Auto` degrade to `Streaming` when possible, `Gather`
     /// otherwise.
     pub fn resolve_materialised(self, estimator: &(impl Estimator + ?Sized)) -> ResolvedKernel {
@@ -258,21 +257,6 @@ impl BootstrapResult {
             lo
         };
         (lo, hi)
-    }
-
-    /// The bias-corrected point estimate, `2·f(s) − θ̄*`.
-    pub fn bias_corrected(&self) -> f64 {
-        2.0 * self.point_estimate - self.replicate_mean
-    }
-
-    /// Relative half-width of the `1 − alpha` percentile interval around the
-    /// point estimate (an alternative error measure).
-    pub fn relative_ci_halfwidth(&self, alpha: f64) -> f64 {
-        let (lo, hi) = self.percentile_ci(alpha);
-        if self.point_estimate == 0.0 {
-            return f64::NAN;
-        }
-        ((hi - lo) / 2.0).abs() / self.point_estimate.abs()
     }
 }
 
@@ -813,25 +797,6 @@ fn cholesky_lower(
     l
 }
 
-/// Draws one bootstrap resample (with replacement) of `size` elements from
-/// `data` as a fresh allocation.
-///
-/// **Tests-only convenience.**  Hot paths never materialise resamples this
-/// way: they hold a per-worker [`Resampler`] (gather kernel), stream through
-/// an [`Accumulator`], or skip materialisation entirely ([`LinearSections`]).
-/// This helper is a plain draw loop for test setup and examples.
-#[doc(hidden)]
-pub fn draw_resample<R: Rng + ?Sized>(rng: &mut R, data: &[f64], size: usize) -> Vec<f64> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(size);
-    for _ in 0..size {
-        out.push(data[rng.gen_range(0..data.len())]);
-    }
-    out
-}
-
 /// A count-based section summary paired with the form that evaluates it: the
 /// complete, self-contained state a replicate evaluation needs.  This is what
 /// [`bootstrap_distribution`] builds internally when the kernel resolves to
@@ -1177,7 +1142,6 @@ mod tests {
             lo <= 20.5 && hi >= 19.5,
             "95% CI [{lo}, {hi}] should cover the true mean 20"
         );
-        assert!(result.relative_ci_halfwidth(0.05) < 0.05);
     }
 
     #[test]
@@ -1586,31 +1550,13 @@ mod tests {
     }
 
     #[test]
-    fn draw_resample_matches_the_gather_kernel_stream() {
-        // The tests-only helper must keep consuming the RNG stream exactly as
-        // the gather kernel does (one gen_range per element, in order).
-        let data: Vec<f64> = (0..100).map(|i| i as f64 * 1.5).collect();
-        let direct = draw_resample(&mut seeded_rng(4), &data, 64);
-        let mut scratch = Resampler::new();
-        let mut rng = seeded_rng(4);
-        let gathered = scratch.resample_into(&mut rng, &data, 64).to_vec();
-        assert_eq!(direct, gathered);
-        assert!(draw_resample(&mut seeded_rng(4), &[], 10).is_empty());
-    }
-
-    #[test]
-    fn bias_corrected_estimate_moves_opposite_to_bias() {
-        let result = summarise(10.0, vec![11.0, 11.5, 10.5]);
-        assert!(result.bias > 0.0);
-        assert!(result.bias_corrected() < 10.0);
-    }
-
-    #[test]
     fn summarise_handles_small_replicate_sets() {
         let r = summarise(1.0, vec![1.0, 1.0]);
         assert_eq!(r.std_error, 0.0);
         assert_eq!(r.bias, 0.0);
         let (lo, hi) = r.percentile_ci(0.1);
         assert_eq!((lo, hi), (1.0, 1.0));
+        // Replicates above the point estimate are a positive bias.
+        assert!(summarise(10.0, vec![11.0, 11.5, 10.5]).bias > 0.0);
     }
 }

@@ -12,10 +12,6 @@
 //! The optimal `y` for a given `n` is found by a simple search; the paper
 //! reports an average saving of ≈20 % over the standard bootstrap.
 
-use rand::Rng;
-
-use crate::rng::sample_indices_with_replacement;
-
 /// The probability from Eq. 4 that a fraction `y` of a resample of size `n` is
 /// identical to (the corresponding part of) another resample: the first `y·n`
 /// draws hit `y·n` *distinct* pre-determined items, i.e. a falling-factorial
@@ -86,45 +82,10 @@ pub fn multiset_overlap_fraction(a: &[f64], b: &[f64]) -> f64 {
     shared as f64 / a.len().max(b.len()) as f64
 }
 
-/// Draws `b` resamples of `data` where each resample after the first reuses the
-/// leading `y·n` items of its predecessor (the part Eq. 4 says is likely to be
-/// identical anyway) and only redraws the remainder.  Returns the resamples and
-/// the fraction of draw-work avoided.
-pub fn shared_prefix_resamples<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    b: usize,
-    y: f64,
-) -> (Vec<Vec<f64>>, f64) {
-    let n = data.len();
-    if n == 0 || b == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let y = y.clamp(0.0, 1.0);
-    let shared = (y * n as f64).floor() as usize;
-    let mut resamples: Vec<Vec<f64>> = Vec::with_capacity(b);
-    let mut drawn = 0usize;
-    for i in 0..b {
-        let mut items = Vec::with_capacity(n);
-        if i > 0 && shared > 0 {
-            items.extend_from_slice(&resamples[i - 1][..shared]);
-        }
-        let fresh = n - items.len();
-        for idx in sample_indices_with_replacement(rng, n, fresh) {
-            items.push(data[idx]);
-        }
-        drawn += fresh;
-        resamples.push(items);
-    }
-    let saved = 1.0 - drawn as f64 / (b * n) as f64;
-    (resamples, saved)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::{coefficient_of_variation, Estimator, Mean};
-    use crate::rng::{seeded_rng, standard_normal};
+    use crate::rng::{sample_indices_with_replacement, seeded_rng, standard_normal};
 
     #[test]
     fn eq4_matches_the_papers_worked_example() {
@@ -208,40 +169,5 @@ mod tests {
         assert!(overlap > 0.3, "measured overlap {overlap}");
         assert_eq!(multiset_overlap_fraction(&[], &a), 0.0);
         assert_eq!(multiset_overlap_fraction(&a, &a), 1.0);
-    }
-
-    #[test]
-    fn shared_prefix_resampling_saves_work_and_preserves_the_answer() {
-        let mut rng = seeded_rng(2);
-        let data: Vec<f64> = (0..1000)
-            .map(|_| 50.0 + 5.0 * standard_normal(&mut rng))
-            .collect();
-        let (resamples, saved) = shared_prefix_resamples(&mut rng, &data, 60, 0.3);
-        assert_eq!(resamples.len(), 60);
-        assert!(resamples.iter().all(|r| r.len() == data.len()));
-        assert!(
-            (saved - 0.3 * 59.0 / 60.0).abs() < 0.01,
-            "≈30% of draws avoided, got {saved}"
-        );
-
-        // The replicate distribution still centres on the true mean with a
-        // sensible cv (prefix reuse introduces correlation between replicates
-        // but not bias).
-        let replicates: Vec<f64> = resamples.iter().map(|r| Mean.estimate(r)).collect();
-        let centre = Mean.estimate(&replicates);
-        assert!((centre - Mean.estimate(&data)).abs() < 0.5);
-        assert!(coefficient_of_variation(&replicates) < 0.02);
-    }
-
-    #[test]
-    fn shared_prefix_edge_cases() {
-        let mut rng = seeded_rng(3);
-        assert!(shared_prefix_resamples(&mut rng, &[], 5, 0.3).0.is_empty());
-        let (r, saved) = shared_prefix_resamples(&mut rng, &[1.0, 2.0], 0, 0.3);
-        assert!(r.is_empty());
-        assert_eq!(saved, 0.0);
-        // y = 0 degenerates to the plain bootstrap (no savings).
-        let (_, saved) = shared_prefix_resamples(&mut rng, &[1.0, 2.0, 3.0], 10, 0.0);
-        assert_eq!(saved, 0.0);
     }
 }

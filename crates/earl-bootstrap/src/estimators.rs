@@ -15,8 +15,8 @@
 //! weight)` pairs, finalize to an `f64` — and estimators that support it
 //! advertise one through [`Estimator::accumulator`].  The bootstrap's
 //! *streaming kernel* feeds sampled indices straight into an accumulator (no
-//! value gather buffer, no second pass); the jackknife, block bootstrap and
-//! delta-maintained evaluation stream through the same accumulators.
+//! value gather buffer, no second pass); delta-maintained evaluation streams
+//! through the same accumulators.
 //! Single-pass statistics (mean, sum, count, min, max) are **bit-identical**
 //! to their gather evaluation; the moment statistics (variance, stddev) use a
 //! shifted Youngs–Cramer update and agree to within floating-point
@@ -106,8 +106,8 @@ pub trait Estimator: Send + Sync {
 /// that absorbs weighted observations and finalizes to the statistic's value.
 ///
 /// `push(value, weight)` means "`weight` copies of `value`".  Every production
-/// consumer today — the streaming bootstrap kernel, the jackknife, the block
-/// bootstrap, delta-maintained evaluation — pushes weight 1 per observation;
+/// consumer today — the streaming bootstrap kernel and delta-maintained
+/// evaluation — pushes weight 1 per observation;
 /// the weighted form exists so count-vector evaluation of *non-linear*
 /// single-pass statistics stays expressible (the count-based kernel itself
 /// evaluates linear statistics through [`LinearForm`] and never touches an
@@ -128,9 +128,8 @@ pub trait Accumulator: Send + std::fmt::Debug {
         }
     }
 
-    /// Resets, streams `values` through and finalizes — the one idiom every
-    /// materialised-slice evaluation site (delta-maintained resamples, block
-    /// resamples, jackknife leave-one-out sets) shares.
+    /// Resets, streams `values` through and finalizes — the idiom of every
+    /// materialised-slice evaluation site (delta-maintained resamples).
     fn accumulate_slice(&mut self, values: &[f64]) -> f64 {
         self.reset();
         self.push_slice(values);

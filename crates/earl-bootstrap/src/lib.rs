@@ -13,10 +13,6 @@
 //!   three replicate kernels ([`bootstrap::BootstrapKernel`]): gather,
 //!   gather-free streaming, or resample-free count-based for linear
 //!   statistics;
-//! * [`mod@jackknife`] — the leave-one-out jackknife, for comparison (the paper
-//!   notes it fails for the median);
-//! * [`exact`] — exact bootstrap enumeration for tiny samples, quantifying why
-//!   Monte-Carlo approximation is necessary (`C(2n-1, n-1)` resamples);
 //! * [`ssabe`] — the paper's two-phase **S**ample **S**ize **A**nd **B**ootstrap
 //!   **E**stimation algorithm (§3.2) that empirically picks `B` via
 //!   τ-stability and `n` via a least-squares curve fit over a subsample ladder,
@@ -26,8 +22,6 @@
 //!   the Eq. 4 overlap model;
 //! * [`categorical`] — proportion estimation with normal-approximation
 //!   intervals (Appendix A);
-//! * [`blockboot`] — the moving-block bootstrap for b-dependent data
-//!   (Appendix A);
 //! * [`parallel`] — the scoped fork-join executor all resampling paths run on:
 //!   per-worker reusable scratch buffers (no per-replicate allocation) and
 //!   per-replicate RNG streams derived from `(seed, replicate)` via SplitMix64.
@@ -39,13 +33,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod blockboot;
 pub mod bootstrap;
 pub mod categorical;
 pub mod delta;
 pub mod estimators;
-pub mod exact;
-pub mod jackknife;
 pub mod least_squares;
 pub mod rng;
 pub mod ssabe;
@@ -62,7 +53,6 @@ pub use estimators::{
     Accumulator, Estimator, KaryComponents, KaryForm, LinearForm, StreamingStats,
     MAX_KARY_COMPONENTS,
 };
-pub use jackknife::jackknife;
 pub use ssabe::{Ssabe, SsabeConfig, SsabeEstimate};
 
 /// Errors raised by the statistical layer.

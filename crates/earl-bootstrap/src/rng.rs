@@ -71,24 +71,6 @@ pub fn sample_indices_with_replacement_into<R: Rng + ?Sized>(
     }
 }
 
-/// Draws `count` distinct indices uniformly at random **without replacement**
-/// from `[0, n)` using a partial Fisher–Yates shuffle (O(count) extra memory
-/// beyond the index vector).
-pub fn sample_indices_without_replacement<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    count: usize,
-) -> Vec<usize> {
-    let count = count.min(n);
-    let mut indices: Vec<usize> = (0..n).collect();
-    for i in 0..count {
-        let j = rng.gen_range(i..n);
-        indices.swap(i, j);
-    }
-    indices.truncate(count);
-    indices
-}
-
 /// Draws one sample from the binomial distribution `Binomial(trials, p)`.
 ///
 /// For small `trials` this sums Bernoulli draws; for large `trials` it uses
@@ -193,18 +175,6 @@ mod tests {
         let distinct: std::collections::HashSet<_> = idx.iter().collect();
         assert!(distinct.len() <= 5);
         assert!(sample_indices_with_replacement(&mut rng, 0, 10).is_empty());
-    }
-
-    #[test]
-    fn without_replacement_is_distinct() {
-        let mut rng = seeded_rng(2);
-        let idx = sample_indices_without_replacement(&mut rng, 100, 30);
-        assert_eq!(idx.len(), 30);
-        let distinct: std::collections::HashSet<_> = idx.iter().collect();
-        assert_eq!(distinct.len(), 30);
-        // Requesting more than n yields exactly n distinct indices.
-        let all = sample_indices_without_replacement(&mut rng, 10, 50);
-        assert_eq!(all.len(), 10);
     }
 
     #[test]

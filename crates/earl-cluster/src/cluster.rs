@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::clock::{SimClock, SimDuration, SimInstant};
@@ -148,19 +147,8 @@ impl Cluster {
         self.inner.nodes.read().clone()
     }
 
-    /// Returns an available node chosen uniformly at random (used for block
-    /// placement and non-local task assignment).
-    pub fn random_available_node(&self) -> Result<NodeId> {
-        let available = self.available_nodes();
-        if available.is_empty() {
-            return Err(ClusterError::NoAvailableNodes);
-        }
-        let mut rng = self.inner.rng.lock();
-        Ok(*available.choose(&mut *rng).expect("non-empty"))
-    }
-
-    /// Returns the available node with the least stored data (used by the
-    /// rebalancer and for balanced block placement).
+    /// Returns the available node with the least stored data (used for
+    /// balanced block placement).
     pub fn least_loaded_node(&self) -> Result<NodeId> {
         self.inner
             .nodes
@@ -170,13 +158,6 @@ impl Cluster {
             .min_by_key(|n| n.stored_bytes())
             .map(|n| n.id())
             .ok_or(ClusterError::NoAvailableNodes)
-    }
-
-    /// Draws a uniform random value in `[0, 1)` from the cluster RNG.  The DFS
-    /// and samplers use this so an entire experiment is reproducible from the
-    /// cluster seed.
-    pub fn random_f64(&self) -> f64 {
-        self.inner.rng.lock().gen::<f64>()
     }
 
     /// Draws a uniform random integer in `[0, bound)` from the cluster RNG.
@@ -791,8 +772,6 @@ mod tests {
     fn random_helpers_are_bounded() {
         let c = Cluster::with_nodes(2);
         for _ in 0..100 {
-            let x = c.random_f64();
-            assert!((0.0..1.0).contains(&x));
             assert!(c.random_below(10) < 10);
         }
         assert_eq!(c.random_below(0), 0);
@@ -822,10 +801,6 @@ mod tests {
     fn no_available_nodes_error() {
         let c = Cluster::with_nodes(1);
         c.fail_node(NodeId(0)).unwrap();
-        assert!(matches!(
-            c.random_available_node(),
-            Err(ClusterError::NoAvailableNodes)
-        ));
         assert!(matches!(
             c.least_loaded_node(),
             Err(ClusterError::NoAvailableNodes)

@@ -51,18 +51,6 @@ pub enum FailureSchedule {
     },
 }
 
-impl FailureSchedule {
-    /// Builds a stochastic schedule from an annualised failure rate (e.g. 0.03
-    /// for the "3 % of disks fail per year" figure the paper cites).
-    pub fn from_annual_rate(annual_rate: f64, seed: u64) -> Self {
-        const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
-        FailureSchedule::Stochastic {
-            per_node_probability_per_sec: (annual_rate.max(0.0)) / SECONDS_PER_YEAR,
-            seed,
-        }
-    }
-}
-
 /// What one job survived: the failure events that struck it, how it recovered,
 /// and what the recovery cost.  Threaded through `JobStats`, the job counters,
 /// and `EarlReport` so a degraded answer says *what* it survived.
@@ -412,20 +400,6 @@ mod tests {
             seed: 1,
         });
         assert!(inj.poll(SimInstant::EPOCH, &nodes(5)).is_empty());
-    }
-
-    #[test]
-    fn annual_rate_conversion_is_tiny_per_second() {
-        if let FailureSchedule::Stochastic {
-            per_node_probability_per_sec,
-            ..
-        } = FailureSchedule::from_annual_rate(0.03, 1)
-        {
-            assert!(per_node_probability_per_sec > 0.0);
-            assert!(per_node_probability_per_sec < 1e-8);
-        } else {
-            panic!("expected stochastic schedule");
-        }
     }
 
     #[test]

@@ -59,16 +59,6 @@ pub struct PhaseCounters {
     pub sim_time_micros: u64,
 }
 
-impl PhaseCounters {
-    fn merge(&mut self, other: &PhaseCounters) {
-        self.disk_bytes_read += other.disk_bytes_read;
-        self.disk_bytes_written += other.disk_bytes_written;
-        self.net_bytes += other.net_bytes;
-        self.records += other.records;
-        self.sim_time_micros += other.sim_time_micros;
-    }
-}
-
 /// An immutable snapshot of all counters.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -189,18 +179,6 @@ impl Metrics {
     pub fn reset(&self) {
         *self.inner.lock() = MetricsSnapshot::default();
     }
-
-    /// Merges another snapshot into this registry (used to fold per-job metrics
-    /// into experiment-level totals).
-    pub fn merge_snapshot(&self, other: &MetricsSnapshot) {
-        let mut inner = self.inner.lock();
-        for (phase, counters) in &other.phases {
-            inner.phases.entry(*phase).or_default().merge(counters);
-        }
-        inner.tasks_started += other.tasks_started;
-        inner.tasks_restarted += other.tasks_restarted;
-        inner.jobs_run += other.jobs_run;
-    }
 }
 
 #[cfg(test)]
@@ -247,22 +225,6 @@ mod tests {
         m.record_net(Phase::Shuffle, 10, SimDuration::from_micros(1));
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn merge_snapshot_folds_counters() {
-        let a = Metrics::new();
-        a.record_disk_write(Phase::Output, 10, SimDuration::from_micros(1));
-        a.record_job();
-        let b = Metrics::new();
-        b.record_disk_write(Phase::Output, 5, SimDuration::from_micros(2));
-        b.record_task_start();
-        a.merge_snapshot(&b.snapshot());
-        let snap = a.snapshot();
-        assert_eq!(snap.phase(Phase::Output).disk_bytes_written, 15);
-        assert_eq!(snap.phase(Phase::Output).sim_time_micros, 3);
-        assert_eq!(snap.jobs_run, 1);
-        assert_eq!(snap.tasks_started, 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! slots (map/reduce slots in Hadoop terms), a disk with a capacity, and a
 //! health state.  Nodes do not own data directly — block placement lives in
 //! `earl-dfs` — but they account for how many bytes have been stored on them so
-//! the rebalancer and locality-aware scheduler can make the same decisions the
-//! paper's Hadoop deployment would.
+//! block placement and the locality-aware scheduler can make the same decisions
+//! the paper's Hadoop deployment would.
 
 use std::fmt;
 

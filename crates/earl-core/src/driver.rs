@@ -595,7 +595,15 @@ impl EarlDriver {
 
         let (bootstraps, target_n, worthwhile) =
             match (self.config.bootstraps, self.config.sample_size) {
-                (Some(b), Some(n)) => (b, n.min(population), (b as u64) * n < population),
+                // B and n arrive verbatim from service requests: a product that
+                // overflows is not worthwhile, so it takes the exact path.
+                (Some(b), Some(n)) => (
+                    b,
+                    n.min(population),
+                    (b as u64)
+                        .checked_mul(n)
+                        .is_some_and(|work| work < population),
+                ),
                 _ => {
                     let ssabe_config = SsabeConfig {
                         parallelism: self.config.parallelism,
@@ -1107,6 +1115,26 @@ mod tests {
         let report = driver.run("/data", &MeanTask).unwrap();
         assert_eq!(report.bootstraps, 12);
         assert!(report.sample_size >= 1_000);
+    }
+
+    #[test]
+    fn overflowing_fixed_b_times_n_takes_the_exact_path() {
+        let dfs = dfs(2);
+        let ds = build(&dfs, 2_000, 8);
+        // 2⁶³ · 2 wraps to 0, which would look worthwhile against any population.
+        let config = EarlConfig {
+            bootstraps: Some(usize::MAX / 2 + 1),
+            sample_size: Some(2),
+            ..EarlConfig::default()
+        };
+        let report = EarlDriver::new(dfs, config)
+            .run("/data", &MeanTask)
+            .unwrap();
+        assert!(
+            report.exact,
+            "B·n overflows u64, so sampling cannot pay off"
+        );
+        assert!((report.result - ds.true_mean).abs() < 1e-9);
     }
 
     #[test]

@@ -629,42 +629,6 @@ impl Dfs {
             .create_file(path.clone(), meta)?;
         self.status(path)
     }
-
-    pub(crate) fn move_replica(&self, block: BlockId, from: NodeId, to: NodeId) -> Result<()> {
-        let size = self.inner.store.read().get(block)?.len() as u64;
-        {
-            let dir = self.inner.directory.read();
-            if !dir.hosts(from, block) || dir.hosts(to, block) {
-                return Ok(()); // nothing to do
-            }
-        }
-        self.inner
-            .cluster
-            .charge_net_transfer(Phase::Other, from, to, size);
-        self.inner.cluster.charge_disk_write(Phase::Other, size);
-        let mut dir = self.inner.directory.write();
-        dir.remove(from, block);
-        dir.add(to, block);
-        let mut nn = self.inner.namenode.write();
-        nn.remove_replica(block, from);
-        nn.add_replica(block, to);
-        self.inner.cluster.record_block_removed(from, size)?;
-        self.inner.cluster.record_block_stored(to, size)?;
-        Ok(())
-    }
-
-    pub(crate) fn blocks_on_node(&self, node: NodeId) -> Vec<BlockId> {
-        self.inner.directory.read().blocks_on(node)
-    }
-
-    pub(crate) fn block_size_of(&self, block: BlockId) -> u64 {
-        self.inner
-            .store
-            .read()
-            .get(block)
-            .map(|b| b.len() as u64)
-            .unwrap_or(0)
-    }
 }
 
 /// A file resolved for reading: its metadata and the block payloads, borrowed

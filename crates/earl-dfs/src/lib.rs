@@ -9,8 +9,6 @@
 //! * metadata (file → blocks, block → replica locations) lives on a dedicated
 //!   **NameNode** structure, application data on **DataNodes** — mirroring the
 //!   HDFS metadata/data split the paper describes;
-//! * a **rebalancer** distributes blocks uniformly across DataNodes, the
-//!   property EARL's sampling exploits;
 //! * jobs read files through logical **input splits** and a
 //!   **LineRecordReader** that backtracks to line boundaries, exactly the
 //!   mechanism pre-map sampling (Algorithm 2 in the paper) piggybacks on.
@@ -28,7 +26,6 @@ pub mod error;
 pub mod file;
 pub mod line_reader;
 pub mod namenode;
-pub mod rebalancer;
 pub mod split;
 
 pub use block::{BlockId, DEFAULT_BLOCK_SIZE};

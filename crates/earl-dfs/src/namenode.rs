@@ -135,15 +135,6 @@ impl NameNode {
         orphaned
     }
 
-    /// Adds a replica location for a block (used by the rebalancer and
-    /// re-replication).
-    pub fn add_replica(&mut self, block: BlockId, node: NodeId) {
-        let entry = self.locations.entry(block).or_default();
-        if !entry.contains(&node) {
-            entry.push(node);
-        }
-    }
-
     /// Removes one replica location for a block.
     pub fn remove_replica(&mut self, block: BlockId, node: NodeId) {
         if let Some(entry) = self.locations.get_mut(&block) {
@@ -225,11 +216,8 @@ mod tests {
     fn replica_management() {
         let mut nn = NameNode::new();
         let blk = nn.allocate_block_id();
-        nn.set_locations(blk, vec![NodeId(0), NodeId(1)]);
-        assert_eq!(nn.locations(blk), &[NodeId(0), NodeId(1)]);
-        nn.add_replica(blk, NodeId(2));
-        nn.add_replica(blk, NodeId(2)); // idempotent
-        assert_eq!(nn.locations(blk).len(), 3);
+        nn.set_locations(blk, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(nn.locations(blk), &[NodeId(0), NodeId(1), NodeId(2)]);
         nn.remove_replica(blk, NodeId(0));
         assert_eq!(nn.locations(blk), &[NodeId(1), NodeId(2)]);
         // Dropping both remaining nodes orphans the block.

@@ -4,9 +4,8 @@
 //! with a time-stamp onto HDFS.  These files are then read by the mappers to
 //! compute the overall average error" (§3.3), which drives the decision to
 //! expand the sample or terminate.  The reproduction models that shared medium
-//! with an in-memory channel: reducers post [`ErrorReport`]s, mappers (or the
-//! EARL driver standing in for them) read the average error since their last
-//! successful read.
+//! with an in-memory channel: reducers post [`ErrorReport`]s, and the EARL
+//! driver, standing in for the mappers, reads the latest one.
 
 use crossbeam::queue::SegQueue;
 use earl_cluster::SimInstant;
@@ -39,27 +38,6 @@ impl ErrorFeedback {
     /// Posts an error estimate (called by reducers / the AES stage).
     pub fn post(&self, report: ErrorReport) {
         self.queue.push(report);
-    }
-
-    /// Drains newly posted reports into the history and returns the average
-    /// error over all reports with `timestamp > since`, or `None` if there are
-    /// none.  This mirrors the mapper-side "get new error average (timestamp)"
-    /// call in Algorithm 1 of the paper.
-    pub fn average_error_since(&self, since: SimInstant) -> Option<f64> {
-        let mut history = self.history.lock();
-        while let Some(report) = self.queue.pop() {
-            history.push(report);
-        }
-        let recent: Vec<f64> = history
-            .iter()
-            .filter(|r| r.timestamp > since)
-            .map(|r| r.error)
-            .collect();
-        if recent.is_empty() {
-            None
-        } else {
-            Some(recent.iter().sum::<f64>() / recent.len() as f64)
-        }
     }
 
     /// Latest report per reducer, if any.
@@ -96,15 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_channel_has_no_average() {
+    fn empty_channel_has_no_latest_report() {
         let fb = ErrorFeedback::new();
         assert!(fb.is_empty());
-        assert_eq!(fb.average_error_since(SimInstant::EPOCH), None);
         assert!(fb.latest().is_none());
     }
 
     #[test]
-    fn average_filters_by_timestamp() {
+    fn latest_is_the_last_report_posted() {
         let fb = ErrorFeedback::new();
         fb.post(ErrorReport {
             reducer: 0,
@@ -121,14 +98,6 @@ mod tests {
             error: 0.30,
             timestamp: at(30),
         });
-        // Everything after t=0.
-        let avg = fb.average_error_since(SimInstant::EPOCH).unwrap();
-        assert!((avg - 0.20).abs() < 1e-12);
-        // Only the report after t=20 ms.
-        let avg = fb.average_error_since(at(20)).unwrap();
-        assert!((avg - 0.30).abs() < 1e-12);
-        // Nothing after t=30 ms.
-        assert_eq!(fb.average_error_since(at(30)), None);
         assert_eq!(fb.len(), 3);
         assert_eq!(fb.latest().unwrap().error, 0.30);
     }

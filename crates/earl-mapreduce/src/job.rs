@@ -185,19 +185,6 @@ impl JobConf {
         self
     }
 
-    /// Suppresses the job start-up charge (used by pipelined sessions after
-    /// the first iteration).
-    pub fn without_job_startup(mut self) -> Self {
-        self.charge_job_startup = false;
-        self
-    }
-
-    /// Sets the estimated intermediate record size in bytes.
-    pub fn with_avg_record_bytes(mut self, bytes: u64) -> Self {
-        self.avg_record_bytes = bytes.max(1);
-        self
-    }
-
     /// Sets a DFS output path; reducer outputs are written there as lines via
     /// their `Display`-like conversion supplied to the runner.
     pub fn with_output_path(mut self, path: impl Into<DfsPath>) -> Self {
@@ -282,16 +269,12 @@ mod tests {
             .with_reducers(0)
             .with_failure_policy(FailurePolicy::Degrade)
             .local()
-            .without_job_startup()
-            .with_avg_record_bytes(0)
             .with_output_path("/out")
             .with_parallelism(Some(4));
         assert_eq!(conf.num_reducers, 1, "reducer count is clamped to ≥1");
-        assert_eq!(conf.avg_record_bytes, 1, "record size is clamped to ≥1");
         assert_eq!(conf.failure_policy, FailurePolicy::Degrade);
         assert!(conf.failure_policy.is_degrade());
         assert!(conf.local_mode);
-        assert!(!conf.charge_job_startup);
         assert_eq!(conf.output_path, Some("/out".into()));
         assert_eq!(conf.parallelism, Some(4));
     }

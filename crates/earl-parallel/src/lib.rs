@@ -2,9 +2,9 @@
 //!
 //! The scoped fork-join executor the whole workspace runs on.
 //!
-//! All hot paths — Monte-Carlo bootstrap replicates, block bootstrap,
-//! jackknife, delta-maintained resample updates, and MapReduce map/reduce
-//! tasks — reduce to the same shape: evaluate `count` independent work items,
+//! All hot paths — Monte-Carlo bootstrap replicates, delta-maintained
+//! resample updates, and MapReduce map/reduce tasks — reduce to the same
+//! shape: evaluate `count` independent work items,
 //! each identified by its index, where every worker thread needs a private
 //! scratch state (reusable buffers and nothing else).  This crate provides
 //! that shape once, over `std::thread::scope` — no dependency on an external

@@ -15,28 +15,18 @@
 //!   hash the key/value pairs, and repeatedly draw without replacement from the
 //!   hash as the required sample grows (Algorithm 1).  Slower loading but exact
 //!   key/value accounting for result correction.
-//!
-//! Baselines used for comparison in the paper and the experiments are also
-//! provided: [`reservoir`] sampling, [`bernoulli`] sampling, naive [`block`]
-//! sampling, and the two-file/ARHASH-style memory+disk sampler ([`twofile`])
-//! from the related-work discussion.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bernoulli;
-pub mod block;
 pub mod error;
 pub mod postmap;
 pub mod premap;
-pub mod reservoir;
 pub mod source;
-pub mod twofile;
 
 pub use error::SamplingError;
 pub use postmap::PostMapSampler;
 pub use premap::PreMapSampler;
-pub use reservoir::ReservoirSampler;
 pub use source::{SampleBatch, SampleSource};
 
 /// Crate-wide result alias.

@@ -275,6 +275,42 @@ mod tests {
         );
     }
 
+    /// §3.3's case for pre-map sampling: "a naive solution is to pick blocks at
+    /// random … will not produce a uniformly random sample" when the data are
+    /// clustered on an attribute.
+    #[test]
+    fn one_random_split_is_biased_on_clustered_data_where_premap_is_not() {
+        let (dfs, _) = dataset(1);
+        // Small values fill the first half of the file, large ones the second;
+        // equal line widths, so byte-position probes favour neither half.
+        let values: Vec<f64> = (0..4_000)
+            .map(|i| if i < 2_000 { 100.0 } else { 900.0 } + (i % 7) as f64)
+            .collect();
+        let true_mean = values.iter().sum::<f64>() / values.len() as f64;
+        dfs.write_lines("/clustered", values.iter().map(|v| format!("{v}")))
+            .unwrap();
+        let mean_error = |records: &[(u64, String)]| {
+            let sum: f64 = records.iter().map(|(_, l)| l.parse::<f64>().unwrap()).sum();
+            (sum / records.len() as f64 - true_mean).abs() / true_mean
+        };
+        let splits = dfs.splits("/clustered", 2048).unwrap();
+        let (mut split_error, mut premap_error) = (0.0, 0.0);
+        for seed in 0..8u64 {
+            let pick = StdRng::seed_from_u64(seed).gen_range(0..splits.len());
+            let split = dfs
+                .open_split(splits[pick].clone(), Phase::Load)
+                .read_all()
+                .unwrap();
+            let uniform = premap_sample(&dfs, "/clustered", split.len(), seed).unwrap();
+            split_error += mean_error(&split);
+            premap_error += mean_error(&uniform.records);
+        }
+        assert!(
+            split_error > 4.0 * premap_error,
+            "whole-split error {split_error:.3} should dwarf pre-map error {premap_error:.3} (sums over 8 seeds)"
+        );
+    }
+
     #[test]
     fn invalid_requests_are_rejected() {
         let (dfs, _) = dataset(10);

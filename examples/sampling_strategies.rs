@@ -4,14 +4,13 @@
 //! cargo run --example sampling_strategies
 //! ```
 //!
-//! Pre-map sampling, post-map sampling, naive block sampling and the two-file
-//! sampler are run over the same file — written *sorted by value*, the layout
-//! that breaks block sampling — and their estimates of the mean are compared.
+//! Pre-map sampling, post-map sampling and naive block sampling (reading one
+//! whole split) are run over the same file — written *sorted by value*, the
+//! layout that breaks block sampling — and their estimates of the mean are
+//! compared.
 
 use earl_cluster::{Cluster, Phase};
 use earl_dfs::{Dfs, DfsConfig};
-use earl_sampling::block::block_sample;
-use earl_sampling::twofile::TwoFileSampler;
 use earl_sampling::{PostMapSampler, PreMapSampler, SampleSource};
 use earl_workload::layout::Layout;
 use earl_workload::{DatasetBuilder, DatasetSpec};
@@ -69,33 +68,19 @@ fn main() {
         dfs.cluster().elapsed()
     );
 
-    // Naive block sampling: one random split — badly biased on this layout.
+    // Naive block sampling: one whole split — badly biased on this layout.
     dfs.cluster().reset_accounting();
-    let batch = block_sample(&dfs, "/clustered/values", 1 << 14, 1, 1).expect("block sample");
+    let splits = dfs.splits("/clustered/values", 1 << 14).expect("splits");
+    let split = splits[splits.len() / 3].clone();
+    let records = dfs
+        .open_split(split, Phase::Load)
+        .read_all()
+        .expect("split read");
     println!(
         "block    : mean {:>8.3}  ({} records, {} bytes read, {} sim time)   <-- biased by clustering",
-        mean_of(&batch.records),
-        batch.len(),
-        batch.bytes_read,
+        mean_of(&records),
+        records.len(),
+        dfs.cluster().metrics().snapshot().phase(Phase::Load).disk_bytes_read,
         dfs.cluster().elapsed()
-    );
-
-    // Two-file (ARHASH-style) sampler with half the file memory-resident.
-    dfs.cluster().reset_accounting();
-    let mut twofile =
-        TwoFileSampler::new(dfs.clone(), "/clustered/values", 0.5, 1).expect("two-file");
-    let batch = twofile.draw(sample_size).expect("two-file draw");
-    println!(
-        "two-file : mean {:>8.3}  ({} records, {} memory hits, {} disk seeks)",
-        mean_of(&batch.records),
-        batch.len(),
-        twofile.stats().memory_hits,
-        twofile.stats().disk_seeks
-    );
-
-    let load = dfs.cluster().metrics().snapshot().phase(Phase::Load);
-    println!(
-        "\ncumulative Load-phase bytes read this run: {}",
-        load.disk_bytes_read
     );
 }

@@ -1,8 +1,8 @@
 //! Integration tests of the substrate stack (cluster + DFS + MapReduce +
 //! sampling) independent of the EARL driver.
 
-use earl_cluster::{Cluster, CostModel, Phase};
-use earl_dfs::{rebalancer, Dfs, DfsConfig};
+use earl_cluster::{Cluster, CostModel};
+use earl_dfs::{Dfs, DfsConfig};
 use earl_mapreduce::contrib::{
     CountCombiner, MeanReducer, TokenCountMapper, ValueExtractMapper, WordCountReducer,
 };
@@ -90,43 +90,6 @@ fn sampling_plus_mapreduce_estimates_the_mean_cheaply() {
 
     // The sampled pipeline reads a small fraction of the file.
     assert!(batch.bytes_read < dfs.status("/mr/values").unwrap().len / 3);
-}
-
-#[test]
-fn rebalanced_cluster_preserves_data_and_evens_load() {
-    let cluster = Cluster::builder()
-        .nodes(4)
-        .cost_model(CostModel::free())
-        .build()
-        .unwrap();
-    let dfs = Dfs::new(
-        cluster,
-        DfsConfig {
-            block_size: 1024,
-            replication: 1,
-            io_chunk: 256,
-        },
-    )
-    .unwrap();
-    // Write while two nodes are down to force imbalance, then repair.
-    dfs.cluster().fail_node(earl_cluster::NodeId(2)).unwrap();
-    dfs.cluster().fail_node(earl_cluster::NodeId(3)).unwrap();
-    let lines: Vec<String> = (0..3_000).map(|i| format!("{i}")).collect();
-    dfs.write_lines("/mr/skewed", &lines).unwrap();
-    dfs.cluster().repair_node(earl_cluster::NodeId(2)).unwrap();
-    dfs.cluster().repair_node(earl_cluster::NodeId(3)).unwrap();
-
-    let report = rebalancer::rebalance(&dfs, 0.3).unwrap();
-    assert!(report.blocks_moved > 0);
-    assert_eq!(
-        dfs.read_all_lines(Phase::Load, "/mr/skewed").unwrap(),
-        lines
-    );
-
-    // After rebalancing, a job over the file still produces the right answer.
-    let conf = JobConf::new("mean", InputSource::Path("/mr/skewed".into()));
-    let result = run_job(&dfs, &conf, &ValueExtractMapper, &MeanReducer).unwrap();
-    assert!((result.outputs[0] - 1499.5).abs() < 1e-9);
 }
 
 #[test]

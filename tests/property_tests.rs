@@ -14,7 +14,6 @@ use earl_core::tasks::{MeanTask, MedianTask, SumTask};
 use earl_core::EarlTask;
 use earl_dfs::{Dfs, DfsConfig};
 use earl_mapreduce::partition::{HashPartitioner, Partitioner};
-use earl_sampling::reservoir::reservoir_sample;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -163,22 +162,6 @@ fn incremental_bootstrap_preserves_resample_sizes() {
         let eval = ib.evaluate(&Median);
         assert!(eval.point_estimate.is_finite());
         assert_eq!(eval.replicates.len(), 15);
-    });
-}
-
-/// Reservoir samples are subsets of the population with the exact requested
-/// size (invariant 1).
-#[test]
-fn reservoir_samples_are_valid_subsets() {
-    check(6, |rng| {
-        let n = rand_len(rng, 10, 500);
-        let k = rng.gen_range(1usize..50);
-        let population: Vec<u64> = (0..n as u64).collect();
-        let sample = reservoir_sample(rng, population.iter().copied(), k);
-        assert_eq!(sample.len(), k.min(n));
-        for item in &sample {
-            assert!(population.contains(item));
-        }
     });
 }
 
