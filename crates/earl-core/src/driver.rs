@@ -24,8 +24,7 @@ use earl_bootstrap::bootstrap::{
 use earl_bootstrap::delta::{IncrementalBootstrap, SketchConfig};
 use earl_bootstrap::rng::derive_seed;
 use earl_bootstrap::ssabe::{Ssabe, SsabeConfig};
-use earl_bootstrap::Estimator;
-use earl_cluster::{FaultLog, Phase};
+use earl_cluster::{FaultLog, Phase, SimDuration};
 use earl_dfs::{Dfs, DfsError, DfsPath};
 use earl_mapreduce::transport::default_transport;
 use earl_mapreduce::{
@@ -126,101 +125,217 @@ impl<T: EarlTask> Reducer for TaskReducer<'_, T> {
     }
 }
 
+/// What one EARL ladder estimates, and how: the four things a scalar task and
+/// a grouped aggregate do differently inside the one loop,
+/// [`EarlDriver::climb`].
+pub(crate) trait Ladder: Sync {
+    /// The committed extracted sample.
+    type Sample: Default + Sync;
+    /// One step's accuracy estimate.
+    type Estimate: Send;
+    /// What the accuracy stage carries from one step to the next.
+    type AesState: Default + Send;
+    /// The step job's mapper.
+    type Map: Mapper;
+    /// The step job's reducer; its [`Reducer::is_heavy`] prices the accuracy
+    /// stage too.
+    type Reduce: Reducer<InKey = MapKey<Self>, InValue = MapValue<Self>>;
+
+    /// How a drawn batch extends the sample.
+    fn extend(&self, sample: &mut Self::Sample, batch: &[(u64, String)]);
+    /// The size that targets, the exact check and the report count, given
+    /// the drawn `records`; 0 while no record is usable.
+    fn size(&self, records: &[(u64, String)], sample: &Self::Sample) -> u64;
+    /// The step's job over the committed sample plus `batch`, configured
+    /// before its map phase runs.
+    fn job(&self, input: InputSource, sample: &Self::Sample, batch: &[(u64, String)]) -> JobConf;
+    /// The step job's mapper and reducer.
+    fn tasks(&self) -> (Self::Map, Self::Reduce);
+    /// The accuracy stage: one step's estimate and the work it charges.
+    /// It never touches the simulated clock, so it may run beside a staged
+    /// map phase.
+    fn estimate(
+        &self,
+        state: &mut Self::AesState,
+        sample: &Self::Sample,
+        iteration: usize,
+    ) -> Result<(Self::Estimate, u64)>;
+    /// The verdict: the error to post on the feedback channel (§3.3), and
+    /// whether the sample is large enough for a met bound to count.
+    fn verdict(&self, sample: &Self::Sample, estimate: &Self::Estimate) -> (f64, bool);
+}
+
+type MapKey<L> = <<L as Ladder>::Map as Mapper>::OutKey;
+type MapValue<L> = <<L as Ladder>::Map as Mapper>::OutValue;
+
+/// What [`EarlDriver::climb`] shows its observer at each committed step: the
+/// iteration, the estimate, the sample size and the sample fraction.
+type StepObserver<'o, E> = dyn FnMut(usize, &E, u64, f64) -> Progress + 'o;
+
 /// One staged step of the ladder: its Δ sample has been drawn and its **map
 /// phase** has run over the extended sample, but nothing is committed to the
 /// driver's sample state yet.  Every step is staged — right before its commit,
 /// or, when the schedule speculates (§2.1), beside the previous step's
 /// accuracy estimation.  The verdict on that estimate either commits it
-/// (shuffle + reduce run, records/values extended) or cancels it.
-struct Staged {
-    pending: PendingIteration<u32, f64>,
-    batch_records: Vec<(u64, String)>,
-    delta_values: Vec<f64>,
+/// (shuffle + reduce run, records and sample extended) or cancels it.
+struct Staged<L: Ladder> {
+    pending: PendingIteration<MapKey<L>, MapValue<L>>,
+    batch: Vec<(u64, String)>,
     /// `sampler.drawn()` right after this step's draw — committed to the
     /// reported sample fraction only if the step itself commits.
     drawn_after: u64,
     exhausted: bool,
 }
 
-/// The pure computation of one iteration's accuracy-estimation stage: a
-/// resample-free count-based bootstrap for linear tasks, a fresh Monte-Carlo
-/// bootstrap, or a delta-maintained resample update (§4.1).  Returns the
-/// bootstrap result plus the number of resample items touched.  The function
-/// never touches the simulated clock — the caller charges the returned work —
-/// so the pipelined schedule can run it concurrently with the next iteration's
-/// map phase without racing on the cluster accounting.
-///
-/// Kernel routing: when `config.bootstrap_kernel` resolves the task to the
-/// count-based kernel (linear and k-ary-linear statistics under `Auto`), the
-/// fresh bootstrap path is taken even with delta maintenance enabled — one
-/// O(n) section-build scan plus O(√n) per replicate per iteration is strictly
-/// cheaper than maintaining materialised resamples (whose per-iteration
-/// *evaluation* alone is O(B·n)), so there is no state worth maintaining.
-/// Multi-column tasks (record stride > 1) always take the fresh path too:
-/// the maintained-resample structure adds and deletes individual *values*,
-/// which would split a record's columns apart.
-/// `evaluator` optionally offloads count-based replicate batches (e.g. to
-/// remote workers holding the provisioned section summary); a conforming
-/// evaluator is bit-identical to local evaluation, so the result — and the
-/// work accounting below, which is defined by the *statistic*, not by where
-/// it ran — is unchanged.
-#[allow(clippy::too_many_arguments)]
-fn accuracy_stage<T: EarlTask>(
-    config: &EarlConfig,
-    estimator: &TaskEstimator<'_, T>,
-    values: &[f64],
-    delta_values: &[f64],
-    bootstraps: usize,
-    iteration: usize,
-    incremental: &mut Option<IncrementalBootstrap>,
-    evaluator: Option<&SectionEvaluator>,
-) -> Result<(BootstrapResult, u64)> {
-    let resolved = config.bootstrap_kernel.resolve_for(estimator);
-    let stride = estimator.record_stride().max(1);
-    if config.delta_maintenance && resolved != ResolvedKernel::CountBased && stride == 1 {
-        match incremental.as_mut() {
-            None => {
-                let ib = IncrementalBootstrap::new(
-                    derive_seed(config.seed, DELTA_STREAM),
-                    values,
-                    bootstraps,
-                    SketchConfig::default(),
-                )
-                .map_err(EarlError::Stats)?
-                .with_parallelism(config.parallelism)
-                .with_kernel(config.bootstrap_kernel);
-                let touched = (bootstraps * values.len()) as u64;
-                let result = ib.evaluate(estimator);
-                *incremental = Some(ib);
-                Ok((result, touched))
-            }
-            Some(ib) => {
-                let touched = if delta_values.is_empty() {
-                    0
-                } else {
-                    ib.expand(delta_values)
-                        .map_err(EarlError::Stats)?
-                        .items_touched
-                };
-                Ok((ib.evaluate(estimator), touched))
-            }
-        }
-    } else {
-        let result = bootstrap_distribution_via(
-            derive_seed(config.seed, FRESH_STREAM + iteration as u64),
-            values,
-            estimator,
-            &BootstrapConfig::with_resamples(bootstraps)
-                .with_parallelism(config.parallelism)
-                .with_kernel(config.bootstrap_kernel),
-            evaluator,
+/// One run on its ladder: the sampler, the committed sample and the
+/// accounting its report is assembled from.
+pub(crate) struct Climb<L: Ladder> {
+    sampler: Box<dyn SampleSource>,
+    pub(crate) population: u64,
+    /// Simulated clock, DFS bytes read and failure events logged when the run
+    /// started.
+    start: (SimDuration, u64, usize),
+    pub(crate) records: Vec<(u64, String)>,
+    pub(crate) sample: L::Sample,
+    fault_log: FaultLog,
+    /// Records drawn by the *delivered* schedule: a speculative draw that is
+    /// cancelled does not count towards the reported sample fraction.
+    committed_drawn: u64,
+    pub(crate) iterations: usize,
+    pub(crate) exact: bool,
+    cancelled: bool,
+    /// The last committed step's accuracy estimate.
+    pub(crate) estimate: Option<L::Estimate>,
+    aes: L::AesState,
+}
+
+impl<L: Ladder> Climb<L> {
+    /// The reported sample fraction: committed draws over the population.
+    pub(crate) fn sampled_fraction(&self) -> f64 {
+        (self.committed_drawn as f64 / self.population as f64).clamp(0.0, 1.0)
+    }
+
+    /// Simulated time and DFS bytes read since the run started.
+    pub(crate) fn charges(&self, dfs: &Dfs) -> (SimDuration, u64) {
+        let cluster = dfs.cluster();
+        (
+            cluster.elapsed() - self.start.0,
+            cluster.metrics().snapshot().total_disk_bytes_read() - self.start.1,
         )
-        .map_err(EarlError::Stats)?;
-        // Work is accounted in records (identical to values for stride 1).
-        Ok((
-            result,
-            aes_work(resolved, values.len() / stride, bootstraps),
-        ))
+    }
+}
+
+/// The scalar ladder: one [`EarlTask`] over the flat extracted sample,
+/// `record_stride()` consecutive values per usable record.
+struct ScalarLadder<'a, T: EarlTask> {
+    driver: &'a EarlDriver,
+    task: &'a T,
+    path: &'a DfsPath,
+    evaluator: Option<Arc<SectionEvaluator>>,
+    /// `B`, fixed once SSABE or the configuration has chosen it.
+    bootstraps: usize,
+}
+
+impl<'a, T: EarlTask> Ladder for ScalarLadder<'a, T> {
+    type Sample = Vec<f64>;
+    type Estimate = BootstrapResult;
+    type AesState = Option<IncrementalBootstrap>;
+    type Map = TaskMapper<'a, T>;
+    type Reduce = TaskReducer<'a, T>;
+
+    fn extend(&self, values: &mut Vec<f64>, batch: &[(u64, String)]) {
+        for (_, line) in batch {
+            // All-or-nothing per record: multi-column tasks never leave the
+            // flat sample mid-record.
+            self.task.extract_record(line, values);
+        }
+    }
+
+    fn size(&self, _records: &[(u64, String)], values: &Vec<f64>) -> u64 {
+        (values.len() / self.task.record_stride().max(1)) as u64
+    }
+
+    fn job(&self, input: InputSource, _values: &Vec<f64>, _batch: &[(u64, String)]) -> JobConf {
+        JobConf::new(format!("earl-{}", self.task.name()), input)
+            .with_transport(self.driver.transport.clone())
+            .with_source_path(self.path.clone())
+    }
+
+    fn tasks(&self) -> (Self::Map, Self::Reduce) {
+        (TaskMapper::new(self.task), TaskReducer::new(self.task))
+    }
+
+    /// A resample-free count-based bootstrap for linear tasks, a fresh
+    /// Monte-Carlo bootstrap, or a delta-maintained resample update (§4.1);
+    /// the work is the number of resample items touched.
+    ///
+    /// Kernel routing: when `config.bootstrap_kernel` resolves the task to the
+    /// count-based kernel (linear and k-ary-linear statistics under `Auto`),
+    /// the fresh bootstrap path is taken even with delta maintenance enabled —
+    /// one O(n) section-build scan plus O(√n) per replicate per iteration is
+    /// strictly cheaper than maintaining materialised resamples (whose
+    /// per-iteration *evaluation* alone is O(B·n)), so there is no state worth
+    /// maintaining.  Multi-column tasks (record stride > 1) always take the
+    /// fresh path too: the maintained-resample structure adds and deletes
+    /// individual *values*, which would split a record's columns apart.  The
+    /// remote `evaluator`, when present, offloads count-based replicate
+    /// batches; a conforming evaluator is bit-identical to local evaluation,
+    /// so the result — and the work, which is defined by the *statistic*, not
+    /// by where it ran — is unchanged.
+    fn estimate(
+        &self,
+        incremental: &mut Option<IncrementalBootstrap>,
+        values: &Vec<f64>,
+        iteration: usize,
+    ) -> Result<(BootstrapResult, u64)> {
+        let config = &self.driver.config;
+        let estimator = TaskEstimator::new(self.task);
+        let resolved = config.bootstrap_kernel.resolve_for(&estimator);
+        let stride = self.task.record_stride().max(1);
+        let bootstraps = self.bootstraps;
+        if !config.delta_maintenance || resolved == ResolvedKernel::CountBased || stride != 1 {
+            let result = bootstrap_distribution_via(
+                derive_seed(config.seed, FRESH_STREAM + iteration as u64),
+                values,
+                &estimator,
+                &BootstrapConfig::with_resamples(bootstraps)
+                    .with_parallelism(config.parallelism)
+                    .with_kernel(config.bootstrap_kernel),
+                self.evaluator.as_deref(),
+            )
+            .map_err(EarlError::Stats)?;
+            // Work is accounted in records (identical to values for stride 1).
+            return Ok((
+                result,
+                aes_work(resolved, values.len() / stride, bootstraps),
+            ));
+        }
+        if let Some(ib) = incremental {
+            // Δ is whatever the maintained resamples have not absorbed yet.
+            let delta = &values[ib.sample_size()..];
+            let touched = if delta.is_empty() {
+                0
+            } else {
+                ib.expand(delta).map_err(EarlError::Stats)?.items_touched
+            };
+            return Ok((ib.evaluate(&estimator), touched));
+        }
+        let ib = IncrementalBootstrap::new(
+            derive_seed(config.seed, DELTA_STREAM),
+            values,
+            bootstraps,
+            SketchConfig::default(),
+        )
+        .map_err(EarlError::Stats)?
+        .with_parallelism(config.parallelism)
+        .with_kernel(config.bootstrap_kernel);
+        let result = ib.evaluate(&estimator);
+        *incremental = Some(ib);
+        Ok((result, (bootstraps * values.len()) as u64))
+    }
+
+    fn verdict(&self, _values: &Vec<f64>, bootstrap: &BootstrapResult) -> (f64, bool) {
+        (bootstrap.cv, true)
     }
 }
 
@@ -305,16 +420,6 @@ fn summary_version(summary: &SectionSummary) -> u64 {
     hash
 }
 
-/// One sample expansion: up to `needed` freshly drawn records plus their
-/// extracted task values.  `exhausted` is set when the sampler cannot produce
-/// more records — whatever was drawn so far is effectively the whole usable
-/// population.
-struct DrawnBatch {
-    records: Vec<(u64, String)>,
-    values: Vec<f64>,
-    exhausted: bool,
-}
-
 /// Whether an error means *input data died with a node* — the one condition
 /// the degrade policy (§3.4) absorbs instead of propagating.
 fn is_data_loss(err: &EarlError) -> bool {
@@ -326,73 +431,46 @@ fn is_data_loss(err: &EarlError) -> bool {
     )
 }
 
-/// [`draw_batch`], degrading on data loss: under [`FailurePolicy::Degrade`] a
-/// sample draw that hits blocks lost to a node failure does not abort the run
-/// — the DFS metadata is re-synced (dropping the dead node's splits from the
-/// file, so redraws touch only survivors), the loss is logged, and the draw is
-/// retried against the surviving data; what comes back remains a uniform
-/// sample of what survived, and the accuracy-estimation stage prices it
-/// (§3.4).  If loss strikes again after the re-sync the sample is treated as
-/// exhausted at its current size (for the pilot, whose size is still zero,
-/// the run then ends `NoUsableRecords`).  Under `Retry` the error propagates
-/// unchanged.
+/// Draws up to `needed` records, degrading on data loss: under
+/// [`FailurePolicy::Degrade`] a sample draw that hits blocks lost to a node
+/// failure does not abort the run — the DFS metadata is re-synced (dropping
+/// the dead node's splits from the file, so redraws touch only survivors),
+/// the loss is logged, and the draw is retried against the surviving data;
+/// what comes back remains a uniform sample of what survived, and the
+/// accuracy-estimation stage prices it (§3.4).  If loss strikes again after
+/// the re-sync the draw comes back empty, which ends the sample's growth (for
+/// the pilot the run then ends `NoUsableRecords`).  Under `Retry` the error
+/// propagates unchanged.  An empty draw of a positive `needed` means the
+/// sample is exhausted.
 ///
 /// [`FailurePolicy::Degrade`]: earl_mapreduce::FailurePolicy::Degrade
-fn draw_degrading<T: EarlTask>(
+fn draw_degrading(
     dfs: &Dfs,
     config: &EarlConfig,
     sampler: &mut dyn SampleSource,
-    task: &T,
     needed: usize,
     fault_log: &mut FaultLog,
-) -> Result<DrawnBatch> {
+) -> Result<Vec<(u64, String)>> {
+    if needed == 0 {
+        return Ok(Vec::new());
+    }
     let mut reconciled = false;
     loop {
-        match draw_batch(sampler, task, needed) {
+        match sampler.draw(needed).map_err(EarlError::from) {
+            Ok(batch) => return Ok(batch.records),
             Err(err) if config.failure_policy.is_degrade() && is_data_loss(&err) => {
                 if reconciled {
                     // Loss persists even after re-syncing metadata: stop
                     // growing the sample and let the bound widen.
-                    return Ok(DrawnBatch {
-                        records: Vec::new(),
-                        values: Vec::new(),
-                        exhausted: true,
-                    });
+                    return Ok(Vec::new());
                 }
                 let orphaned = dfs.reconcile_failures();
                 fault_log.splits_lost += orphaned.len().max(1) as u64;
                 reconciled = true;
             }
-            other => return other,
+            Err(err) => return Err(err),
         }
     }
-}
-
-fn draw_batch<T: EarlTask>(
-    sampler: &mut dyn SampleSource,
-    task: &T,
-    needed: usize,
-) -> Result<DrawnBatch> {
-    let mut out = DrawnBatch {
-        records: Vec::new(),
-        values: Vec::new(),
-        exhausted: false,
-    };
-    if needed == 0 {
-        return Ok(out);
-    }
-    let batch = sampler.draw(needed)?;
-    if batch.is_empty() {
-        out.exhausted = true;
-    } else {
-        for (_, line) in &batch.records {
-            // All-or-nothing per record: multi-column tasks never leave the
-            // flat sample mid-record.
-            task.extract_record(line, &mut out.values);
-        }
-        out.records = batch.records;
-    }
-    Ok(out)
 }
 
 /// The EARL driver.
@@ -433,24 +511,6 @@ impl EarlDriver {
     /// The configuration in effect.
     pub fn config(&self) -> &EarlConfig {
         &self.config
-    }
-
-    /// Opens the configured [`SampleSource`] over `path`.  With
-    /// `skip_unavailable` the pre-map sampler treats probes into
-    /// failure-orphaned blocks as misses: draws stay uniform over whatever
-    /// data survives (§3.4) instead of aborting the run.
-    pub(crate) fn open_sampler(
-        &self,
-        path: &DfsPath,
-        skip_unavailable: bool,
-    ) -> Result<Box<dyn SampleSource>> {
-        let (dfs, seed) = (self.dfs.clone(), self.config.seed);
-        Ok(match self.config.sampling {
-            SamplingMethod::PreMap => Box::new(
-                PreMapSampler::new(dfs, path.clone(), seed)?.skip_unavailable(skip_unavailable),
-            ),
-            SamplingMethod::PostMap => Box::new(PostMapSampler::new(dfs, path.clone(), seed)?),
-        })
     }
 
     /// Under the degrade policy, writes off data that died with failed nodes:
@@ -500,50 +560,7 @@ impl EarlDriver {
         task: &T,
         observer: &mut dyn FnMut(EarlUpdate) -> Progress,
     ) -> Result<EarlReport> {
-        self.config.validate()?;
         let path = path.into();
-        let status = self.dfs.status(path.clone())?;
-        let population = status.num_records.unwrap_or(0);
-        if population == 0 {
-            return Err(EarlError::NoUsableRecords);
-        }
-        let cluster = self.dfs.cluster().clone();
-        let start_time = cluster.elapsed();
-        let start_bytes = cluster.metrics().snapshot().total_disk_bytes_read();
-        // Failure events that fire from here on (including via implicit polls
-        // during sampling or job charges) belong to this run's fault log.
-        let events_seen = cluster.failure_events().len();
-        let mut fault_log = FaultLog::default();
-        let seed = self.config.seed;
-
-        // ---- sampler + pilot (phase 1, run in local mode) --------------------
-        let mut sampler = self.open_sampler(&path, self.config.failure_policy.is_degrade())?;
-        let pilot_target = ((population as f64 * self.config.pilot_fraction).ceil() as u64)
-            .max(self.config.min_pilot)
-            .min(population) as usize;
-        // Even the pilot survives data loss under the degrade policy: a
-        // cluster that lost nodes *before* the run starts (the §3.4 scenario)
-        // writes the loss off up front and draws the pilot from survivors.
-        self.write_off_losses(&mut fault_log);
-        let pilot = draw_degrading(
-            &self.dfs,
-            &self.config,
-            sampler.as_mut(),
-            task,
-            pilot_target,
-            &mut fault_log,
-        )?;
-        let mut records: Vec<(u64, String)> = pilot.records;
-        // `values` is the flat extracted sample: `stride` consecutive values
-        // per usable record.  All sample-size arithmetic below counts records
-        // (`values.len() / stride`), which for scalar tasks is values.len().
-        let stride = task.record_stride().max(1);
-        let mut values: Vec<f64> = pilot.values;
-        if values.is_empty() {
-            return Err(EarlError::NoUsableRecords);
-        }
-
-        let estimator = TaskEstimator::new(task);
 
         // ---- remote section evaluator ---------------------------------------
         // Count-based bootstrap replicates can run on remote workers: the
@@ -592,7 +609,19 @@ impl EarlDriver {
             }
             _ => None,
         };
+        let mut ladder = ScalarLadder {
+            driver: self,
+            task,
+            path: &path,
+            evaluator: section_evaluator,
+            bootstraps: 0,
+        };
 
+        // ---- pilot (phase 1, run in local mode) + SSABE ---------------------
+        let mut climb = self.start(&path, &ladder)?;
+        let population = climb.population;
+        let values = &climb.sample;
+        let estimator = TaskEstimator::new(task);
         let (bootstraps, target_n, worthwhile) =
             match (self.config.bootstraps, self.config.sample_size) {
                 // B and n arrive verbatim from service requests: a product that
@@ -611,12 +640,12 @@ impl EarlDriver {
                         ..SsabeConfig::new(self.config.sigma, self.config.tau)
                     };
                     let mut ssabe = Ssabe::new(ssabe_config).map_err(EarlError::Stats)?;
-                    if let Some(evaluator) = &section_evaluator {
+                    if let Some(evaluator) = &ladder.evaluator {
                         ssabe = ssabe.with_evaluator(evaluator.clone());
                     }
                     match ssabe.estimate(
-                        derive_seed(seed, SSABE_STREAM),
-                        &values,
+                        derive_seed(self.config.seed, SSABE_STREAM),
+                        values,
                         &estimator,
                         population,
                     ) {
@@ -629,10 +658,10 @@ impl EarlDriver {
                             // scan of the pilot).
                             let aes_pilot_cost = aes_work(
                                 self.config.bootstrap_kernel.resolve_for(&estimator),
-                                values.len() / stride,
+                                values.len() / task.record_stride().max(1),
                                 est.b,
                             );
-                            cluster.charge_reduce_cpu(
+                            self.dfs.cluster().charge_reduce_cpu(
                                 Phase::AccuracyEstimation,
                                 aes_pilot_cost,
                                 task.is_heavy(),
@@ -651,199 +680,50 @@ impl EarlDriver {
         if !worthwhile {
             return self.run_exact(path, task);
         }
+        ladder.bootstraps = bootstraps;
 
         // ---- iterative approximation -----------------------------------------
-        // One ladder: stage (draw Δ + map) → commit (shuffle + reduce) → AES →
-        // verdict.  Under the pipelined schedule (§2.1) the AES of step i runs
-        // beside the staging of step i+1, and the verdict commits or cancels
-        // that staged step; the sequential schedule is the same loop never
-        // speculating, so delivered results (estimate, error, sample size,
-        // iteration count) are identical and only the speculative map work —
-        // charged to the simulated clock, discarded on the final step — differs.
         let aes = AccuracyEstimationStage::new(self.config.sigma);
-        let mut session = PipelinedSession::new(self.dfs.clone());
-        let feedback = session.feedback();
-        let mut incremental: Option<IncrementalBootstrap> = None;
-        let mut target_n = target_n.max(1);
-        let mut iterations = 0usize;
-        let mut last_bootstrap: Option<BootstrapResult> = None;
-        let mut exact = false;
-        let mut exhausted = false;
-        let mut cancelled = false;
-        let mapper = TaskMapper::new(task);
-        let reducer = TaskReducer::new(task);
-        // Records drawn by the *delivered* schedule: a speculative draw that is
-        // cancelled must not count towards the reported sample fraction.
-        let mut committed_drawn = sampler.drawn();
-
-        // Stages one step: expands the sample by up to `needed` records and
-        // runs the user's map phase over `records` + Δ through the MapReduce
-        // engine (tasks are reused across iterations — pipelining §2.1).
-        let stage = |sampler: &mut dyn SampleSource,
-                     session: &mut PipelinedSession,
-                     fault_log: &mut FaultLog,
-                     records: &[(u64, String)],
-                     needed: usize|
-         -> Result<Staged> {
-            let drawn = draw_degrading(&self.dfs, &self.config, sampler, task, needed, fault_log)?;
-            let input = records.iter().chain(&drawn.records).cloned().collect();
-            let conf = JobConf::new(format!("earl-{}", task.name()), InputSource::Memory(input))
-                .with_failure_policy(self.config.failure_policy)
-                .with_parallelism(self.config.parallelism)
-                .with_transport(self.transport.clone())
-                .with_source_path(path.clone());
-            let pending = session.begin_iteration(&conf, &mapper)?;
-            Ok(Staged {
-                pending,
-                batch_records: drawn.records,
-                delta_values: drawn.values,
-                drawn_after: sampler.drawn(),
-                exhausted: drawn.exhausted,
-            })
-        };
-
-        let mut staged: Option<Staged> = None;
-        while iterations < self.config.max_iterations {
-            iterations += 1;
-            // A node may have died during the previous iteration's charges:
-            // write the loss off before expanding the sample.
-            self.write_off_losses(&mut fault_log);
-
-            // ---- stage (unless staged beside the previous AES) + commit ------
-            let step = match staged.take() {
-                Some(step) => step,
-                None => stage(
-                    sampler.as_mut(),
-                    &mut session,
-                    &mut fault_log,
-                    &records,
-                    target_n.saturating_sub((values.len() / stride) as u64) as usize,
-                )?,
-            };
-            records.extend(step.batch_records);
-            values.extend(step.delta_values.iter().copied());
-            committed_drawn = step.drawn_after;
-            exhausted |= step.exhausted;
-            let job = session.complete_iteration(step.pending, &reducer)?;
-            fault_log.merge(&job.stats.fault_log);
-            let delta_values = step.delta_values;
-
-            // ---- AES of step i, beside the staging of step i+1 iff speculating
-            let sample_records = (values.len() / stride) as u64;
-            target_n = (((sample_records as f64) * self.config.expansion_factor).ceil() as u64)
-                .min(population);
-            let speculate = self.config.pipeline_depth > 1
-                && !exhausted
-                && sample_records < population
-                && iterations < self.config.max_iterations;
-            // The accuracy stage is pure (its work is charged below, at a
-            // deterministic point), so running it off-thread cannot perturb the
-            // simulated accounting.  The remote evaluator exists only on the
-            // never-speculating schedule, so no section call ever interleaves
-            // with a concurrent speculative map.
-            let mut accuracy = || {
-                accuracy_stage(
-                    &self.config,
-                    &estimator,
-                    &values,
-                    &delta_values,
-                    bootstraps,
-                    iterations,
-                    &mut incremental,
-                    section_evaluator.as_deref(),
-                )
-            };
-            let (aes_out, next) = if speculate {
-                std::thread::scope(|scope| {
-                    let aes_handle = scope.spawn(accuracy);
-                    let next = stage(
-                        sampler.as_mut(),
-                        &mut session,
-                        &mut fault_log,
-                        &records,
-                        target_n.saturating_sub(sample_records) as usize,
-                    );
-                    let aes_out = aes_handle
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                    (aes_out, next.map(Some))
+        let depth = self.config.pipeline_depth;
+        self.climb(
+            &ladder,
+            &mut climb,
+            target_n,
+            depth,
+            &mut |iteration, bootstrap, sample_size, fraction| {
+                let snapshot = aes.summarise(task, bootstrap, fraction, sample_size as usize);
+                observer(EarlUpdate {
+                    iteration,
+                    estimate: snapshot.corrected_result,
+                    uncorrected: snapshot.result,
+                    cv: snapshot.cv,
+                    ci_low: snapshot.ci.0,
+                    ci_high: snapshot.ci.1,
+                    sample_size,
+                    sample_fraction: fraction,
+                    bootstraps: snapshot.bootstraps,
                 })
-            } else {
-                (accuracy(), Ok(None))
-            };
-            let (bootstrap_result, aes_records) = aes_out?;
-            let next = next?;
-            cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_records, task.is_heavy());
-
-            // Post the error on the reducer→mapper feedback channel (§3.3).
-            feedback.post(ErrorReport {
-                reducer: 0,
-                error: bootstrap_result.cv,
-                timestamp: cluster.now(),
-            });
-            let update_fraction = (committed_drawn as f64 / population as f64).clamp(0.0, 1.0);
-            let snapshot = aes.summarise(
-                task,
-                &bootstrap_result,
-                update_fraction,
-                sample_records as usize,
-            );
-            last_bootstrap = Some(bootstrap_result);
-            let cancel_requested = observer(EarlUpdate {
-                iteration: iterations,
-                estimate: snapshot.corrected_result,
-                uncorrected: snapshot.result,
-                cv: snapshot.cv,
-                ci_low: snapshot.ci.0,
-                ci_high: snapshot.ci.1,
-                sample_size: sample_records,
-                sample_fraction: update_fraction,
-                bootstraps: snapshot.bootstraps,
-            }) == Progress::Cancel;
-
-            // ---- verdict ------------------------------------------------------
-            // The feedback channel — not a driver-local — carries the error
-            // estimate that stops the ladder when the bound is met
-            // (§2.1/§3.3); the bound predicate itself is the AES's.  A boundary
-            // that is already final (exact, bound met, exhausted) completes
-            // normally even if the observer asked to cancel.
-            exact = sample_records >= population;
-            let bound_met = session.latest_error().is_some_and(|cv| aes.meets_bound(cv));
-            let last_step = exact || bound_met || exhausted;
-            cancelled = cancel_requested && !last_step;
-            if last_step || cancelled {
-                // A staged step is abandoned the same way whichever rule
-                // stopped the ladder.
-                if let Some(step) = next {
-                    fault_log.merge(&session.cancel_iteration(step.pending).fault_log);
-                }
-                break;
-            }
-            staged = next;
-        }
+            },
+        )?;
 
         // ---- report ----------------------------------------------------------
-        // A death during the final iteration's charges still counts: write off
-        // whatever it orphaned before closing the books.
-        self.write_off_losses(&mut fault_log);
-        // Sweep events that fired during the run into the log (some fire via
-        // implicit polls the job-level logs never see, e.g. during sampling).
-        let all_events = cluster.failure_events();
-        if all_events.len() > events_seen {
-            fault_log.record_events(&all_events[events_seen..]);
-        }
-        let bootstrap_result = last_bootstrap.ok_or(EarlError::NoUsableRecords)?;
-        let sampled_fraction = (committed_drawn as f64 / population as f64).clamp(0.0, 1.0);
+        let values = &climb.sample;
+        let sample_size = ladder.size(&climb.records, values);
+        let bootstrap_result = climb.estimate.as_ref().ok_or(EarlError::NoUsableRecords)?;
+        let sampled_fraction = climb.sampled_fraction();
         let aes_report = aes.summarise(
             task,
-            &bootstrap_result,
+            bootstrap_result,
             sampled_fraction,
-            values.len() / stride,
+            sample_size as usize,
         );
+        let (sim_time, bytes_read) = climb.charges(&self.dfs);
+        let exact = climb.exact;
+        let fault_log = std::mem::take(&mut climb.fault_log);
         let report = EarlReport {
             task: task.name().to_owned(),
             result: if exact {
-                task.evaluate(&values)
+                task.evaluate(values)
             } else {
                 aes_report.corrected_result
             },
@@ -852,18 +732,18 @@ impl EarlDriver {
             target_sigma: self.config.sigma,
             ci_low: aes_report.ci.0,
             ci_high: aes_report.ci.1,
-            sample_size: (values.len() / stride) as u64,
+            sample_size,
             population,
             sample_fraction: sampled_fraction,
             bootstraps: aes_report.bootstraps,
-            iterations,
+            iterations: climb.iterations,
             exact,
-            sim_time: cluster.elapsed() - start_time,
-            bytes_read: cluster.metrics().snapshot().total_disk_bytes_read() - start_bytes,
-            resample_work: incremental.as_ref().map(|ib| ib.work()),
+            sim_time,
+            bytes_read,
+            resample_work: climb.aes.as_ref().map(|ib| ib.work()),
             fault_log: (!fault_log.is_empty()).then_some(fault_log),
         };
-        if cancelled {
+        if climb.cancelled {
             // The observer stopped the ladder: hand back the partial report —
             // everything committed up to the cancellation boundary — through
             // the distinct cancellation error.
@@ -885,6 +765,237 @@ impl EarlDriver {
         } else {
             Err(EarlError::AccuracyNotReached(Box::new(report)))
         }
+    }
+
+    /// Opens a run over `path`: validates the configuration, opens the
+    /// configured sampler and draws the pilot sample (`pilot_fraction` of the
+    /// population, at least `min_pilot` records) into `ladder`'s sample.
+    /// Under `Degrade` the pre-map sampler treats probes into
+    /// failure-orphaned blocks as misses, and even the pilot survives data
+    /// loss: a cluster that lost nodes *before* the run starts (the §3.4
+    /// scenario) writes the loss off up front and draws from survivors.
+    pub(crate) fn start<L: Ladder>(&self, path: &DfsPath, ladder: &L) -> Result<Climb<L>> {
+        self.config.validate()?;
+        let population = self.dfs.status(path.clone())?.num_records.unwrap_or(0);
+        if population == 0 {
+            return Err(EarlError::NoUsableRecords);
+        }
+        let cluster = self.dfs.cluster();
+        // Failure events that fire from here on (including via implicit polls
+        // during sampling or job charges) belong to this run's fault log.
+        let start = (
+            cluster.elapsed(),
+            cluster.metrics().snapshot().total_disk_bytes_read(),
+            cluster.failure_events().len(),
+        );
+        let (dfs, seed, degrade) = (
+            self.dfs.clone(),
+            self.config.seed,
+            self.config.failure_policy.is_degrade(),
+        );
+        let mut sampler: Box<dyn SampleSource> = match self.config.sampling {
+            SamplingMethod::PreMap => {
+                Box::new(PreMapSampler::new(dfs, path.clone(), seed)?.skip_unavailable(degrade))
+            }
+            SamplingMethod::PostMap => Box::new(PostMapSampler::new(dfs, path.clone(), seed)?),
+        };
+        let pilot_target = ((population as f64 * self.config.pilot_fraction).ceil() as u64)
+            .max(self.config.min_pilot)
+            .min(population) as usize;
+        let mut fault_log = FaultLog::default();
+        self.write_off_losses(&mut fault_log);
+        let records = draw_degrading(
+            &self.dfs,
+            &self.config,
+            sampler.as_mut(),
+            pilot_target,
+            &mut fault_log,
+        )?;
+        let mut sample = L::Sample::default();
+        ladder.extend(&mut sample, &records);
+        if ladder.size(&records, &sample) == 0 {
+            return Err(EarlError::NoUsableRecords);
+        }
+        Ok(Climb {
+            committed_drawn: sampler.drawn(),
+            sampler,
+            population,
+            start,
+            records,
+            sample,
+            fault_log,
+            iterations: 0,
+            exact: false,
+            cancelled: false,
+            estimate: None,
+            aes: L::AesState::default(),
+        })
+    }
+
+    /// The EARL ladder (Figure 1), the one loop every query climbs: stage
+    /// (draw Δ + map) → commit (shuffle + reduce) → AES → verdict, from
+    /// `target_n` up by `expansion_factor` per step, until the bound is met,
+    /// the sample is exhausted or exact, or the iteration budget runs out.
+    /// At `depth` > 1 (§2.1) the AES of step i runs beside the staging of
+    /// step i+1, and the verdict commits or cancels that staged step; depth 1
+    /// is the same loop never speculating, so delivered results (estimate,
+    /// error, sample size, iteration count) are identical and only the
+    /// speculative map work — charged to the simulated clock, discarded on
+    /// the final step — differs.  `observer` answering [`Progress::Cancel`]
+    /// stops the ladder at that boundary unless the boundary is already final.
+    pub(crate) fn climb<L: Ladder>(
+        &self,
+        ladder: &L,
+        climb: &mut Climb<L>,
+        target_n: u64,
+        depth: usize,
+        observer: &mut StepObserver<'_, L::Estimate>,
+    ) -> Result<()> {
+        let cluster = self.dfs.cluster();
+        let population = climb.population;
+        let aes = AccuracyEstimationStage::new(self.config.sigma);
+        let mut session = PipelinedSession::new(self.dfs.clone());
+        let feedback = session.feedback();
+        let (mapper, reducer) = ladder.tasks();
+        let mut target_n = target_n.max(1);
+        let mut exhausted = false;
+
+        // Stages one step: expands the sample by up to `needed` records and
+        // runs the map phase over `records` + Δ through the MapReduce engine.
+        let stage = |sampler: &mut dyn SampleSource,
+                     session: &mut PipelinedSession,
+                     fault_log: &mut FaultLog,
+                     records: &[(u64, String)],
+                     sample: &L::Sample,
+                     needed: usize|
+         -> Result<Staged<L>> {
+            let batch = draw_degrading(&self.dfs, &self.config, sampler, needed, fault_log)?;
+            let input = InputSource::Memory(records.iter().chain(&batch).cloned().collect());
+            let conf = ladder
+                .job(input, sample, &batch)
+                .with_failure_policy(self.config.failure_policy)
+                .with_parallelism(self.config.parallelism);
+            Ok(Staged {
+                pending: session.begin_iteration(&conf, &mapper)?,
+                exhausted: needed > 0 && batch.is_empty(),
+                batch,
+                drawn_after: sampler.drawn(),
+            })
+        };
+
+        let mut staged: Option<Staged<L>> = None;
+        while climb.iterations < self.config.max_iterations {
+            climb.iterations += 1;
+            let iterations = climb.iterations;
+            // A node may have died during the previous iteration's charges:
+            // write the loss off before expanding the sample.
+            self.write_off_losses(&mut climb.fault_log);
+
+            // ---- stage (unless staged beside the previous AES) + commit ------
+            let step = match staged.take() {
+                Some(step) => step,
+                None => {
+                    let size = ladder.size(&climb.records, &climb.sample);
+                    stage(
+                        climb.sampler.as_mut(),
+                        &mut session,
+                        &mut climb.fault_log,
+                        &climb.records,
+                        &climb.sample,
+                        target_n.saturating_sub(size) as usize,
+                    )?
+                }
+            };
+            ladder.extend(&mut climb.sample, &step.batch);
+            climb.records.extend(step.batch);
+            climb.committed_drawn = step.drawn_after;
+            exhausted |= step.exhausted;
+            let job = session.complete_iteration(step.pending, &reducer)?;
+            climb.fault_log.merge(&job.stats.fault_log);
+
+            // ---- AES of step i, beside the staging of step i+1 iff speculating
+            let sample_size = ladder.size(&climb.records, &climb.sample);
+            target_n = (((sample_size as f64) * self.config.expansion_factor).ceil() as u64)
+                .min(population);
+            let speculate = depth > 1
+                && !exhausted
+                && sample_size < population
+                && iterations < self.config.max_iterations;
+            // The accuracy stage is pure (its work is charged below, at a
+            // deterministic point), so running it off-thread cannot perturb the
+            // simulated accounting.  The remote evaluator exists only on the
+            // never-speculating schedule, so no section call ever interleaves
+            // with a concurrent speculative map.
+            let (sample, aes_state) = (&climb.sample, &mut climb.aes);
+            let mut accuracy = || ladder.estimate(aes_state, sample, iterations);
+            let (aes_out, next) = if speculate {
+                std::thread::scope(|scope| {
+                    let aes_handle = scope.spawn(accuracy);
+                    let next = stage(
+                        climb.sampler.as_mut(),
+                        &mut session,
+                        &mut climb.fault_log,
+                        &climb.records,
+                        sample,
+                        target_n.saturating_sub(sample_size) as usize,
+                    );
+                    let aes_out = aes_handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    (aes_out, next.map(Some))
+                })
+            } else {
+                (accuracy(), Ok(None))
+            };
+            let (estimate, aes_work) = aes_out?;
+            let next = next?;
+            cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_work, reducer.is_heavy());
+
+            // Post the error on the reducer→mapper feedback channel (§3.3).
+            let (error, floor_met) = ladder.verdict(&climb.sample, &estimate);
+            feedback.post(ErrorReport {
+                reducer: 0,
+                error,
+                timestamp: cluster.now(),
+            });
+            let fraction = climb.sampled_fraction();
+            let cancel_requested =
+                observer(iterations, &estimate, sample_size, fraction) == Progress::Cancel;
+            climb.estimate = Some(estimate);
+
+            // ---- verdict ------------------------------------------------------
+            // The feedback channel — not a driver-local — carries the error
+            // estimate that stops the ladder when the bound is met
+            // (§2.1/§3.3); the bound predicate itself is the AES's.  A boundary
+            // that is already final (exact, bound met, exhausted) completes
+            // normally even if the observer asked to cancel.
+            climb.exact = sample_size >= population;
+            let bound_met =
+                floor_met && session.latest_error().is_some_and(|cv| aes.meets_bound(cv));
+            let last_step = climb.exact || bound_met || exhausted;
+            climb.cancelled = cancel_requested && !last_step;
+            if last_step || climb.cancelled {
+                // A staged step is abandoned the same way whichever rule
+                // stopped the ladder.
+                if let Some(step) = next {
+                    let stats = session.cancel_iteration(step.pending);
+                    climb.fault_log.merge(&stats.fault_log);
+                }
+                break;
+            }
+            staged = next;
+        }
+
+        // A death during the final iteration's charges still counts: write off
+        // whatever it orphaned before closing the books.
+        self.write_off_losses(&mut climb.fault_log);
+        // Sweep events that fired during the run into the log (some fire via
+        // implicit polls the job-level logs never see, e.g. during sampling).
+        let all_events = cluster.failure_events();
+        if let Some(fired) = all_events.get(climb.start.2..) {
+            climb.fault_log.record_events(fired);
+        }
+        Ok(())
     }
 
     /// Runs `task` exactly over the full data set through the MapReduce engine

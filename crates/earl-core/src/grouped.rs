@@ -19,26 +19,26 @@
 //!   resample-free count-based kernel under [`BootstrapKernel::Auto`], exactly
 //!   like their scalar counterparts.
 //!
-//! The iterative loop mirrors the scalar driver — sample → grouped job → per-
-//! group AES → expand — and terminates when **every** group's cv meets σ.
+//! A grouped run climbs the scalar driver's ladder — sample → grouped job →
+//! per-group AES → expand — until **every** group's cv meets σ.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use earl_bootstrap::bootstrap::{
     bootstrap_distribution, BootstrapConfig, BootstrapResult, ResolvedKernel,
 };
 use earl_bootstrap::rng::derive_seed;
 use earl_bootstrap::BootstrapKernel;
-use earl_cluster::{Phase, SimDuration};
+use earl_cluster::SimDuration;
 use earl_dfs::DfsPath;
-use earl_mapreduce::{
-    ErrorReport, InputSource, JobConf, MapContext, Mapper, PipelinedSession, ReduceContext, Reducer,
-};
+use earl_mapreduce::{InputSource, JobConf, MapContext, Mapper, ReduceContext, Reducer};
 use serde::{Deserialize, Serialize};
 
-use crate::aes::{aes_work, AccuracyEstimationStage};
-use crate::driver::EarlDriver;
+use crate::aes::aes_work;
+use crate::config::EarlConfig;
+use crate::driver::{EarlDriver, Ladder};
 use crate::error::EarlError;
+use crate::progress::Progress;
 use crate::task::{EarlTask, TaskEstimator};
 use crate::tasks::{CountTask, MeanTask, SumTask, WeightedMeanTask};
 use crate::Result;
@@ -412,16 +412,7 @@ impl GroupedEarlReport {
     /// The largest per-group cv (`NAN`-free groups only; `INFINITY` if any
     /// group's cv is not finite).
     pub fn worst_cv(&self) -> f64 {
-        self.groups
-            .iter()
-            .map(|g| {
-                if g.error_estimate.is_finite() {
-                    g.error_estimate
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .fold(0.0, f64::max)
+        worst_cv(self.groups.iter().map(|g| g.error_estimate))
     }
 }
 
@@ -455,18 +446,115 @@ impl std::fmt::Display for GroupedEarlReport {
     }
 }
 
+/// The grouped ladder: per-key flat value buffers, one bootstrap per group.
+struct GroupedLadder<'a> {
+    agg: &'a GroupedAggregate,
+    config: &'a EarlConfig,
+    bootstraps: usize,
+}
+
+impl<'a> Ladder for GroupedLadder<'a> {
+    type Sample = BTreeMap<String, Vec<f64>>;
+    type Estimate = Vec<(String, BootstrapResult)>;
+    type AesState = ();
+    type Map = GroupedTaskMapper<'a>;
+    type Reduce = GroupedTaskReducer<'a>;
+
+    fn extend(&self, groups: &mut Self::Sample, batch: &[(u64, String)]) {
+        for (_, line) in batch {
+            if let Some((key, record)) = self.agg.extract_record(line) {
+                groups.entry(key).or_default().extend(record.values());
+            }
+        }
+    }
+
+    /// Drawn records, keyed or not.
+    fn size(&self, records: &[(u64, String)], groups: &Self::Sample) -> u64 {
+        if groups.is_empty() {
+            0
+        } else {
+            records.len() as u64
+        }
+    }
+
+    /// String keys over up to eight reducers, so the map-side streaming
+    /// shuffle routes each group's pairs to its shard.  The count depends only
+    /// on the data — the committed keys plus the batch's new ones, counted
+    /// before the map phase shards them — never on the thread count.
+    fn job(&self, input: InputSource, groups: &Self::Sample, batch: &[(u64, String)]) -> JobConf {
+        let new_keys: BTreeSet<String> = batch
+            .iter()
+            .filter(|(_, line)| {
+                // A committed key needs no parse: it cannot be new.
+                line.split_once('\t')
+                    .is_some_and(|(key, _)| !groups.contains_key(key))
+            })
+            .filter_map(|(_, line)| self.agg.extract_record(line))
+            .map(|(key, _)| key)
+            .collect();
+        JobConf::new(format!("earl-{}", self.agg.name()), input)
+            .with_reducers((groups.len() + new_keys.len()).clamp(1, 8))
+    }
+
+    fn tasks(&self) -> (Self::Map, Self::Reduce) {
+        (
+            GroupedTaskMapper::new(self.agg),
+            GroupedTaskReducer::new(self.agg),
+        )
+    }
+
+    fn estimate(
+        &self,
+        _: &mut (),
+        groups: &Self::Sample,
+        _iteration: usize,
+    ) -> Result<(Self::Estimate, u64)> {
+        let (config, stride) = (self.config, self.agg.value_stride());
+        let resolved = self.agg.resolved_kernel(config.bootstrap_kernel);
+        let work = groups
+            .values()
+            .map(|values| aes_work(resolved, values.len() / stride, self.bootstraps))
+            .sum();
+        let resamples = BootstrapConfig::with_resamples(self.bootstraps)
+            .with_parallelism(config.parallelism)
+            .with_kernel(config.bootstrap_kernel);
+        Ok((
+            grouped_accuracy(config.seed, groups, self.agg, &resamples)?,
+            work,
+        ))
+    }
+
+    /// The worst group's cv — the bound holds for every group iff it holds
+    /// for the worst — and the sample floor: tiny groups report cv ≈ 0
+    /// (identical replicates) while their real error is unbounded.
+    fn verdict(&self, groups: &Self::Sample, estimate: &Self::Estimate) -> (f64, bool) {
+        let stride = self.agg.value_stride();
+        (
+            worst_cv(estimate.iter().map(|(_, b)| b.cv)),
+            groups
+                .values()
+                .all(|values| values.len() / stride >= MIN_GROUP_SAMPLE),
+        )
+    }
+}
+
+/// The largest of `cvs`, a non-finite cv counting as `INFINITY`.
+fn worst_cv(cvs: impl Iterator<Item = f64>) -> f64 {
+    cvs.map(|cv| if cv.is_finite() { cv } else { f64::INFINITY })
+        .fold(0.0, f64::max)
+}
+
 impl EarlDriver {
     /// Runs a grouped per-key aggregate over `path` with early approximation:
     /// the sample expands until **every** group's bootstrap cv meets σ.
     ///
-    /// Differences from the scalar [`run`](Self::run): `B` comes from
-    /// `config.bootstraps` (default 100 per group — SSABE's scalar `B`-search
-    /// does not transfer to many groups), the accuracy stage runs one
-    /// bootstrap per group, each on the deterministic [`group_seed`] stream,
-    /// and the loop is its own, never-speculating one (`pipeline_depth` is
-    /// ignored here: the per-group AES has no single error estimate to commit
-    /// or cancel a staged step on).  It shares the scalar ladder's sampler
-    /// and AES-work formula, not its loop.  Returns
+    /// It climbs the scalar [`run`](Self::run)'s ladder — same pilot, draws,
+    /// job per step, feedback channel, stopping rule and §3.4 degrade path —
+    /// but never speculates (`pipeline_depth` is ignored).  What differs: `B`
+    /// comes from `config.bootstraps` (default 100 per group — SSABE's scalar
+    /// `B`-search does not transfer to many groups), the accuracy stage runs
+    /// one bootstrap per group, each on the deterministic [`group_seed`]
+    /// stream, and sample sizes count drawn records.  Returns
     /// [`EarlError::GroupedAccuracyNotReached`] carrying the partial report
     /// when some group cannot meet the bound within the iteration budget.
     ///
@@ -481,206 +569,62 @@ impl EarlDriver {
         agg: &GroupedAggregate,
     ) -> Result<GroupedEarlReport> {
         let config = self.config();
-        config.validate()?;
-        let path = path.into();
-        let dfs = self.dfs().clone();
-        let status = dfs.status(path.clone())?;
-        let population = status.num_records.unwrap_or(0);
-        if population == 0 {
-            return Err(EarlError::NoUsableRecords);
-        }
-        let cluster = dfs.cluster().clone();
-        let start_time = cluster.elapsed();
-        let start_bytes = cluster.metrics().snapshot().total_disk_bytes_read();
-
-        // Loss stays loud here: the grouped loop has no degrade path.
-        let mut sampler = self.open_sampler(&path, false)?;
-
-        // ---- pilot -----------------------------------------------------------
-        let pilot_target = ((population as f64 * config.pilot_fraction).ceil() as u64)
-            .max(config.min_pilot)
-            .min(population) as usize;
-        let pilot = sampler.draw(pilot_target)?;
-        let mut records: Vec<(u64, String)> = pilot.records;
-        // Group buffers are flat interleaved samples: `stride` consecutive
-        // values per record (1 for the scalar stats, 2 for the weighted mean).
-        let stride = agg.value_stride();
-        let mut groups: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        let extend_groups = |groups: &mut BTreeMap<String, Vec<f64>>, batch: &[(u64, String)]| {
-            for (_, line) in batch {
-                if let Some((key, record)) = agg.extract_record(line) {
-                    groups.entry(key).or_default().extend(record.values());
-                }
-            }
-        };
-        extend_groups(&mut groups, &records);
-        if groups.is_empty() {
-            return Err(EarlError::NoUsableRecords);
-        }
-
         let bootstraps = config.bootstraps.unwrap_or(DEFAULT_GROUPED_BOOTSTRAPS);
-        let bcfg = BootstrapConfig::with_resamples(bootstraps)
-            .with_parallelism(config.parallelism)
-            .with_kernel(config.bootstrap_kernel);
-        let aes = AccuracyEstimationStage::new(config.sigma);
-        let resolved = agg.resolved_kernel(config.bootstrap_kernel);
-        let mapper = GroupedTaskMapper::new(agg);
-        let reducer = GroupedTaskReducer::new(agg);
-        let mut session = PipelinedSession::new(dfs.clone());
-        let feedback = session.feedback();
-
-        let mut target_n = config
+        let ladder = GroupedLadder {
+            agg,
+            config,
+            bootstraps,
+        };
+        let mut climb = self.start(&path.into(), &ladder)?;
+        let target_n = config
             .sample_size
-            .unwrap_or(records.len() as u64)
-            .min(population)
-            .max(1);
-        let mut iterations = 0usize;
-        let mut exhausted = false;
-        let mut exact = false;
-        let mut engine_results: BTreeMap<String, f64> = BTreeMap::new();
-        let mut group_bootstraps: Vec<(String, BootstrapResult)> = Vec::new();
+            .unwrap_or(climb.records.len() as u64)
+            .min(climb.population);
+        self.climb(&ladder, &mut climb, target_n, 1, &mut |_, _, _, _| {
+            Progress::Continue
+        })?;
 
-        while iterations < config.max_iterations {
-            iterations += 1;
-
-            // Expand the sample up to the current target.
-            let needed = target_n.saturating_sub(records.len() as u64) as usize;
-            if needed > 0 {
-                let batch = sampler.draw(needed)?;
-                if batch.is_empty() {
-                    exhausted = true;
-                } else {
-                    extend_groups(&mut groups, &batch.records);
-                    records.extend(batch.records);
-                }
+        let (exact, p, stride) = (climb.exact, climb.sampled_fraction(), agg.value_stride());
+        // An exact run reports each group's plain statistic, without spread.
+        let correct = |x: f64| if exact { x } else { agg.correct(x, p) };
+        let mut groups = Vec::new();
+        for (key, bootstrap) in climb.estimate.iter().flatten() {
+            let point = bootstrap.point_estimate;
+            // A weighted group whose weights sum to zero has no defined
+            // statistic: a typed error, not a NaN the caller would have to
+            // sniff out (the bound predicate would wave an exact run's NaN
+            // through).
+            if agg.stat() == GroupedStat::WeightedMean && !point.is_finite() {
+                return Err(EarlError::DegenerateGroupWeight(key.clone()));
             }
-
-            // Run the grouped job through the engine: string keys, multiple
-            // reducers — the map-side streaming shuffle routes each group's
-            // pairs to its shard.  The reducer count depends only on the data
-            // (never on the thread count), keeping results thread-invariant.
-            let conf = JobConf::new(
-                format!("earl-{}", agg.name()),
-                InputSource::Memory(records.clone()),
-            )
-            .with_reducers(groups.len().clamp(1, 8))
-            .with_failure_policy(config.failure_policy)
-            .with_parallelism(config.parallelism);
-            let job = session.run_iteration(&conf, &mapper, &reducer)?;
-            engine_results = job.outputs.into_iter().collect();
-
-            // ---- per-group accuracy estimation ------------------------------
-            group_bootstraps = grouped_accuracy(config.seed, &groups, agg, &bcfg)?;
-            let aes_records: u64 = groups
-                .values()
-                .map(|values| aes_work(resolved, values.len() / stride, bootstraps))
-                .sum();
-            cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_records, false);
-
-            // The worst per-group cv is posted on the reducer→mapper channel —
-            // the §3.3 termination signal, observable via
-            // `session.latest_error()` (the all-groups predicate below needs
-            // every cv, not just the worst, so it does not read the channel
-            // back).
-            let worst = group_bootstraps
-                .iter()
-                .map(|(_, b)| {
-                    if b.cv.is_finite() {
-                        b.cv
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0, f64::max);
-            feedback.post(ErrorReport {
-                reducer: 0,
-                error: worst,
-                timestamp: cluster.now(),
+            let (lo, hi) = if exact {
+                (point, point)
+            } else {
+                bootstrap.percentile_ci(0.05)
+            };
+            groups.push(GroupReport {
+                key: key.clone(),
+                result: correct(point),
+                uncorrected_result: point,
+                error_estimate: if exact { 0.0 } else { bootstrap.cv },
+                ci_low: correct(lo),
+                ci_high: correct(hi),
+                sample_size: climb.sample[key].len() as u64 / stride as u64,
             });
-
-            if records.len() as u64 >= population {
-                exact = true;
-                break;
-            }
-            // A group converges only with a usable sample behind it: tiny
-            // groups report cv ≈ 0 (identical replicates) while their real
-            // error is unbounded.
-            let all_met = group_bootstraps.iter().all(|(key, b)| {
-                groups[key].len() / stride >= MIN_GROUP_SAMPLE && aes.meets_bound(b.cv)
-            });
-            if all_met || exhausted {
-                break;
-            }
-            target_n =
-                (((records.len() as f64) * config.expansion_factor).ceil() as u64).min(population);
         }
-
-        // ---- report ----------------------------------------------------------
-        let sampled_fraction = (sampler.drawn() as f64 / population as f64).clamp(0.0, 1.0);
-        let group_reports: Vec<GroupReport> = group_bootstraps
-            .iter()
-            .map(|(key, bootstrap)| {
-                // The engine's reduce output and the local evaluation are the
-                // same function over the same values in the same order.
-                let point = engine_results
-                    .get(key)
-                    .copied()
-                    .unwrap_or(bootstrap.point_estimate);
-                debug_assert_eq!(point.to_bits(), bootstrap.point_estimate.to_bits());
-                let (lo, hi) = bootstrap.percentile_ci(0.05);
-                let n = groups
-                    .get(key)
-                    .map(|v| (v.len() / stride) as u64)
-                    .unwrap_or(0);
-                if exact {
-                    GroupReport {
-                        key: key.clone(),
-                        result: point,
-                        uncorrected_result: point,
-                        error_estimate: 0.0,
-                        ci_low: point,
-                        ci_high: point,
-                        sample_size: n,
-                    }
-                } else {
-                    GroupReport {
-                        key: key.clone(),
-                        result: agg.correct(point, sampled_fraction),
-                        uncorrected_result: point,
-                        error_estimate: bootstrap.cv,
-                        ci_low: agg.correct(lo, sampled_fraction),
-                        ci_high: agg.correct(hi, sampled_fraction),
-                        sample_size: n,
-                    }
-                }
-            })
-            .collect();
-
-        // A weighted group whose weights sum to zero has no defined statistic:
-        // surface a typed error instead of a NaN result the caller would have
-        // to sniff out of the report (the bound predicate would also wave an
-        // exact run's NaN through).
-        if agg.stat() == GroupedStat::WeightedMean {
-            if let Some(g) = group_reports
-                .iter()
-                .find(|g| !g.uncorrected_result.is_finite())
-            {
-                return Err(EarlError::DegenerateGroupWeight(g.key.clone()));
-            }
-        }
-
+        let (sim_time, bytes_read) = climb.charges(self.dfs());
         let report = GroupedEarlReport {
             task: agg.name().to_owned(),
-            groups: group_reports,
+            groups,
             target_sigma: config.sigma,
-            sample_size: records.len() as u64,
-            population,
-            sample_fraction: if exact { 1.0 } else { sampled_fraction },
+            sample_size: climb.records.len() as u64,
+            population: climb.population,
+            sample_fraction: if exact { 1.0 } else { p },
             bootstraps,
-            iterations,
+            iterations: climb.iterations,
             exact,
-            sim_time: cluster.elapsed() - start_time,
-            bytes_read: cluster.metrics().snapshot().total_disk_bytes_read() - start_bytes,
+            sim_time,
+            bytes_read,
         };
         if report.meets_bound() {
             Ok(report)
@@ -693,6 +637,10 @@ impl EarlDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earl_cluster::{Cluster, NodeId};
+    use earl_dfs::{Dfs, DfsConfig};
+    use earl_mapreduce::{FailurePolicy, PipelinedSession};
+    use earl_workload::{DatasetBuilder, GroupedSpec};
 
     #[test]
     fn extract_parses_keyed_lines() {
@@ -803,5 +751,104 @@ mod tests {
         groups.remove("b");
         let only_a = grouped_accuracy(9, &groups, &agg, &cfg).unwrap();
         assert_eq!(only_a[0].1.replicates, all[0].1.replicates);
+    }
+
+    /// The ladder reports each group's AES point estimate; the step job's
+    /// reducer computes the same statistic over the same values in the same
+    /// order.  Both must agree bit for bit, for every statistic, at every
+    /// ladder step.
+    #[test]
+    fn reducer_outputs_equal_the_aes_point_estimates_bit_for_bit() {
+        let dfs = Dfs::new(Cluster::for_tests(), DfsConfig::small_blocks(4096)).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let lines: Vec<(u64, String)> = (0..900u64)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let value = (state % 10_000) as f64 / 7.0 - 300.0;
+                let weight = (state >> 32) % 5;
+                (i, format!("k{}\t{value}\t{weight}", state % 11))
+            })
+            .collect();
+        for stat in [
+            GroupedStat::Mean,
+            GroupedStat::Sum,
+            GroupedStat::Count,
+            GroupedStat::WeightedMean,
+        ] {
+            let agg = GroupedAggregate::new(stat);
+            let config = EarlConfig {
+                seed: 5,
+                ..EarlConfig::default()
+            };
+            let ladder = GroupedLadder {
+                agg: &agg,
+                config: &config,
+                bootstraps: 20,
+            };
+            let mut session = PipelinedSession::new(dfs.clone());
+            let mut groups = BTreeMap::new();
+            for (from, to) in [(0, 300), (300, 900)] {
+                let batch = &lines[from..to];
+                let input = InputSource::Memory(lines[..to].to_vec());
+                let conf = ladder.job(input, &groups, batch);
+                ladder.extend(&mut groups, batch);
+                let (mapper, reducer) = ladder.tasks();
+                let job = session.run_iteration(&conf, &mapper, &reducer).unwrap();
+                let outputs: BTreeMap<String, f64> = job.outputs.into_iter().collect();
+                let (estimate, _) = ladder.estimate(&mut (), &groups, 0).unwrap();
+                assert_eq!(outputs.len(), estimate.len(), "{stat:?} at {to}");
+                for (key, bootstrap) in &estimate {
+                    assert_eq!(
+                        outputs[key].to_bits(),
+                        bootstrap.point_estimate.to_bits(),
+                        "{stat:?}, group {key}, step {to}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A replication-1 cluster with one node dead before the run: under
+    /// `Retry` the grouped run fails with the DFS error, as a scalar run
+    /// does; under `Degrade` it writes the loss off and answers from the
+    /// survivors (or reports the bound it could not reach) — never a DFS
+    /// error.
+    #[test]
+    fn grouped_runs_degrade_like_scalar_runs_when_a_node_died_before_the_run() {
+        let run = |policy: FailurePolicy| {
+            let dfs = Dfs::new(
+                Cluster::with_nodes(4),
+                DfsConfig {
+                    block_size: 4096,
+                    replication: 1,
+                    io_chunk: 256,
+                },
+            )
+            .unwrap();
+            DatasetBuilder::new(dfs.clone())
+                .build_grouped("/g", &GroupedSpec::normal_groups(6, 4_000, 100.0, 0.25, 3))
+                .unwrap();
+            dfs.cluster().fail_node(NodeId(1)).unwrap();
+            let config = EarlConfig {
+                sigma: 0.05,
+                failure_policy: policy,
+                ..EarlConfig::default()
+            };
+            EarlDriver::new(dfs, config).run_grouped("/g", &GroupedAggregate::mean())
+        };
+        match run(FailurePolicy::retry()) {
+            Err(EarlError::Dfs(_) | EarlError::Sampling(_)) => {}
+            other => panic!("Retry must surface the lost block, got {other:?}"),
+        }
+        let report = match run(FailurePolicy::Degrade) {
+            Ok(report) => report,
+            Err(EarlError::GroupedAccuracyNotReached(report)) => *report,
+            Err(other) => panic!("Degrade must not fail on lost data, got {other:?}"),
+        };
+        assert!(!report.exact, "a quarter of the data is gone");
+        assert!(report.sample_size > 0);
+        assert!(report.groups.iter().all(|g| g.result.is_finite()));
     }
 }

@@ -24,9 +24,14 @@
 //!
 //! * [`EarlDriver`] — run any [`EarlTask`] (mean, sum, median, quantiles,
 //!   variance, count, or your own) with an error bound.
+//! * [`EarlDriver::run_grouped`] — per-key aggregates with a bound per
+//!   group, on the same ladder.
 //! * [`tasks::kmeans`] — approximate K-Means (the paper's advanced-mining
 //!   example, Fig. 7) plus the exact MapReduce baseline.
-//! * [`fault`] — approximate completion despite node failures (§3.4).
+//!
+//! Node failures (§3.4) need no separate entry point: under the default
+//! `FailurePolicy::Degrade` the driver writes off lost data and answers from
+//! what survives, with the error estimate pricing the loss.
 //!
 //! ```
 //! use earl_cluster::Cluster;
@@ -50,7 +55,6 @@ pub mod aes;
 pub mod config;
 pub mod driver;
 pub mod error;
-pub mod fault;
 pub mod grouped;
 pub mod progress;
 pub mod report;

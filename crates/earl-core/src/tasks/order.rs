@@ -5,6 +5,9 @@
 //! estimation (the jackknife famously fails for the median).  Their state is a
 //! value buffer: `update()` concatenates buffers, `finalize()` sorts once.
 
+use earl_bootstrap::estimators::Quantile;
+use earl_bootstrap::Estimator;
+
 use crate::task::EarlTask;
 
 /// Mergeable buffer state for order statistics.
@@ -17,22 +20,6 @@ impl BufferState {
     /// The buffered values.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-}
-
-fn quantile_of(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        sorted[lo] * (1.0 - (pos - lo as f64)) + sorted[hi] * (pos - lo as f64)
     }
 }
 
@@ -67,7 +54,7 @@ buffer_task!(
     /// The median (Fig. 6's workload).
     MedianTask,
     "median",
-    |state| quantile_of(&state.values, 0.5)
+    |state| Quantile::new(0.5).estimate(&state.values)
 );
 
 buffer_task!(
@@ -118,7 +105,7 @@ impl EarlTask for QuantileTask {
         state.values.extend_from_slice(&other.values);
     }
     fn finalize(&self, state: &BufferState) -> f64 {
-        quantile_of(&state.values, self.q)
+        Quantile::new(self.q).estimate(&state.values)
     }
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec {
@@ -141,6 +128,40 @@ mod tests {
         assert_eq!(QuantileTask::new(0.5).evaluate(&values), 5.0);
         assert_eq!(QuantileTask::new(2.0).q(), 1.0);
         assert!(MedianTask.evaluate(&[]).is_nan());
+    }
+
+    #[test]
+    fn tasks_finalize_bit_for_bit_like_the_quantile_estimator() {
+        use earl_bootstrap::estimators::Median;
+        // NaN sorts as "equal" to everything under `partial_cmp`, and -0.0 /
+        // +0.0 compare equal, so the stable sort keeps them in arrival order:
+        // both positions and signs must come out the same on either path.
+        let inputs: [&[f64]; 4] = [
+            &[0.0, -0.0, 1.0, -0.0, 0.0],
+            &[-0.0, 0.0, f64::NAN, 2.0, -1.0, 0.0],
+            &[f64::NAN, 3.0, -0.0, f64::NAN, 0.0, 0.0, -5.0],
+            &[1.5, -0.0, 0.0, 1.5, 2.5, 1.5],
+        ];
+        for values in inputs {
+            assert_eq!(
+                MedianTask.evaluate(values).to_bits(),
+                Median.estimate(values).to_bits(),
+                "median of {values:?}"
+            );
+            for q in [0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0] {
+                assert_eq!(
+                    QuantileTask::new(q).evaluate(values).to_bits(),
+                    Quantile::new(q).estimate(values).to_bits(),
+                    "q = {q} of {values:?}"
+                );
+            }
+        }
+        // The stable sort is part of the contract: the middle of
+        // [0, -0, 1, -0, 0] is the -0.0 that arrived fourth.
+        assert_eq!(
+            MedianTask.evaluate(inputs[0]).to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]

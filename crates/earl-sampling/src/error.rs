@@ -9,13 +9,6 @@ use earl_dfs::DfsError;
 pub enum SamplingError {
     /// The underlying DFS reported an error.
     Dfs(DfsError),
-    /// The requested sample is larger than the population.
-    SampleTooLarge {
-        /// Requested sample size.
-        requested: u64,
-        /// Available population size.
-        available: u64,
-    },
     /// The sampler was configured with invalid parameters.
     InvalidConfig(String),
 }
@@ -24,15 +17,6 @@ impl fmt::Display for SamplingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SamplingError::Dfs(e) => write!(f, "dfs error: {e}"),
-            SamplingError::SampleTooLarge {
-                requested,
-                available,
-            } => {
-                write!(
-                    f,
-                    "requested sample of {requested} exceeds population of {available}"
-                )
-            }
             SamplingError::InvalidConfig(msg) => write!(f, "invalid sampler configuration: {msg}"),
         }
     }
@@ -61,12 +45,6 @@ mod tests {
     fn display() {
         let e: SamplingError = DfsError::FileNotFound("/x".into()).into();
         assert!(e.to_string().contains("/x"));
-        assert!(SamplingError::SampleTooLarge {
-            requested: 10,
-            available: 5
-        }
-        .to_string()
-        .contains("10"));
         assert!(SamplingError::InvalidConfig("bad".into())
             .to_string()
             .contains("bad"));

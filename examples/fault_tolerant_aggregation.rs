@@ -7,12 +7,13 @@
 //! Stock Hadoop reacts to node failures with task restarts; EARL instead
 //! treats the surviving data as a sample and attaches a bootstrap error bound
 //! to the answer.  This example kills two of four nodes (with replication 1 so
-//! data is genuinely lost) and shows both behaviours.
+//! data is genuinely lost) and shows both behaviours: the EARL driver under
+//! its default `Degrade` policy, and a plain MapReduce job under the same
+//! policy.
 
 use earl_cluster::{Cluster, NodeId};
-use earl_core::fault::run_despite_failures;
 use earl_core::tasks::MeanTask;
-use earl_core::EarlConfig;
+use earl_core::{EarlConfig, EarlDriver};
 use earl_dfs::{Dfs, DfsConfig};
 use earl_mapreduce::{contrib, FailurePolicy, InputSource, JobConf};
 use earl_workload::{DatasetBuilder, DatasetSpec};
@@ -44,19 +45,29 @@ fn main() {
     // Disaster strikes: half the cluster goes down.
     dfs.cluster().fail_node(NodeId(0)).expect("fail node 0");
     dfs.cluster().fail_node(NodeId(1)).expect("fail node 1");
-    let orphaned = dfs.reconcile_failures();
     println!(
-        "nodes 0 and 1 failed; {} blocks lost, {:.1}% of the file still readable",
-        orphaned.len(),
+        "nodes 0 and 1 failed; {:.1}% of the file still readable",
         dfs.readable_fraction("/sensors/readings")
             .expect("fraction")
             * 100.0
     );
 
-    // EARL: answer from the surviving data, with an error estimate.
-    let report = run_despite_failures(&dfs, "/sensors/readings", &MeanTask, &EarlConfig::default())
-        .expect("fault-tolerant run");
+    // EARL: sample the surviving data, with an error estimate.  `Degrade` is
+    // the default policy; it is spelled out here because it is the point.
+    let config = EarlConfig {
+        failure_policy: FailurePolicy::Degrade,
+        ..EarlConfig::default()
+    };
+    let report = EarlDriver::new(dfs.clone(), config)
+        .run("/sensors/readings", &MeanTask)
+        .expect("the degrade policy answers from the survivors");
     println!("\n--- EARL fault-tolerant approximate result ---\n{report}");
+    if let Some(log) = &report.fault_log {
+        println!(
+            "driver fault log: {} lost block(s) written off",
+            log.splits_lost
+        );
+    }
     println!(
         "relative error vs ground truth: {:.3}%",
         report.relative_error_vs(dataset.true_mean) * 100.0

@@ -4,7 +4,6 @@
 use earl_cluster::{
     Cluster, CostModel, FailureEvent, FailureSchedule, NodeId, SimDuration, SimInstant,
 };
-use earl_core::fault::run_despite_failures;
 use earl_core::tasks::{CountTask, MeanTask, MedianTask, QuantileTask, SumTask, VarianceTask};
 use earl_core::{EarlConfig, EarlDriver, EarlError, SamplingMethod};
 use earl_dfs::{Dfs, DfsConfig};
@@ -239,13 +238,15 @@ fn fault_tolerant_mode_bounds_the_error_after_data_loss() {
         )
         .unwrap();
     dfs.cluster().fail_node(NodeId(3)).unwrap();
-    let report = run_despite_failures(
-        &dfs,
-        "/integration/lossy",
-        &MeanTask,
-        &EarlConfig::default(),
-    )
-    .unwrap();
+    // The default `Degrade` policy: the node died before the run, so the
+    // driver writes its data off and samples the survivors.
+    let report = EarlDriver::new(dfs, EarlConfig::default())
+        .run("/integration/lossy", &MeanTask)
+        .unwrap();
+    assert!(report
+        .fault_log
+        .as_ref()
+        .is_some_and(|log| log.splits_lost > 0));
     assert!(report.sample_fraction < 1.0);
     assert!(report.relative_error_vs(ds.true_mean) < 0.05);
     assert!(report.error_estimate > 0.0);

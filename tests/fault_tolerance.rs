@@ -33,7 +33,6 @@
 use earl_cluster::{
     Cluster, CostModel, FailureEvent, FailureSchedule, NodeId, Phase, SimDuration, SimInstant,
 };
-use earl_core::fault::run_despite_failures;
 use earl_core::tasks::MeanTask;
 use earl_core::{EarlConfig, EarlDriver};
 use earl_dfs::{Dfs, DfsConfig, DfsError};
@@ -591,42 +590,28 @@ fn degrade_driver_is_thread_and_depth_invariant_while_failures_fire() {
 }
 
 // ---------------------------------------------------------------------------
-// run_despite_failures agrees with the driver's degrade semantics
+// A node that died before the run: the degrading driver answers from survivors
 // ---------------------------------------------------------------------------
 
 #[test]
-fn run_despite_failures_and_the_degrading_driver_tell_the_same_story() {
+fn degrading_driver_answers_when_a_node_died_before_the_run() {
     let truth = {
         let dfs = make_dfs(4, 1, FailureSchedule::None);
         write_mean_dataset(&dfs, 30_000, 49)
     };
-    let make_failed_dfs = || {
-        let dfs = make_dfs(4, 1, FailureSchedule::None);
-        write_mean_dataset(&dfs, 30_000, 49);
-        dfs.cluster().fail_node(NodeId(0)).unwrap();
-        dfs
-    };
+    let dfs = make_dfs(4, 1, FailureSchedule::None);
+    write_mean_dataset(&dfs, 30_000, 49);
+    dfs.cluster().fail_node(NodeId(0)).unwrap();
 
-    // §3.4 one-shot: read everything that survives, bound the error.
-    let oneshot = run_despite_failures(
-        &make_failed_dfs(),
-        "/data",
-        &MeanTask,
-        &EarlConfig::default(),
-    )
-    .unwrap();
-    assert!(oneshot.sample_fraction < 1.0);
-    assert!(!oneshot.exact);
-    assert!(oneshot.error_estimate > 0.0);
-    let oneshot_log = oneshot.fault_log.as_ref().expect("loss must be logged");
-    assert!(oneshot_log.splits_lost > 0);
-    assert!(oneshot.ci_low <= truth && truth <= oneshot.ci_high);
-
-    // The iterative driver under Degrade survives the same world: both
-    // accounts agree on the ground truth within their bounds.
-    let report = EarlDriver::new(make_failed_dfs(), EarlConfig::default())
+    // §3.4: the dead node's data is written off up front, the pilot and every
+    // expansion draw from the survivors, and the error bound prices the loss.
+    let report = EarlDriver::new(dfs, EarlConfig::default())
         .run("/data", &MeanTask)
         .unwrap();
+    assert!(report.sample_fraction < 1.0);
+    assert!(!report.exact);
+    assert!(report.error_estimate > 0.0);
+    let log = report.fault_log.as_ref().expect("loss must be logged");
+    assert!(log.splits_lost > 0);
     assert!(report.relative_error_vs(truth) < 0.05);
-    assert!(oneshot.relative_error_vs(report.result) < 0.05);
 }
