@@ -1,15 +1,18 @@
-//! Golden pins for the benchmark's three bare-driver ladder workloads.
+//! Golden pins for the benchmark's three bare-driver ladder workloads and its
+//! resident-service workload.
 //!
 //! The configurations are copied from `benchmark/src/workloads.rs` (`build`:
-//! `scan_linear`, `ladder_order`, `grouped_keys`), and the worlds from the
-//! set-up the benchmark gives them: `benchmark/src/scalar.rs`
+//! `scan_linear`, `ladder_order`, `grouped_keys`, `serve_closed`), and the
+//! worlds from the set-up the benchmark gives them: `benchmark/src/scalar.rs`
 //! (`common_dfs_config`, `fresh_dfs`, `Scalar::setup`, and the reference run
-//! in `Scalar::verify`) and `benchmark/src/grouped.rs` (`Grouped::setup` and
-//! `Grouped::run_answer`).  Each runs at the benchmark's seed 11 on a fresh
-//! world, exactly like the benchmark's reference run, and every deterministic
-//! field of the report is pinned as a bit pattern: the `--trace 1` cells
-//! `core.iterations`, `core.sample_fraction`, `core.bootstraps`, `core.cv` and
-//! `cluster.sim_s` are read off these reports.
+//! in `Scalar::verify`), `benchmark/src/grouped.rs` (`Grouped::setup` and
+//! `Grouped::run_answer`) and `benchmark/src/serve.rs` (`Serve::new`,
+//! `Serve::setup` and the service-versus-solo check of `Serve::verify`).
+//! Each runs at the benchmark's seed 11 on a fresh world, exactly like the
+//! benchmark's reference run, and every deterministic field of the report is
+//! pinned as a bit pattern: the `--trace 1` cells `core.iterations`,
+//! `core.sample_fraction`, `core.bootstraps`, `core.cv`, `cluster.sim_s` and
+//! `serve.updates_per_job` are read off these reports.
 //!
 //! The full-size cases are `#[ignore]`d (run them in release with
 //! `cargo test --release --test reference_workloads -- --ignored`).  Each has
@@ -31,6 +34,8 @@ use earl_core::{
     EarlConfig, EarlDriver, EarlReport, EarlTask, GroupedAggregate, GroupedEarlReport,
 };
 use earl_dfs::{Dfs, DfsConfig};
+use earl_mapreduce::TaskSpec;
+use earl_serve::{DatasetDef, DatasetRegistry, EarlService, JobRequest, ServiceConfig};
 use earl_workload::{DatasetBuilder, DatasetSpec, GroupedSpec};
 
 const SEED: u64 = 11;
@@ -469,5 +474,180 @@ fn grouped_keys_twin() {
             sim_micros: 88_541_254,
             bytes_read: 34_055_530,
         },
+    );
+}
+
+// ---------------------------------------------------------------------------
+// serve_closed: one mean and one median job through the resident service
+// ---------------------------------------------------------------------------
+
+/// One service job's pin: its report and the `EarlUpdate`s its client drained.
+#[derive(Debug, PartialEq, Eq)]
+struct ServedPin {
+    updates: usize,
+    report: ScalarPin,
+}
+
+/// `Serve::new` + `Serve::setup`: the dataset registered as `"spread"` on 4
+/// nodes, a service running two jobs at once.  One mean job (seed 12) and one
+/// median job (seed 13) are admitted together, each client drains its
+/// updates, and each report must equal a solo driver's on a fresh world of
+/// the same definition, as `Serve::verify` demands.
+fn serve_closed(records: u64, sigma: f64) -> [ServedPin; 2] {
+    let def = DatasetDef::new(4, PATH, DatasetSpec::normal(records, 500.0, 400.0, SEED));
+    let mut registry = DatasetRegistry::new();
+    registry.register("spread", def.clone());
+    let service = EarlService::new(
+        registry,
+        ServiceConfig {
+            max_running: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let config = |seed| {
+        threaded(EarlConfig {
+            sigma,
+            sample_size: Some(700),
+            bootstraps: Some(60),
+            max_iterations: 30,
+            seed,
+            ..EarlConfig::default()
+        })
+    };
+    let jobs = [("mean", 12), ("median", 13)];
+    let handles = jobs.map(|(kind, seed)| {
+        service
+            .admit(JobRequest::new(
+                TaskSpec::named(kind),
+                "spread",
+                config(seed),
+            ))
+            .unwrap()
+    });
+    let mut handles = handles.into_iter();
+    jobs.map(|(kind, seed)| {
+        let handle = handles.next().unwrap();
+        let mut updates = 0;
+        while handle.next_update().is_some() {
+            updates += 1;
+        }
+        let report = handle.wait().unwrap().result.unwrap();
+        let solo = EarlDriver::new(def.build().unwrap(), config(seed));
+        let solo = match kind {
+            "mean" => solo.run(PATH, &MeanTask),
+            _ => solo.run(PATH, &MedianTask),
+        }
+        .unwrap();
+        assert_eq!(
+            report, solo,
+            "service {kind} report differs from the solo driver's"
+        );
+        ServedPin {
+            updates,
+            report: ScalarPin::of(&report),
+        }
+    })
+}
+
+fn check_served(observed: [ServedPin; 2], expected: [ServedPin; 2]) {
+    assert!(
+        observed == expected,
+        "service reports drifted from their pins; observed:\n{observed:#x?}"
+    );
+}
+
+#[test]
+#[ignore = "full size: 1 M records; run in release with --ignored"]
+fn serve_closed_full_size() {
+    let observed = serve_closed(1_000_000, 0.0045);
+    check_served(
+        observed,
+        [
+            ServedPin {
+                updates: 3,
+                report: ScalarPin {
+                    result: 0x407f0ad667d79c4a,
+                    uncorrected: 0x407f0ad667d79c4a,
+                    cv: 0x3f6caded572a69c3,
+                    ci: (0x407ecd55f96c46de, 0x407f399cafb0652d),
+                    sample_size: 40_000,
+                    population: 1_000_000,
+                    sample_fraction: 0x3fa47ae147ae147b,
+                    iterations: 3,
+                    bootstraps: 60,
+                    exact: false,
+                    sim_micros: 837_026_000,
+                    bytes_read: 10_677_120,
+                    resample_work: None,
+                },
+            },
+            ServedPin {
+                updates: 4,
+                report: ScalarPin {
+                    result: 0x407f2d0e846eec5a,
+                    uncorrected: 0x407f2d0e846eec5a,
+                    cv: 0x3f6f2785e36b5694,
+                    ci: (0x407ef67da6d40566, 0x407f70ecad0b6b4a),
+                    sample_size: 80_000,
+                    population: 1_000_000,
+                    sample_fraction: 0x3fb47ae147ae147b,
+                    iterations: 4,
+                    bootstraps: 60,
+                    exact: false,
+                    sim_micros: 1_756_806_961,
+                    bytes_read: 22_324_224,
+                    resample_work: Some((4_816_504, 9_000_000, 4_216_504, 4_703)),
+                },
+            },
+        ],
+    );
+}
+
+#[test]
+fn serve_closed_twin() {
+    let observed = serve_closed(50_000, 0.01);
+    for pin in &observed {
+        assert_climbs(pin.report.iterations, pin.report.exact);
+    }
+    check_served(
+        observed,
+        [
+            ServedPin {
+                updates: 5,
+                report: ScalarPin {
+                    result: 0x407f37a19a7baf46,
+                    uncorrected: 0x407f37a19a7baf46,
+                    cv: 0x3f786901acfa8841,
+                    ci: (0x407edaad1c909866, 0x407f85edb49f5300),
+                    sample_size: 11_200,
+                    population: 50_000,
+                    sample_fraction: 0x3fccac083126e979,
+                    iterations: 5,
+                    bootstraps: 60,
+                    exact: false,
+                    sim_micros: 297_511_160,
+                    bytes_read: 3_787_859,
+                    resample_work: None,
+                },
+            },
+            ServedPin {
+                updates: 5,
+                report: ScalarPin {
+                    result: 0x407f81c0fde81739,
+                    uncorrected: 0x407f81c0fde81739,
+                    cv: 0x3f8427fc15fad2d1,
+                    ci: (0x407eed019d0691dc, 0x408004b5eb21d86a),
+                    sample_size: 11_200,
+                    population: 50_000,
+                    sample_fraction: 0x3fccac083126e979,
+                    iterations: 5,
+                    bootstraps: 60,
+                    exact: false,
+                    sim_micros: 301_042_654,
+                    bytes_read: 3_820_424,
+                    resample_work: Some((680_260, 1_302_000, 638_260, 2_067)),
+                },
+            },
+        ],
     );
 }
