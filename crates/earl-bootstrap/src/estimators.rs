@@ -540,6 +540,18 @@ impl Estimator for Median {
 
 /// The `q`-quantile (0 ≤ q ≤ 1) using linear interpolation between order
 /// statistics.
+///
+/// The two order statistics are found by selection, O(n), not by sorting.
+/// The values are copied into a scratch buffer that is per thread and reused
+/// by every later call on that thread, never shared between threads: one
+/// allocation per thread, kept at the size of the largest input seen.
+///
+/// The result is bit-for-bit that of a stable sort by `partial_cmp`.  Among
+/// non-NaN values only `0.0` and `-0.0` compare equal with different bits,
+/// so selection can differ from the stable sort only when an input holds a
+/// NaN (which `partial_cmp` cannot order) or when a selected order statistic
+/// is a zero of either sign (whose sign the stable sort takes from arrival
+/// order).  Both cases fall back to the stable sort.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Quantile {
     q: f64,
@@ -564,21 +576,54 @@ impl Estimator for Quantile {
         if data.is_empty() {
             return f64::NAN;
         }
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pos = self.q * (sorted.len() - 1) as f64;
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<Vec<f64>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        let pos = self.q * (data.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
+        let (at_lo, at_hi) = SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.clear();
+            scratch.extend_from_slice(data);
+            select_order_statistics(&mut scratch, lo, hi).unwrap_or_else(|| {
+                // Selection permuted the scratch: restore arrival order, which
+                // decides the stable sort's ties.
+                scratch.clear();
+                scratch.extend_from_slice(data);
+                scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                (scratch[lo], scratch[hi])
+            })
+        });
         if lo == hi {
-            sorted[lo]
+            at_lo
         } else {
             let frac = pos - lo as f64;
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+            at_lo * (1.0 - frac) + at_hi * frac
         }
     }
     fn name(&self) -> &'static str {
         "quantile"
     }
+}
+
+/// The `lo`-th and `hi`-th order statistics of `values` (`hi` is `lo` or
+/// `lo + 1`) by selection, or `None` where only a stable sort decides their
+/// bits: `values` holds a NaN, or either order statistic is `±0.0`.
+fn select_order_statistics(values: &mut [f64], lo: usize, hi: usize) -> Option<(f64, f64)> {
+    if values.iter().any(|x| x.is_nan()) {
+        return None;
+    }
+    let (_, &mut at_lo, upper) = values.select_nth_unstable_by(lo, |a, b| {
+        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        upper.iter().copied().fold(f64::INFINITY, f64::min)
+    };
+    (at_lo != 0.0 && at_hi != 0.0).then_some((at_lo, at_hi))
 }
 
 /// The (unbiased, n−1 denominator) sample variance.
@@ -1080,6 +1125,108 @@ mod tests {
         assert!(Quantile::new(0.5).estimate(&[]).is_nan());
         // out-of-range q is clamped
         assert_eq!(Quantile::new(7.0).q(), 1.0);
+    }
+
+    /// The quantile body before selection — copy, stable sort, interpolate —
+    /// kept verbatim as the oracle `Quantile::estimate` must match bit for
+    /// bit.
+    fn reference_quantile(quantile: &Quantile, data: &[f64]) -> f64 {
+        if data.is_empty() {
+            return f64::NAN;
+        }
+        let mut sorted = data.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let pos = quantile.q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    /// One seeded input of `len` values in one of five shapes: continuous,
+    /// heavy ties around ±0, special values (NaN, ±0, ±∞, subnormals,
+    /// extremes) among continuous ones, the same without NaN, and mostly
+    /// zeros of both signs.
+    fn hostile_input(rng: &mut rand::rngs::StdRng, shape: usize, len: usize) -> Vec<f64> {
+        use rand::Rng;
+        const SPECIAL: [f64; 11] = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+        ];
+        const TIES: [f64; 6] = [-1.0, -0.0, 0.0, 1.0, 2.0, 2.0];
+        (0..len)
+            .map(|_| match shape {
+                0 => rng.gen_range(-1e3..1e3),
+                1 => TIES[rng.gen_range(0..TIES.len())],
+                2 if rng.gen_bool(0.3) => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                3 if rng.gen_bool(0.3) => SPECIAL[rng.gen_range(1..SPECIAL.len())],
+                4 if rng.gen_bool(0.8) => [0.0, -0.0][rng.gen_range(0..2usize)],
+                _ => rng.gen_range(-4.0..4.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_matches_the_stable_sort_bit_for_bit() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e1ec7);
+        let (mut selected, mut sorted) = (0usize, 0usize);
+        // The stable sort may panic on a NaN it cannot order ("does not
+        // implement a total order"); selection must then panic the same way.
+        let bits = |f: &dyn Fn() -> f64| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .map(f64::to_bits)
+                .map_err(|_| "panicked")
+        };
+        let mut check = |data: &[f64], q: f64| {
+            let quantile = Quantile::new(q);
+            let expected = bits(&|| reference_quantile(&quantile, data));
+            let observed = bits(&|| quantile.estimate(data));
+            assert_eq!(
+                observed,
+                expected,
+                "q = {q}, n = {}: selection vs the stable sort",
+                data.len()
+            );
+            let pos = quantile.q * (data.len() - 1) as f64;
+            let mut scratch = data.to_vec();
+            match select_order_statistics(&mut scratch, pos.floor() as usize, pos.ceil() as usize) {
+                Some(_) => selected += 1,
+                None => sorted += 1,
+            }
+        };
+        let lengths = (1..=257).chain([10_000, 10_001, 10_000]);
+        for len in lengths {
+            for shape in 0..5 {
+                let data = hostile_input(&mut rng, shape, len);
+                for q in [0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0] {
+                    check(&data, q);
+                }
+                // Levels whose position is an integer: no interpolation.
+                let last = (len - 1) as f64;
+                for k in [1.0, last / 2.0, last - 1.0] {
+                    if k > 0.0 && k.fract() == 0.0 && k <= last {
+                        check(&data, k / last);
+                    }
+                }
+            }
+        }
+        // Both paths ran many times over.
+        assert!(selected > 1_000, "selection decided only {selected} cases");
+        assert!(sorted > 1_000, "the fallback decided only {sorted} cases");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! These are exactly the statistics for which no simple closed-form error
 //! estimate exists — the paper's motivation for bootstrap-based accuracy
 //! estimation (the jackknife famously fails for the median).  Their state is a
-//! value buffer: `update()` concatenates buffers, `finalize()` sorts once.
+//! value buffer: `update()` concatenates buffers, and `finalize()` finds its
+//! order statistics by O(n) selection ([`Quantile`]) or one scan (min, max).
+//! `evaluate()` reads its slice directly instead of buffering a copy first.
 
 use earl_bootstrap::estimators::Quantile;
 use earl_bootstrap::Estimator;
@@ -24,7 +26,7 @@ impl BufferState {
 }
 
 macro_rules! buffer_task {
-    ($(#[$doc:meta])* $name:ident, $task_name:literal, |$state:ident| $finalize:expr) => {
+    ($(#[$doc:meta])* $name:ident, $task_name:literal, |$values:ident| $evaluate:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, Default)]
         pub struct $name;
@@ -40,8 +42,11 @@ macro_rules! buffer_task {
             fn update(&self, state: &mut BufferState, other: &BufferState) {
                 state.values.extend_from_slice(&other.values);
             }
-            fn finalize(&self, $state: &BufferState) -> f64 {
-                $finalize
+            fn finalize(&self, state: &BufferState) -> f64 {
+                self.evaluate(&state.values)
+            }
+            fn evaluate(&self, $values: &[f64]) -> f64 {
+                $evaluate
             }
             fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
                 Some(earl_mapreduce::TaskSpec::named($task_name))
@@ -54,21 +59,21 @@ buffer_task!(
     /// The median (Fig. 6's workload).
     MedianTask,
     "median",
-    |state| Quantile::new(0.5).estimate(&state.values)
+    |values| Quantile::new(0.5).estimate(values)
 );
 
 buffer_task!(
     /// The minimum value.
     MinTask,
     "min",
-    |state| state.values.iter().copied().fold(f64::NAN, |a, x| if a.is_nan() || x < a { x } else { a })
+    |values| values.iter().copied().fold(f64::NAN, |a, x| if a.is_nan() || x < a { x } else { a })
 );
 
 buffer_task!(
     /// The maximum value.
     MaxTask,
     "max",
-    |state| state.values.iter().copied().fold(f64::NAN, |a, x| if a.is_nan() || x > a { x } else { a })
+    |values| values.iter().copied().fold(f64::NAN, |a, x| if a.is_nan() || x > a { x } else { a })
 );
 
 /// An arbitrary `q`-quantile.
@@ -105,7 +110,10 @@ impl EarlTask for QuantileTask {
         state.values.extend_from_slice(&other.values);
     }
     fn finalize(&self, state: &BufferState) -> f64 {
-        Quantile::new(self.q).estimate(&state.values)
+        self.evaluate(&state.values)
+    }
+    fn evaluate(&self, values: &[f64]) -> f64 {
+        Quantile::new(self.q).estimate(values)
     }
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec {
@@ -162,6 +170,49 @@ mod tests {
             MedianTask.evaluate(inputs[0]).to_bits(),
             (-0.0f64).to_bits()
         );
+    }
+
+    /// `evaluate` reads the slice directly; it must agree bit for bit with
+    /// the buffered path, whole and merged from two halves.
+    #[test]
+    fn evaluate_equals_finalize_of_initialize_bit_for_bit() {
+        fn check<T: EarlTask<State = BufferState>>(task: &T, values: &[f64]) {
+            let direct = task.evaluate(values).to_bits();
+            assert_eq!(
+                direct,
+                task.finalize(&task.initialize(values)).to_bits(),
+                "{} of {values:?}",
+                task.name()
+            );
+            for split in 0..=values.len() {
+                let (head, tail) = values.split_at(split);
+                let mut state = task.initialize(head);
+                task.update(&mut state, &task.initialize(tail));
+                assert_eq!(
+                    direct,
+                    task.finalize(&state).to_bits(),
+                    "{} of {head:?} + {tail:?}",
+                    task.name()
+                );
+            }
+        }
+        let inputs: [&[f64]; 7] = [
+            &[],
+            &[3.0],
+            &[9.0, 1.0, 5.0, 3.0, 7.0, 1.0],
+            &[0.0, -0.0, 1.0, -0.0, 0.0],
+            &[-0.0, 0.0, f64::NAN, 2.0, -1.0, 0.0],
+            &[f64::INFINITY, -5e-324, f64::NEG_INFINITY, 5e-324, -0.0],
+            &[f64::NAN, 3.0, -0.0, f64::NAN, 0.0, 0.0, -5.0],
+        ];
+        for values in inputs {
+            check(&MedianTask, values);
+            check(&MinTask, values);
+            check(&MaxTask, values);
+            for q in [0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0] {
+                check(&QuantileTask::new(q), values);
+            }
+        }
     }
 
     #[test]
