@@ -1,18 +1,24 @@
-//! Golden pins for the benchmark's three bare-driver ladder workloads and its
-//! resident-service workload.
+//! Golden pins for all five benchmark workloads: the three bare-driver ladder
+//! workloads, the remote ladder over TCP workers and the resident service.
 //!
 //! The configurations are copied from `benchmark/src/workloads.rs` (`build`:
-//! `scan_linear`, `ladder_order`, `grouped_keys`, `serve_closed`), and the
-//! worlds from the set-up the benchmark gives them: `benchmark/src/scalar.rs`
-//! (`common_dfs_config`, `fresh_dfs`, `Scalar::setup`, and the reference run
-//! in `Scalar::verify`), `benchmark/src/grouped.rs` (`Grouped::setup` and
-//! `Grouped::run_answer`) and `benchmark/src/serve.rs` (`Serve::new`,
-//! `Serve::setup` and the service-versus-solo check of `Serve::verify`).
-//! Each runs at the benchmark's seed 11 on a fresh world, exactly like the
-//! benchmark's reference run, and every deterministic field of the report is
-//! pinned as a bit pattern: the `--trace 1` cells `core.iterations`,
-//! `core.sample_fraction`, `core.bootstraps`, `core.cv`, `cluster.sim_s` and
+//! `scan_linear`, `ladder_order`, `grouped_keys`, `net_remote`,
+//! `serve_closed`), and the worlds from the set-up the benchmark gives them:
+//! `benchmark/src/scalar.rs` (`common_dfs_config`, `fresh_dfs`,
+//! `Scalar::setup`, and the reference run in `Scalar::verify`, including its
+//! remote-versus-in-process check), `benchmark/src/grouped.rs`
+//! (`Grouped::setup` and `Grouped::run_answer`) and `benchmark/src/serve.rs`
+//! (`Serve::new`, `Serve::setup` and the service-versus-solo check of
+//! `Serve::verify`).  Each runs at the benchmark's seed 11 on a fresh world,
+//! exactly like the benchmark's reference run, and every deterministic field
+//! of the report is pinned as a bit pattern: the `--trace 1` cells
+//! `core.iterations`, `core.sample_fraction`, `core.bootstraps`, `core.cv`,
+//! `cluster.sim_s`, `net.remote_calls`, `net.section_calls` and
 //! `serve.updates_per_job` are read off these reports.
+//!
+//! `net_remote`'s workers run as threads of this process (the benchmark
+//! spawns `earl-worker` processes; both serve the same `run_worker` loop) on
+//! loopback.
 //!
 //! The full-size cases are `#[ignore]`d (run them in release with
 //! `cargo test --release --test reference_workloads -- --ignored`).  Each has
@@ -35,8 +41,12 @@ use earl_core::{
 };
 use earl_dfs::{Dfs, DfsConfig};
 use earl_mapreduce::TaskSpec;
+use earl_net::{run_worker, TcpTransport};
 use earl_serve::{DatasetDef, DatasetRegistry, EarlService, JobRequest, ServiceConfig};
 use earl_workload::{DatasetBuilder, DatasetSpec, GroupedSpec};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
+use std::time::Duration;
 
 const SEED: u64 = 11;
 const PATH: &str = "/bench/data";
@@ -473,6 +483,127 @@ fn grouped_keys_twin() {
             exact: false,
             sim_micros: 88_541_254,
             bytes_read: 34_055_530,
+        },
+    );
+}
+
+// ---------------------------------------------------------------------------
+// net_remote: mean of 1 M records over two TCP workers on loopback, depth 1
+// ---------------------------------------------------------------------------
+
+/// One remote run's pin: its report and the wire calls the transport made.
+#[derive(Debug, PartialEq, Eq)]
+struct RemotePin {
+    remote_calls: usize,
+    section_calls: usize,
+    report: ScalarPin,
+}
+
+/// Starts one worker serving `run_worker` on a loopback port of its own.
+fn spawn_worker() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let _ = run_worker(listener);
+    });
+    addr
+}
+
+/// `Scalar::setup` with `remote: true` + the reference run of
+/// `Scalar::verify`: 4 nodes, two workers provisioned with the dataset, the
+/// driver on their transport.  The report must equal an in-process driver's
+/// on a second fresh world, as `Scalar::verify` demands.
+fn net_remote(records: u64, sigma: f64) -> RemotePin {
+    let dataset = DatasetSpec::normal(records, 500.0, 400.0, SEED);
+    // Depth 1: the only depth at which section summaries travel.
+    let config = pinned(sigma, 1);
+    let dfs = fresh_dfs(4);
+    DatasetBuilder::new(dfs.clone())
+        .build(PATH, &dataset)
+        .unwrap();
+    let addrs = [spawn_worker(), spawn_worker()];
+    let transport = Arc::new(
+        TcpTransport::connect(dfs.cluster().clone(), &addrs, Duration::from_secs(10)).unwrap(),
+    );
+    transport.provision(&dfs, PATH).unwrap();
+    let report = EarlDriver::new(dfs, threaded(config))
+        .with_transport(transport.clone())
+        .run(PATH, &MeanTask)
+        .unwrap();
+    let pin = RemotePin {
+        remote_calls: transport.remote_calls(),
+        section_calls: transport.section_calls(),
+        report: ScalarPin::of(&report),
+    };
+    transport.shutdown();
+    let local = run_scalar(4, &dataset, config, &MeanTask);
+    assert_eq!(
+        report, local,
+        "remote report differs from the in-process report on a fresh world"
+    );
+    pin
+}
+
+fn check_remote(observed: RemotePin, expected: RemotePin) {
+    assert!(
+        observed == expected,
+        "remote report drifted from its pin; observed:\n{observed:#x?}"
+    );
+}
+
+#[test]
+#[ignore = "full size: 1 M records; run in release with --ignored"]
+fn net_remote_full_size() {
+    let observed = net_remote(1_000_000, 0.0033);
+    check_remote(
+        observed,
+        RemotePin {
+            remote_calls: 2,
+            section_calls: 4,
+            report: ScalarPin {
+                result: 0x407f3967eb21d3f9,
+                uncorrected: 0x407f3967eb21d3f9,
+                cv: 0x3f6785dbe4e1d533,
+                ci: (0x407f143b5fbf4824, 0x407f6aaff70ee7a1),
+                sample_size: 80_000,
+                population: 1_000_000,
+                sample_fraction: 0x3fb47ae147ae147b,
+                iterations: 4,
+                bootstraps: 200,
+                exact: false,
+                sim_micros: 840_061_553,
+                bytes_read: 341_206_744,
+                resample_work: None,
+            },
+        },
+    );
+}
+
+#[test]
+fn net_remote_twin() {
+    // Half the records, as for `ladder_order`: (n, B) is pinned at (2000, 200).
+    let observed = net_remote(500_000, 0.005);
+    assert_climbs(observed.report.iterations, observed.report.exact);
+    check_remote(
+        observed,
+        RemotePin {
+            remote_calls: 2,
+            section_calls: 4,
+            report: ScalarPin {
+                result: 0x407f5a91c4b7dbbd,
+                uncorrected: 0x407f5a91c4b7dbbd,
+                cv: 0x3f700869150a0555,
+                ci: (0x407f22face4181f2, 0x407f9f8d101ec005),
+                sample_size: 40_000,
+                population: 500_000,
+                sample_fraction: 0x3fb47ae147ae147b,
+                iterations: 4,
+                bootstraps: 200,
+                exact: false,
+                sim_micros: 421_652_563,
+                bytes_read: 170_774_386,
+                resample_work: None,
+            },
         },
     );
 }
