@@ -73,11 +73,6 @@ impl BenchEnv {
     pub fn reset(&self) {
         self.dfs.cluster().reset_accounting();
     }
-
-    /// Simulated seconds elapsed on the cluster.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.dfs.cluster().elapsed().as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -90,9 +85,10 @@ mod tests {
         assert_eq!(env.dfs().cluster().num_nodes(), 5);
         let ds = env.standard_dataset("/bench", 5_000, 2);
         assert_eq!(ds.status.num_records, Some(5_000));
-        assert!(env.elapsed_secs() > 0.0, "writing charges time");
+        let elapsed = || env.dfs().cluster().elapsed().as_micros();
+        assert!(elapsed() > 0, "writing charges time");
         env.reset();
-        assert_eq!(env.elapsed_secs(), 0.0);
+        assert_eq!(elapsed(), 0);
         assert!(Scale::Full.records() > Scale::Quick.records());
     }
 }

@@ -154,11 +154,9 @@ impl BootstrapKernel {
 /// Configuration of a bootstrap run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BootstrapConfig {
-    /// Number of resamples `B`.
+    /// Number of resamples `B`; each resample is as large as the sample (the
+    /// standard bootstrap).
     pub num_resamples: usize,
-    /// Size of each resample; `None` means "same as the sample size", the
-    /// standard bootstrap.
-    pub resample_size: Option<usize>,
     /// Worker threads used to evaluate the replicates; `None` means one per
     /// available core.  Any value yields bit-identical results — replicate RNG
     /// streams depend only on `(seed, replicate index)`.
@@ -174,7 +172,6 @@ impl Default for BootstrapConfig {
         // estimate of the error (§3.1 / Fig. 2a).
         Self {
             num_resamples: 30,
-            resample_size: None,
             parallelism: None,
             kernel: BootstrapKernel::Auto,
         }
@@ -309,12 +306,6 @@ impl Resampler {
             },
             _ => Self::with_capacity(size),
         }
-    }
-
-    /// Whether this scratch evaluates replicates through a streaming
-    /// accumulator (no gather buffer) rather than the gather path.
-    pub fn is_streaming(&self) -> bool {
-        self.accumulator.is_some()
     }
 
     /// Draws one resample of `size` elements from `data` (with replacement)
@@ -889,7 +880,7 @@ pub fn bootstrap_distribution(
 /// `b ∈ [0, B)`); a decline — or a reply of the wrong length — falls back to
 /// the local thread pool.  Because a conforming evaluator returns the exact
 /// bits local evaluation would produce, the result is the same pure function
-/// of `(seed, data, estimator, B, size, kernel)` on every path.
+/// of `(seed, data, estimator, B, kernel)` on every path.
 pub fn bootstrap_distribution_via(
     seed: u64,
     data: &[f64],
@@ -905,8 +896,8 @@ pub fn bootstrap_distribution_via(
             "need at least 2 bootstrap resamples".into(),
         ));
     }
-    // Multi-column estimators resample whole records: `size`, `resample_size`
-    // and the section summaries all count records, not values.
+    // Multi-column estimators resample whole records: `size` and the section
+    // summaries count records, not values.
     let stride = estimator.record_stride().max(1);
     if data.len() % stride != 0 {
         return Err(StatsError::InvalidParameter(format!(
@@ -914,16 +905,7 @@ pub fn bootstrap_distribution_via(
             data.len()
         )));
     }
-    let n_records = data.len() / stride;
-    if n_records == 0 {
-        return Err(StatsError::EmptySample);
-    }
-    let size = config.resample_size.unwrap_or(n_records);
-    if size == 0 {
-        return Err(StatsError::InvalidParameter(
-            "resample size must be ≥ 1".into(),
-        ));
-    }
+    let size = data.len() / stride;
     let point_estimate = estimator.estimate(data);
     let threads = config.effective_parallelism(size * stride);
     let replicates = match BuiltSections::build_for(data, estimator, config.kernel)? {
@@ -1074,11 +1056,6 @@ mod tests {
         assert!(
             bootstrap_distribution(0, &[1.0], &Mean, &BootstrapConfig::with_resamples(1)).is_err()
         );
-        let bad_size = BootstrapConfig {
-            resample_size: Some(0),
-            ..BootstrapConfig::with_resamples(10)
-        };
-        assert!(bootstrap_distribution(0, &[1.0], &Mean, &bad_size).is_err());
     }
 
     #[test]

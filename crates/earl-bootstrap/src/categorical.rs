@@ -3,9 +3,10 @@
 //! For categorical data the statistic of interest is the proportion of
 //! "successes" in the population.  Given a sample of size `n` with `X`
 //! successes, `p̂ = X/n` follows (approximately, for large `n`) a normal
-//! distribution with mean `p` and variance `p(1−p)/n`, so a z-interval and a
-//! z-test can be used for accuracy estimation — allowing EARL to handle
-//! categorical attributes with the same early-termination loop as numeric ones.
+//! distribution with mean `p` and variance `p(1−p)/n`, so its standard error
+//! `√(p̂(1−p̂)/n)` gives the accuracy estimate in closed form — allowing EARL to
+//! handle categorical attributes with the same early-termination loop as
+//! numeric ones.
 
 use serde::{Deserialize, Serialize};
 
@@ -45,14 +46,6 @@ impl ProportionEstimate {
         })
     }
 
-    /// Estimates a proportion from a boolean sample.
-    pub fn from_sample(sample: &[bool]) -> Result<Self> {
-        Self::new(
-            sample.iter().filter(|b| **b).count() as u64,
-            sample.len() as u64,
-        )
-    }
-
     /// Coefficient of variation of the estimate, `SE/p̂` — the same error
     /// measure EARL uses for numeric statistics.
     pub fn cv(&self) -> f64 {
@@ -60,91 +53,6 @@ impl ProportionEstimate {
             return f64::NAN;
         }
         self.std_error / self.p_hat
-    }
-
-    /// A `1 − alpha` z confidence interval (clamped to `[0, 1]`).
-    pub fn confidence_interval(&self, alpha: f64) -> (f64, f64) {
-        let z = normal_quantile(1.0 - alpha.clamp(1e-12, 1.0 - 1e-12) / 2.0);
-        let half = z * self.std_error;
-        ((self.p_hat - half).max(0.0), (self.p_hat + half).min(1.0))
-    }
-
-    /// Two-sided z-test of `H0: p = p0`; returns `(z, p_value)`.
-    pub fn z_test(&self, p0: f64) -> (f64, f64) {
-        let se0 = (p0 * (1.0 - p0) / self.n as f64).sqrt();
-        if se0 == 0.0 {
-            return (f64::INFINITY, 0.0);
-        }
-        let z = (self.p_hat - p0) / se0;
-        let p_value = 2.0 * (1.0 - normal_cdf(z.abs()));
-        (z, p_value.clamp(0.0, 1.0))
-    }
-}
-
-/// The standard normal CDF Φ(x), via the Abramowitz–Stegun erf approximation
-/// (max absolute error ≈ 1.5 × 10⁻⁷).
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// The standard normal quantile Φ⁻¹(p) (Acklam's rational approximation,
-/// relative error < 1.15 × 10⁻⁹).
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile level must be in (0, 1)");
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     }
 }
 
@@ -162,62 +70,5 @@ mod tests {
         assert!(ProportionEstimate::new(11, 10).is_err());
         let zero = ProportionEstimate::new(0, 10).unwrap();
         assert!(zero.cv().is_nan());
-    }
-
-    #[test]
-    fn from_boolean_sample() {
-        let sample: Vec<bool> = (0..200).map(|i| i % 4 == 0).collect();
-        let est = ProportionEstimate::from_sample(&sample).unwrap();
-        assert!((est.p_hat - 0.25).abs() < 1e-12);
-        assert_eq!(est.n, 200);
-    }
-
-    #[test]
-    fn confidence_interval_covers_the_truth_and_narrows_with_n() {
-        let small = ProportionEstimate::new(40, 100).unwrap();
-        let large = ProportionEstimate::new(4_000, 10_000).unwrap();
-        let (lo_s, hi_s) = small.confidence_interval(0.05);
-        let (lo_l, hi_l) = large.confidence_interval(0.05);
-        assert!(lo_s < 0.4 && 0.4 < hi_s);
-        assert!(lo_l < 0.4 && 0.4 < hi_l);
-        assert!(hi_l - lo_l < hi_s - lo_s, "more data → narrower interval");
-        // Interval is clamped to [0, 1].
-        let extreme = ProportionEstimate::new(1, 2).unwrap();
-        let (lo, hi) = extreme.confidence_interval(0.0001);
-        assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
-    }
-
-    #[test]
-    fn z_test_behaviour() {
-        let est = ProportionEstimate::new(55, 100).unwrap();
-        let (_, p_same) = est.z_test(0.5);
-        assert!(
-            p_same > 0.05,
-            "55/100 is not significantly different from 0.5"
-        );
-        let (z_far, p_far) = est.z_test(0.2);
-        assert!(z_far > 5.0);
-        assert!(p_far < 1e-6);
-    }
-
-    #[test]
-    fn normal_cdf_and_quantile_are_inverse() {
-        for p in [0.01, 0.1, 0.25, 0.5, 0.8, 0.975, 0.999] {
-            let x = normal_quantile(p);
-            assert!(
-                (normal_cdf(x) - p).abs() < 1e-6,
-                "round-trip failed at p={p}"
-            );
-        }
-        assert!((normal_quantile(0.975) - 1.959_964).abs() < 1e-4);
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-9);
-        assert!(normal_cdf(8.0) > 0.999_999);
-        assert!(normal_cdf(-8.0) < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile level")]
-    fn quantile_rejects_out_of_range() {
-        normal_quantile(1.5);
     }
 }

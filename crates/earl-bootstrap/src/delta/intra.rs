@@ -60,32 +60,9 @@ pub fn optimal_y(n: u64) -> (f64, f64) {
     best
 }
 
-/// Measures the actual fraction of items shared (as multisets) between two
-/// resamples — the empirical counterpart of Eq. 4 used by tests and the Fig. 3
-/// bench to validate the model.
-pub fn multiset_overlap_fraction(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let mut counts: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
-    for x in a {
-        *counts.entry(x.to_bits()).or_insert(0) += 1;
-    }
-    let mut shared = 0usize;
-    for x in b {
-        let entry = counts.entry(x.to_bits()).or_insert(0);
-        if *entry > 0 {
-            *entry -= 1;
-            shared += 1;
-        }
-    }
-    shared as f64 / a.len().max(b.len()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::{sample_indices_with_replacement, seeded_rng, standard_normal};
 
     #[test]
     fn eq4_matches_the_papers_worked_example() {
@@ -148,26 +125,5 @@ mod tests {
             s_small > s_mid && s_mid > s_large,
             "{s_small} > {s_mid} > {s_large} expected"
         );
-    }
-
-    #[test]
-    fn empirical_overlap_of_real_resamples_is_substantial() {
-        // Two independent bootstrap resamples of the same data share ~63% of the
-        // underlying multiset in expectation (1 − 1/e each, combined), so the
-        // measured overlap must be far above zero — the effect §4.2 exploits.
-        let mut rng = seeded_rng(1);
-        let data: Vec<f64> = (0..500).map(|_| standard_normal(&mut rng)).collect();
-        let a: Vec<f64> = sample_indices_with_replacement(&mut rng, data.len(), data.len())
-            .iter()
-            .map(|&i| data[i])
-            .collect();
-        let b: Vec<f64> = sample_indices_with_replacement(&mut rng, data.len(), data.len())
-            .iter()
-            .map(|&i| data[i])
-            .collect();
-        let overlap = multiset_overlap_fraction(&a, &b);
-        assert!(overlap > 0.3, "measured overlap {overlap}");
-        assert_eq!(multiset_overlap_fraction(&[], &a), 0.0);
-        assert_eq!(multiset_overlap_fraction(&a, &a), 1.0);
     }
 }

@@ -15,4 +15,4 @@ pub mod inter;
 pub mod intra;
 
 pub use inter::{IncrementalBootstrap, SketchConfig, UpdateWork};
-pub use intra::{expected_work_saved, multiset_overlap_fraction, optimal_y, overlap_probability};
+pub use intra::{expected_work_saved, optimal_y, overlap_probability};

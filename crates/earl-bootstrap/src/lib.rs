@@ -20,8 +20,8 @@
 //! * [`delta`] — the inter-iteration (§4.1) and intra-iteration (§4.2) delta
 //!   maintenance optimisations, including the two-layer sketch structure and
 //!   the Eq. 4 overlap model;
-//! * [`categorical`] — proportion estimation with normal-approximation
-//!   intervals (Appendix A);
+//! * [`categorical`] — proportion estimation with a normal-approximation
+//!   standard error (Appendix A);
 //! * [`parallel`] — the scoped fork-join executor all resampling paths run on:
 //!   per-worker reusable scratch buffers (no per-replicate allocation) and
 //!   per-replicate RNG streams derived from `(seed, replicate)` via SplitMix64.

@@ -33,6 +33,11 @@ use crate::{Result, StatsError};
 const B_PHASE: u64 = 0;
 /// Sub-seed stream tag base of the ladder levels of phase 1b.
 const LADDER_PHASE: u64 = 1;
+/// Number of ladder levels `l` used for the sample-size fit (paper: 5).
+const LADDER_LEVELS: usize = 5;
+/// Smallest `B` phase 1a may return (the paper's candidate set starts at 2):
+/// a floor so the cv of the replicate distribution is itself reliable.
+const MIN_B: usize = 5;
 
 /// Configuration of the SSABE procedure.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -41,11 +46,6 @@ pub struct SsabeConfig {
     pub sigma: f64,
     /// Error-stability threshold τ: B stops growing when `|cv_i − cv_{i−1}| < τ`.
     pub tau: f64,
-    /// Number of ladder levels `l` used for the sample-size fit (paper: 5).
-    pub ladder_levels: usize,
-    /// Smallest candidate `B` (paper: 2), and a floor on the returned value so
-    /// the cv of the replicate distribution is itself reliable.
-    pub min_b: usize,
     /// Hard cap on candidate `B` values (the paper's candidate set is
     /// `{2, …, 1/τ}`).
     pub max_b: usize,
@@ -61,8 +61,6 @@ impl Default for SsabeConfig {
         Self {
             sigma: 0.05,
             tau: 0.01,
-            ladder_levels: 5,
-            min_b: 5,
             max_b: 200,
             parallelism: None,
             kernel: BootstrapKernel::Auto,
@@ -94,15 +92,10 @@ impl SsabeConfig {
         if self.tau <= 0.0 || self.tau.is_nan() {
             return Err(StatsError::InvalidParameter("tau must be > 0".into()));
         }
-        if self.ladder_levels < 2 {
-            return Err(StatsError::InvalidParameter(
-                "need at least 2 ladder levels".into(),
-            ));
-        }
-        if self.min_b < 2 || self.max_b < self.min_b {
-            return Err(StatsError::InvalidParameter(
-                "need 2 ≤ min_b ≤ max_b".into(),
-            ));
+        if self.max_b < MIN_B {
+            return Err(StatsError::InvalidParameter(format!(
+                "need max_b ≥ {MIN_B}"
+            )));
         }
         Ok(())
     }
@@ -252,7 +245,7 @@ impl Ssabe {
             let prev = *trace.last().expect("trace is non-empty");
             trace.push(cv);
             let stable = (cv - prev).abs() < self.config.tau;
-            if stable && b >= self.config.min_b {
+            if stable && b >= MIN_B {
                 chosen = b;
                 break;
             }
@@ -280,13 +273,12 @@ impl Ssabe {
                 pilot.len()
             )));
         }
-        if n0 < (1 << self.config.ladder_levels) {
+        if n0 < (1 << LADDER_LEVELS) {
             return Err(StatsError::InvalidParameter(format!(
-                "pilot of {n0} items is too small for {} ladder levels",
-                self.config.ladder_levels
+                "pilot of {n0} items is too small for {LADDER_LEVELS} ladder levels"
             )));
         }
-        let l = self.config.ladder_levels;
+        let l = LADDER_LEVELS;
         let mut ladder = Vec::with_capacity(l);
         let config = BootstrapConfig::with_resamples(b.max(2))
             .with_parallelism(self.config.parallelism)
@@ -419,12 +411,7 @@ mod tests {
         })
         .is_err());
         assert!(Ssabe::new(SsabeConfig {
-            ladder_levels: 1,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(Ssabe::new(SsabeConfig {
-            min_b: 1,
+            max_b: MIN_B - 1,
             ..Default::default()
         })
         .is_err());

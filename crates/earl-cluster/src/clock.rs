@@ -58,11 +58,6 @@ impl SimDuration {
         self.micros
     }
 
-    /// The duration in (truncated) milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.micros / 1_000
-    }
-
     /// The duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.micros as f64 / 1_000_000.0
@@ -187,16 +182,6 @@ impl SimClock {
         *now
     }
 
-    /// Advances the clock to `instant` if it is in the future; otherwise leaves
-    /// it unchanged.  Returns the (possibly unchanged) current instant.
-    pub fn advance_to(&self, instant: SimInstant) -> SimInstant {
-        let mut now = self.now.lock();
-        if instant > *now {
-            *now = instant;
-        }
-        *now
-    }
-
     /// Total elapsed simulated time since the epoch.
     pub fn elapsed(&self) -> SimDuration {
         self.now().duration_since(SimInstant::EPOCH)
@@ -215,7 +200,7 @@ mod tests {
     #[test]
     fn duration_conversions_round_trip() {
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimDuration::from_secs(2).as_millis(), 2_000);
+        assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         let d = SimDuration::from_secs_f64(1.5);
         assert_eq!(d.as_micros(), 1_500_000);
         assert!((d.as_secs_f64() - 1.5).abs() < 1e-9);
@@ -246,11 +231,8 @@ mod tests {
         assert_eq!(clock.now(), SimInstant::EPOCH);
         let t1 = clock.advance(SimDuration::from_micros(100));
         assert_eq!(t1.as_micros(), 100);
-        // advance_to in the past is a no-op
-        let t2 = clock.advance_to(SimInstant::EPOCH);
-        assert_eq!(t2.as_micros(), 100);
-        let t3 = clock.advance_to(SimInstant::EPOCH + SimDuration::from_micros(500));
-        assert_eq!(t3.as_micros(), 500);
+        let t2 = clock.advance(SimDuration::from_micros(400));
+        assert_eq!(t2.as_micros(), 500);
         assert_eq!(clock.elapsed().as_micros(), 500);
         clock.reset();
         assert_eq!(clock.now(), SimInstant::EPOCH);

@@ -111,17 +111,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Total number of task slots across available nodes.
-    pub fn total_task_slots(&self) -> u32 {
-        self.inner
-            .nodes
-            .read()
-            .iter()
-            .filter(|n| n.is_available())
-            .map(|n| n.task_slots())
-            .sum()
-    }
-
     /// Snapshot of a node.
     pub fn node(&self, id: NodeId) -> Result<Node> {
         self.inner
@@ -180,16 +169,6 @@ impl Cluster {
             return Err(ClusterError::NodeUnavailable(node));
         }
         n.add_stored(bytes);
-        Ok(())
-    }
-
-    /// Records that `bytes` of block data were removed from `node`.
-    pub fn record_block_removed(&self, node: NodeId, bytes: u64) -> Result<()> {
-        let mut nodes = self.inner.nodes.write();
-        let n = nodes
-            .get_mut(node.index())
-            .ok_or(ClusterError::UnknownNode(node))?;
-        n.remove_stored(bytes);
         Ok(())
     }
 
@@ -379,21 +358,9 @@ impl Cluster {
     /// immediately rejoins [`Self::available_nodes`], so the next phase's
     /// planning picks it back up.  No fault-log entry is written: the *death*
     /// was the observable event, and recovery restores capacity without
-    /// rewriting history.  Recovering a decommissioned node leaves it out of
-    /// service; recovering a healthy node is a no-op.
+    /// rewriting history.  Recovering a healthy node is a no-op.
     pub fn report_recovery(&self, id: NodeId) -> Result<()> {
         self.repair_node(id)
-    }
-
-    /// Administratively decommissions a node: it stops serving blocks and
-    /// running tasks and cannot be repaired back into service.
-    pub fn decommission_node(&self, id: NodeId) -> Result<()> {
-        let mut nodes = self.inner.nodes.write();
-        let n = nodes
-            .get_mut(id.index())
-            .ok_or(ClusterError::UnknownNode(id))?;
-        n.decommission();
-        Ok(())
     }
 
     /// Repairs a failed node (it comes back empty).
@@ -599,7 +566,6 @@ mod tests {
         let c = Cluster::with_nodes(5);
         assert_eq!(c.num_nodes(), 5);
         assert_eq!(c.available_nodes().len(), 5);
-        assert_eq!(c.total_task_slots(), 10);
     }
 
     #[test]
@@ -647,8 +613,6 @@ mod tests {
         c.record_block_stored(NodeId(0), 100).unwrap();
         c.record_block_stored(NodeId(1), 50).unwrap();
         assert_eq!(c.least_loaded_node().unwrap(), NodeId(2));
-        c.record_block_removed(NodeId(0), 100).unwrap();
-        assert_eq!(c.node(NodeId(0)).unwrap().stored_bytes(), 0);
     }
 
     #[test]
@@ -682,12 +646,9 @@ mod tests {
             1,
             "recovery must not rewrite the failure history"
         );
-        // Recovering a healthy node is a no-op; decommissioned nodes stay out.
+        // Recovering a healthy node is a no-op.
         c.report_recovery(NodeId(0)).unwrap();
         assert_eq!(c.available_nodes().len(), 3);
-        c.decommission_node(NodeId(2)).unwrap();
-        c.report_recovery(NodeId(2)).unwrap();
-        assert_eq!(c.available_nodes(), vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]
@@ -786,15 +747,6 @@ mod tests {
         assert_eq!(c.elapsed(), SimDuration::ZERO);
         assert_eq!(c.metrics().snapshot().total_disk_bytes_read(), 0);
         assert_eq!(c.node(NodeId(0)).unwrap().stored_bytes(), 42);
-    }
-
-    #[test]
-    fn decommissioned_node_cannot_be_repaired() {
-        let c = Cluster::with_nodes(2);
-        c.decommission_node(NodeId(0)).unwrap();
-        assert_eq!(c.available_nodes(), vec![NodeId(1)]);
-        c.repair_node(NodeId(0)).unwrap();
-        assert_eq!(c.available_nodes(), vec![NodeId(1)]);
     }
 
     #[test]

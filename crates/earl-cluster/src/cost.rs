@@ -162,24 +162,6 @@ impl CostModelBuilder {
         self
     }
 
-    /// Sets the sequential-read throughput in MiB/s.
-    pub fn disk_read_mib_per_sec(mut self, mib_per_sec: f64) -> Self {
-        self.model.disk_read_bytes_per_sec = mib_per_sec * MIB;
-        self
-    }
-
-    /// Sets the sequential-write throughput in MiB/s.
-    pub fn disk_write_mib_per_sec(mut self, mib_per_sec: f64) -> Self {
-        self.model.disk_write_bytes_per_sec = mib_per_sec * MIB;
-        self
-    }
-
-    /// Sets the network throughput in MiB/s.
-    pub fn net_mib_per_sec(mut self, mib_per_sec: f64) -> Self {
-        self.model.net_bytes_per_sec = mib_per_sec * MIB;
-        self
-    }
-
     /// Sets the per-record map CPU cost.
     pub fn cpu_per_map_record(mut self, d: SimDuration) -> Self {
         self.model.cpu_per_map_record = d;
@@ -259,11 +241,9 @@ mod tests {
     #[test]
     fn builder_overrides_fields() {
         let m = CostModel::builder()
-            .disk_read_mib_per_sec(200.0)
             .task_startup(SimDuration::from_millis(1))
             .heavy_cpu_factor(0.5) // clamped to 1.0
             .build();
-        assert!((m.disk_read_bytes_per_sec - 200.0 * MIB).abs() < 1.0);
         assert_eq!(m.task_startup, SimDuration::from_millis(1));
         assert_eq!(m.heavy_cpu_factor, 1.0);
     }

@@ -9,7 +9,7 @@ use crate::node::NodeId;
 pub enum ClusterError {
     /// A node id referenced a node that does not exist.
     UnknownNode(NodeId),
-    /// An operation targeted a node that is failed or decommissioned.
+    /// An operation targeted a node that is failed.
     NodeUnavailable(NodeId),
     /// No node in the cluster is available to serve the request.
     NoAvailableNodes,

@@ -145,11 +145,6 @@ impl FailureInjector {
         }
     }
 
-    /// Creates an injector that never fails anything.
-    pub fn none() -> Self {
-        Self::new(FailureSchedule::None)
-    }
-
     /// Advances the injector to `now` and returns the events (among
     /// `available_nodes`) that fire in the interval `(last_checked, now]`.
     ///
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn none_schedule_never_fails() {
-        let mut inj = FailureInjector::none();
+        let mut inj = FailureInjector::new(FailureSchedule::None);
         let failed = inj.poll(SimInstant::EPOCH + SimDuration::from_secs(1_000), &nodes(5));
         assert!(failed.is_empty());
         assert!(inj.fired_events().is_empty());

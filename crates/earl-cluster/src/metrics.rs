@@ -31,19 +31,6 @@ pub enum Phase {
     Other,
 }
 
-impl Phase {
-    /// All phases in a stable order.
-    pub const ALL: [Phase; 7] = [
-        Phase::Load,
-        Phase::Map,
-        Phase::Shuffle,
-        Phase::Reduce,
-        Phase::AccuracyEstimation,
-        Phase::Output,
-        Phase::Other,
-    ];
-}
-
 /// Counters for a single phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseCounters {
@@ -78,19 +65,9 @@ impl MetricsSnapshot {
         self.phases.values().map(|c| c.disk_bytes_read).sum()
     }
 
-    /// Total bytes moved over the network across all phases.
-    pub fn total_net_bytes(&self) -> u64 {
-        self.phases.values().map(|c| c.net_bytes).sum()
-    }
-
     /// Total records processed across all phases.
     pub fn total_records(&self) -> u64 {
         self.phases.values().map(|c| c.records).sum()
-    }
-
-    /// Total simulated time attributed across all phases.
-    pub fn total_sim_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.phases.values().map(|c| c.sim_time_micros).sum())
     }
 
     /// Counters for one phase (zeroes if the phase never ran).
@@ -197,7 +174,6 @@ mod tests {
         assert_eq!(snap.phase(Phase::Map).records, 10);
         assert_eq!(snap.total_disk_bytes_read(), 150);
         assert_eq!(snap.total_records(), 10);
-        assert_eq!(snap.total_sim_time().as_micros(), 8);
     }
 
     #[test]
@@ -225,15 +201,5 @@ mod tests {
         m.record_net(Phase::Shuffle, 10, SimDuration::from_micros(1));
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn all_phases_constant_is_exhaustive_enough() {
-        // Sanity: the ALL list contains distinct phases.
-        let mut set = std::collections::BTreeSet::new();
-        for p in Phase::ALL {
-            set.insert(p);
-        }
-        assert_eq!(set.len(), Phase::ALL.len());
     }
 }

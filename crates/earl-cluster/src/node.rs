@@ -36,8 +36,6 @@ pub enum NodeState {
     /// The node has failed; its blocks and in-flight tasks are lost until the
     /// node is repaired.
     Failed,
-    /// The node has been administratively decommissioned.
-    Decommissioned,
 }
 
 impl NodeState {
@@ -105,15 +103,6 @@ impl Node {
         self.stored_bytes
     }
 
-    /// Fraction of the disk currently used (0.0–1.0, may exceed 1.0 if
-    /// over-committed).
-    pub fn disk_utilisation(&self) -> f64 {
-        if self.disk_capacity_bytes == 0 {
-            return 0.0;
-        }
-        self.stored_bytes as f64 / self.disk_capacity_bytes as f64
-    }
-
     /// Lifetime number of tasks run.
     pub fn tasks_run(&self) -> u64 {
         self.tasks_run
@@ -127,11 +116,6 @@ impl Node {
     /// Records that `bytes` of block data were placed on this node.
     pub(crate) fn add_stored(&mut self, bytes: u64) {
         self.stored_bytes = self.stored_bytes.saturating_add(bytes);
-    }
-
-    /// Records that `bytes` of block data were removed from this node.
-    pub(crate) fn remove_stored(&mut self, bytes: u64) {
-        self.stored_bytes = self.stored_bytes.saturating_sub(bytes);
     }
 
     /// Records a task execution.
@@ -154,11 +138,6 @@ impl Node {
             self.stored_bytes = 0;
         }
     }
-
-    /// Decommissions the node.
-    pub(crate) fn decommission(&mut self) {
-        self.state = NodeState::Decommissioned;
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +154,6 @@ mod tests {
         assert_eq!(n.id(), NodeId(3));
         assert!(n.is_available());
         assert_eq!(n.stored_bytes(), 0);
-        assert_eq!(n.disk_utilisation(), 0.0);
         assert_eq!(n.task_slots(), 2);
     }
 
@@ -190,9 +168,6 @@ mod tests {
         let mut n = node();
         n.add_stored(600);
         assert_eq!(n.stored_bytes(), 600);
-        assert!((n.disk_utilisation() - 0.6).abs() < 1e-12);
-        n.remove_stored(1_000); // saturates
-        assert_eq!(n.stored_bytes(), 0);
     }
 
     #[test]
@@ -209,23 +184,6 @@ mod tests {
         n.repair();
         assert!(n.is_available());
         assert_eq!(n.stored_bytes(), 0, "repair brings the node back empty");
-    }
-
-    #[test]
-    fn decommissioned_node_is_unavailable() {
-        let mut n = node();
-        n.decommission();
-        assert_eq!(n.state(), NodeState::Decommissioned);
-        assert!(!n.is_available());
-        // repair does not resurrect a decommissioned node
-        n.repair();
-        assert_eq!(n.state(), NodeState::Decommissioned);
-    }
-
-    #[test]
-    fn zero_capacity_utilisation_is_zero() {
-        let n = Node::new(NodeId(1), 1, 0);
-        assert_eq!(n.disk_utilisation(), 0.0);
     }
 
     #[test]

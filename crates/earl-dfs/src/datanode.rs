@@ -58,11 +58,6 @@ impl BlockStore {
     pub fn is_empty(&self) -> bool {
         self.payloads.is_empty()
     }
-
-    /// Total payload bytes held.
-    pub fn total_bytes(&self) -> u64 {
-        self.payloads.values().map(|b| b.len() as u64).sum()
-    }
 }
 
 /// Per-node view of which blocks it hosts.
@@ -80,33 +75,6 @@ impl DataNodeDirectory {
     /// Records that `node` hosts a replica of `block`.
     pub fn add(&mut self, node: NodeId, block: BlockId) {
         self.hosted.entry(node).or_default().insert(block);
-    }
-
-    /// Removes the replica of `block` from `node`.
-    pub fn remove(&mut self, node: NodeId, block: BlockId) {
-        if let Some(set) = self.hosted.get_mut(&node) {
-            set.remove(&block);
-        }
-    }
-
-    /// Whether `node` hosts `block`.
-    pub fn hosts(&self, node: NodeId, block: BlockId) -> bool {
-        self.hosted
-            .get(&node)
-            .is_some_and(|set| set.contains(&block))
-    }
-
-    /// Blocks hosted by `node`.
-    pub fn blocks_on(&self, node: NodeId) -> Vec<BlockId> {
-        self.hosted
-            .get(&node)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of blocks hosted by `node`.
-    pub fn count_on(&self, node: NodeId) -> usize {
-        self.hosted.get(&node).map(|set| set.len()).unwrap_or(0)
     }
 
     /// Drops every replica hosted by `node` (node failure), returning the
@@ -129,7 +97,6 @@ mod tests {
         assert!(store.is_empty());
         store.put(BlockId(1), Bytes::from_static(b"hello"));
         assert_eq!(store.len(), 1);
-        assert_eq!(store.total_bytes(), 5);
         assert_eq!(store.get(BlockId(1)).unwrap(), Bytes::from_static(b"hello"));
         store.remove(BlockId(1));
         assert!(matches!(
@@ -144,22 +111,14 @@ mod tests {
         dir.add(NodeId(0), BlockId(1));
         dir.add(NodeId(0), BlockId(2));
         dir.add(NodeId(1), BlockId(1));
-        assert!(dir.hosts(NodeId(0), BlockId(1)));
-        assert!(!dir.hosts(NodeId(1), BlockId(2)));
-        assert_eq!(dir.count_on(NodeId(0)), 2);
-        dir.remove(NodeId(0), BlockId(2));
-        assert_eq!(dir.count_on(NodeId(0)), 1);
         let mut dropped = dir.drop_node(NodeId(0));
         dropped.sort();
-        assert_eq!(dropped, vec![BlockId(1)]);
-        assert_eq!(dir.count_on(NodeId(0)), 0);
-        assert!(dir.hosts(NodeId(1), BlockId(1)));
-    }
-
-    #[test]
-    fn unknown_node_has_no_blocks() {
-        let dir = DataNodeDirectory::new();
-        assert!(dir.blocks_on(NodeId(9)).is_empty());
-        assert_eq!(dir.count_on(NodeId(9)), 0);
+        assert_eq!(dropped, vec![BlockId(1), BlockId(2)]);
+        assert!(
+            dir.drop_node(NodeId(0)).is_empty(),
+            "a node is dropped once"
+        );
+        assert_eq!(dir.drop_node(NodeId(1)), vec![BlockId(1)]);
+        assert!(dir.drop_node(NodeId(9)).is_empty(), "unknown node");
     }
 }

@@ -11,7 +11,7 @@ use crate::datanode::{BlockStore, DataNodeDirectory};
 use crate::error::DfsError;
 use crate::file::{DfsPath, FileStatus};
 use crate::line_reader::LineRecordReader;
-use crate::namenode::{BlockLocation, FileMeta, NameNode};
+use crate::namenode::{FileMeta, NameNode};
 use crate::split::{compute_split_ranges, InputSplit};
 use crate::Result;
 
@@ -164,46 +164,6 @@ impl Dfs {
     /// Lists all files.
     pub fn list(&self) -> Vec<FileStatus> {
         self.inner.namenode.read().list()
-    }
-
-    /// Deletes a file and frees its blocks.
-    pub fn delete(&self, path: impl Into<DfsPath>) -> Result<()> {
-        let path = path.into();
-        let blocks = self.inner.namenode.write().delete_file(&path)?;
-        // Drop the file's read-stream heads: a new file at the same path must
-        // start with cold (seek-charged) reads, not inherit stale heads.
-        self.inner.read_cursors.write().remove(&path);
-        let mut store = self.inner.store.write();
-        let mut dir = self.inner.directory.write();
-        for block in blocks {
-            let size = store.get(block).map(|b| b.len() as u64).unwrap_or(0);
-            store.remove(block);
-            for node in self.inner.cluster.nodes() {
-                if dir.hosts(node.id(), block) {
-                    dir.remove(node.id(), block);
-                    let _ = self.inner.cluster.record_block_removed(node.id(), size);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Replica locations of every block of a file.
-    pub fn block_locations(&self, path: impl Into<DfsPath>) -> Result<Vec<BlockLocation>> {
-        self.inner
-            .namenode
-            .read()
-            .file_block_locations(&path.into())
-    }
-
-    /// Bytes of block data stored on a node according to the DFS directory.
-    pub fn bytes_on_node(&self, node: NodeId) -> u64 {
-        let dir = self.inner.directory.read();
-        let store = self.inner.store.read();
-        dir.blocks_on(node)
-            .iter()
-            .map(|b| store.get(*b).map(|d| d.len() as u64).unwrap_or(0))
-            .sum()
     }
 
     // ----- reading ----------------------------------------------------------
@@ -687,11 +647,6 @@ impl DfsWriter {
         self.bytes_written
     }
 
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.num_records
-    }
-
     /// Flushes the remaining buffer and registers the file with the NameNode.
     pub fn close(mut self) -> Result<FileStatus> {
         if !self.buffer.is_empty() {
@@ -730,42 +685,6 @@ mod tests {
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn deleted_file_does_not_leak_read_stream_heads() {
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .cost_model(earl_cluster::CostModel::commodity_2012())
-            .build()
-            .unwrap();
-        let dfs = Dfs::new(
-            cluster.clone(),
-            DfsConfig {
-                block_size: 1 << 12,
-                replication: 1,
-                io_chunk: 64,
-            },
-        )
-        .unwrap();
-        dfs.write_lines("/heads", ["0123456789abcdef"]).unwrap();
-        dfs.read_range(Phase::Load, "/heads", 0, 10).unwrap();
-        // Continuation of the stream: sequential, no seek surcharge.
-        let t0 = cluster.elapsed();
-        dfs.read_range(Phase::Load, "/heads", 10, 5).unwrap();
-        let sequential_cost = cluster.elapsed() - t0;
-
-        // Delete and recreate the path: the old stream heads must be gone, so
-        // the same read is a cold probe again and pays the seek.
-        dfs.delete("/heads").unwrap();
-        dfs.write_lines("/heads", ["0123456789abcdef"]).unwrap();
-        let t1 = cluster.elapsed();
-        dfs.read_range(Phase::Load, "/heads", 10, 5).unwrap();
-        let cold_cost = cluster.elapsed() - t1;
-        assert!(
-            cold_cost > sequential_cost,
-            "recreated file inherited stale stream heads: cold {cold_cost} vs sequential {sequential_cost}"
-        );
     }
 
     #[test]
@@ -846,20 +765,6 @@ mod tests {
             dfs.write_lines("/x", ["b"]),
             Err(DfsError::FileExists(_))
         ));
-    }
-
-    #[test]
-    fn delete_frees_blocks_and_storage() {
-        let dfs = dfs_with(8, 2);
-        dfs.write_lines("/x", (0..50).map(|i| i.to_string()))
-            .unwrap();
-        let total_before: u64 = dfs.cluster().nodes().iter().map(|n| n.stored_bytes()).sum();
-        assert!(total_before > 0);
-        dfs.delete("/x").unwrap();
-        assert!(!dfs.exists("/x"));
-        let total_after: u64 = dfs.cluster().nodes().iter().map(|n| n.stored_bytes()).sum();
-        assert_eq!(total_after, 0);
-        assert!(matches!(dfs.delete("/x"), Err(DfsError::FileNotFound(_))));
     }
 
     #[test]
@@ -995,20 +900,9 @@ mod tests {
         let mut w = dfs.create("/p").unwrap();
         w.write_line("hello").unwrap();
         w.write_bytes(b"raw").unwrap();
-        assert_eq!(w.records_written(), 1);
         assert_eq!(w.bytes_written(), 9);
         let status = w.close().unwrap();
         assert_eq!(status.len, 9);
-    }
-
-    #[test]
-    fn bytes_on_node_matches_cluster_accounting() {
-        let dfs = dfs_with(8, 2);
-        dfs.write_lines("/acct", (0..20).map(|i| i.to_string()))
-            .unwrap();
-        let from_dfs: u64 = (0..2).map(|i| dfs.bytes_on_node(NodeId(i))).sum();
-        let from_cluster: u64 = dfs.cluster().nodes().iter().map(|n| n.stored_bytes()).sum();
-        assert_eq!(from_dfs, from_cluster);
     }
 
     // ----- charge equivalence against the pre-PR-19 probe ------------------

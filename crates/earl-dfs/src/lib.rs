@@ -33,7 +33,6 @@ pub use dfs::{Dfs, DfsConfig};
 pub use error::DfsError;
 pub use file::{DfsPath, FileStatus};
 pub use line_reader::LineRecordReader;
-pub use namenode::BlockLocation;
 pub use split::InputSplit;
 
 /// Crate-wide result alias.

@@ -15,15 +15,6 @@ use crate::error::DfsError;
 use crate::file::{DfsPath, FileStatus};
 use crate::Result;
 
-/// Where the replicas of one block live.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockLocation {
-    /// The block.
-    pub block: BlockMeta,
-    /// The nodes holding a replica.
-    pub replicas: Vec<NodeId>,
-}
-
 /// Metadata for one file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FileMeta {
@@ -81,19 +72,6 @@ impl NameNode {
             .ok_or_else(|| DfsError::FileNotFound(path.to_string()))
     }
 
-    /// Removes a file, returning its block ids so the DataNodes can drop them.
-    pub fn delete_file(&mut self, path: &DfsPath) -> Result<Vec<BlockId>> {
-        let meta = self
-            .files
-            .remove(path)
-            .ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
-        let ids: Vec<BlockId> = meta.blocks.iter().map(|b| b.id).collect();
-        for id in &ids {
-            self.locations.remove(id);
-        }
-        Ok(ids)
-    }
-
     /// Lists all files.
     pub fn list(&self) -> Vec<FileStatus> {
         self.files
@@ -141,24 +119,6 @@ impl NameNode {
             entry.retain(|&n| n != node);
         }
     }
-
-    /// Block locations (metadata + replicas) for a whole file.
-    pub fn file_block_locations(&self, path: &DfsPath) -> Result<Vec<BlockLocation>> {
-        let meta = self.file(path)?;
-        Ok(meta
-            .blocks
-            .iter()
-            .map(|b| BlockLocation {
-                block: b.clone(),
-                replicas: self.locations(b.id).to_vec(),
-            })
-            .collect())
-    }
-
-    /// Iterates over every (path, meta) pair.
-    pub fn iter_files(&self) -> impl Iterator<Item = (&DfsPath, &FileMeta)> {
-        self.files.iter()
-    }
 }
 
 #[cfg(test)]
@@ -183,11 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn create_lookup_delete() {
+    fn create_and_lookup() {
         let mut nn = NameNode::new();
         let path = DfsPath::new("/a");
         let meta = meta_with_blocks(&mut nn, 3, 10);
-        let ids: Vec<BlockId> = meta.blocks.iter().map(|b| b.id).collect();
         nn.create_file(path.clone(), meta).unwrap();
         assert!(nn.exists(&path));
         assert_eq!(nn.file(&path).unwrap().blocks.len(), 3);
@@ -197,10 +156,9 @@ mod tests {
             nn.create_file(path.clone(), duplicate),
             Err(DfsError::FileExists(_))
         ));
-        let deleted = nn.delete_file(&path).unwrap();
-        assert_eq!(deleted, ids);
-        assert!(!nn.exists(&path));
-        assert!(matches!(nn.file(&path), Err(DfsError::FileNotFound(_))));
+        let missing = DfsPath::new("/b");
+        assert!(!nn.exists(&missing));
+        assert!(matches!(nn.file(&missing), Err(DfsError::FileNotFound(_))));
     }
 
     #[test]
@@ -224,21 +182,6 @@ mod tests {
         nn.drop_node(NodeId(1));
         let orphans = nn.drop_node(NodeId(2));
         assert_eq!(orphans, vec![blk]);
-    }
-
-    #[test]
-    fn file_block_locations_resolves_replicas() {
-        let mut nn = NameNode::new();
-        let meta = meta_with_blocks(&mut nn, 2, 5);
-        let ids: Vec<BlockId> = meta.blocks.iter().map(|b| b.id).collect();
-        let path = DfsPath::new("/f");
-        nn.create_file(path.clone(), meta).unwrap();
-        nn.set_locations(ids[0], vec![NodeId(0)]);
-        nn.set_locations(ids[1], vec![NodeId(1)]);
-        let locs = nn.file_block_locations(&path).unwrap();
-        assert_eq!(locs.len(), 2);
-        assert_eq!(locs[0].replicas, vec![NodeId(0)]);
-        assert_eq!(locs[1].replicas, vec![NodeId(1)]);
     }
 
     #[test]

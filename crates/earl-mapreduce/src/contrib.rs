@@ -1,7 +1,7 @@
-//! Ready-made mappers, reducers and combiners used by tests, examples and the
-//! EARL built-in analytics tasks.
+//! Ready-made mappers and reducers used by tests, examples and the EARL
+//! built-in analytics tasks.
 
-use crate::types::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use crate::types::{MapContext, Mapper, ReduceContext, Reducer};
 
 /// Emits `(token, 1)` for every whitespace-separated token of the input line.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,18 +27,6 @@ impl Reducer for WordCountReducer {
     type Output = (String, u64);
     fn reduce(&self, key: &String, values: &[u64], ctx: &mut ReduceContext<(String, u64)>) {
         ctx.emit((key.clone(), values.iter().sum()));
-    }
-}
-
-/// Combiner matching [`WordCountReducer`]: locally sums counts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountCombiner;
-
-impl Combiner for CountCombiner {
-    type Key = String;
-    type Value = u64;
-    fn combine(&self, _key: &String, values: &[u64]) -> Vec<u64> {
-        vec![values.iter().sum()]
     }
 }
 
@@ -117,15 +105,17 @@ impl Reducer for MedianReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earl_parallel::{ShardBuffers, ShardedBuffers};
 
     #[test]
     fn value_extract_parses_plain_and_tabbed_lines() {
-        let mut ctx = MapContext::new();
+        let mut ctx = MapContext::sharded(ShardBuffers::new(1), 1);
         ValueExtractMapper.map(0, "3.5", &mut ctx);
         ValueExtractMapper.map(1, "key\t7.25", &mut ctx);
         ValueExtractMapper.map(2, "not-a-number", &mut ctx);
-        let (pairs, _) = ctx.into_parts();
-        assert_eq!(pairs, vec![(0, 3.5), (0, 7.25)]);
+        let (buffers, _) = ctx.into_shards();
+        let shards = ShardedBuffers::from_workers(1, vec![buffers]).merge(1, |_, pairs| pairs);
+        assert_eq!(shards, vec![vec![(0, 3.5), (0, 7.25)]]);
     }
 
     #[test]
@@ -154,10 +144,5 @@ mod tests {
         MeanReducer.reduce(&0, &[], &mut ctx);
         MedianReducer.reduce(&0, &[], &mut ctx);
         assert!(ctx.into_parts().0.is_empty());
-    }
-
-    #[test]
-    fn count_combiner_sums_locally() {
-        assert_eq!(CountCombiner.combine(&"w".to_owned(), &[1, 2, 3]), vec![6]);
     }
 }

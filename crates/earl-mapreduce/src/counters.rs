@@ -11,8 +11,6 @@ pub mod builtin {
     pub const MAP_INPUT_RECORDS: &str = "map.input.records";
     /// Records emitted by mappers.
     pub const MAP_OUTPUT_RECORDS: &str = "map.output.records";
-    /// Records emitted after the (optional) combiner ran.
-    pub const COMBINE_OUTPUT_RECORDS: &str = "combine.output.records";
     /// Distinct keys seen by reducers.
     pub const REDUCE_INPUT_GROUPS: &str = "reduce.input.groups";
     /// Records consumed by reducers.

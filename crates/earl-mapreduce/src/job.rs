@@ -22,28 +22,6 @@ pub enum InputSource {
     Memory(Vec<(u64, String)>),
 }
 
-impl InputSource {
-    /// Convenience: an in-memory source from plain lines, with synthetic
-    /// offsets.
-    pub fn from_lines<I, S>(lines: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut offset = 0u64;
-        let records = lines
-            .into_iter()
-            .map(|l| {
-                let line = l.as_ref().to_owned();
-                let rec = (offset, line);
-                offset += rec.1.len() as u64 + 1;
-                rec
-            })
-            .collect();
-        InputSource::Memory(records)
-    }
-}
-
 /// What to do when a node fails while running one of the job's tasks.
 ///
 /// Failures are arbitrated at deterministic sim-instants derived from the
@@ -117,19 +95,16 @@ pub struct JobConf {
     pub input: InputSource,
     /// Number of reduce tasks.
     pub num_reducers: usize,
-    /// Estimated serialized size of one intermediate record, used to charge
-    /// shuffle network traffic.
-    pub avg_record_bytes: u64,
     /// Failure handling policy.
     pub failure_policy: FailurePolicy,
-    /// Local mode: run everything in a single process without task start-up
-    /// costs (the paper's single-JVM estimation mode, §3.2).
+    /// Local mode: every task runs in the driver process (the paper's
+    /// single-JVM estimation mode, §3.2), and a pipelined session's warm
+    /// iterations run this way (§2.1).  A local job charges no job or task
+    /// start-up, places no task on a node, and no node failure can lose its
+    /// tasks; its shuffle charges neither the sort nor the network; and its
+    /// map and reduce compute never go to a remote transport.  DFS reads and
+    /// map and reduce CPU are charged as in cluster mode.
     pub local_mode: bool,
-    /// Whether to charge the fixed job start-up cost (a pipelined session
-    /// charges it only once across iterations).
-    pub charge_job_startup: bool,
-    /// Optional DFS path to which reducer output line-records are written.
-    pub output_path: Option<DfsPath>,
     /// Worker threads used to execute map tasks and reduce partitions
     /// concurrently (`None` = one per available core).  Results are identical
     /// for every value; only wall-clock time changes.  An active failure
@@ -156,11 +131,8 @@ impl JobConf {
             name: name.into(),
             input,
             num_reducers: 1,
-            avg_record_bytes: 16,
             failure_policy: FailurePolicy::default(),
             local_mode: false,
-            charge_job_startup: true,
-            output_path: None,
             parallelism: None,
             transport: default_transport(),
             source_path: None,
@@ -176,19 +148,6 @@ impl JobConf {
     /// Sets the failure policy.
     pub fn with_failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.failure_policy = policy;
-        self
-    }
-
-    /// Enables local (single-process) execution.
-    pub fn local(mut self) -> Self {
-        self.local_mode = true;
-        self
-    }
-
-    /// Sets a DFS output path; reducer outputs are written there as lines via
-    /// their `Display`-like conversion supplied to the runner.
-    pub fn with_output_path(mut self, path: impl Into<DfsPath>) -> Self {
-        self.output_path = Some(path.into());
         self
     }
 
@@ -218,7 +177,7 @@ impl JobConf {
 pub struct JobStats {
     /// Input records consumed by mappers.
     pub map_input_records: u64,
-    /// Intermediate records emitted by mappers (after combining, if any).
+    /// Intermediate records emitted by mappers.
     pub shuffle_records: u64,
     /// Distinct keys seen by reducers.
     pub reduce_groups: u64,
@@ -265,26 +224,15 @@ mod tests {
 
     #[test]
     fn builder_methods_compose() {
-        let conf = JobConf::new("test", InputSource::from_lines(["a", "b"]))
+        let conf = JobConf::new("test", InputSource::Memory(Vec::new()))
             .with_reducers(0)
             .with_failure_policy(FailurePolicy::Degrade)
-            .local()
-            .with_output_path("/out")
             .with_parallelism(Some(4));
         assert_eq!(conf.num_reducers, 1, "reducer count is clamped to ≥1");
         assert_eq!(conf.failure_policy, FailurePolicy::Degrade);
         assert!(conf.failure_policy.is_degrade());
-        assert!(conf.local_mode);
-        assert_eq!(conf.output_path, Some("/out".into()));
+        assert!(!conf.local_mode, "cluster mode by default");
         assert_eq!(conf.parallelism, Some(4));
-    }
-
-    #[test]
-    fn from_lines_assigns_increasing_offsets() {
-        let InputSource::Memory(records) = InputSource::from_lines(["ab", "c"]) else {
-            panic!("expected memory source");
-        };
-        assert_eq!(records, vec![(0, "ab".to_owned()), (3, "c".to_owned())]);
     }
 
     #[test]

@@ -5,18 +5,20 @@
 //! Zeng, Zaniolo — VLDB 2012) assumes of its substrate:
 //!
 //! * the classic `map : (k1, v1) → list(k2, v2)` / `reduce : (k2, list(v2)) →
-//!   (k3, v3)` programming model with combiners, partitioners and counters;
+//!   (k3, v3)` programming model with partitioners and counters;
 //! * locality-aware task scheduling over input splits, with node failures
 //!   arbitrated deterministically on the simulated clock and handled per
 //!   [`FailurePolicy`]: *retry* re-plans lost tasks onto survivors (stock
 //!   Hadoop behaviour), *degrade* drops the lost splits and lets the accuracy
 //!   stage bound the error (the fault-tolerant approximation mode of EARL
 //!   §3.4) — both on the parallel engine, at every thread count;
-//! * a **local mode** that runs a job in-process without task start-up costs,
-//!   used by EARL's SSABE parameter-estimation phase (§3.2);
+//! * a **local mode** that runs a job's tasks in the driver process —
+//!   without start-up, placement, failure arbitration, shuffle sort and
+//!   network charges or remote compute (see [`JobConf::local_mode`]);
 //! * a **pipelined session** (Hadoop-Online-style) that keeps mapper/reducer
-//!   tasks alive across EARL iterations and provides the mapper↔reducer
-//!   feedback channel used to signal sample expansion or termination (§2.1).
+//!   tasks alive across EARL iterations — every iteration after the first
+//!   runs in local mode — and provides the mapper↔reducer feedback channel
+//!   used to signal sample expansion or termination (§2.1).
 //!
 //! The engine executes user code for real (results are exact), while all I/O,
 //! CPU and start-up work is charged to the cluster's cost model so simulated
@@ -43,13 +45,13 @@ pub use feedback::{ErrorFeedback, ErrorReport};
 pub use job::{FailurePolicy, InputSource, JobConf, JobResult, JobStats};
 pub use partition::{HashPartitioner, Partitioner};
 pub use pipeline::{PendingIteration, PipelinedSession};
-pub use runner::{finish_job, run_job, run_job_with_combiner, run_map_phase, MapPhase};
+pub use runner::{finish_job, run_job, run_map_phase, MapPhase};
 pub use shuffle::ShuffleOutput;
 pub use transport::{
     InProcess, RemoteMapOutcome, RemoteMapRequest, RemoteReduceOutcome, RemoteReduceRequest,
     RemoteSectionsOutcome, RemoteSectionsRequest, SectionSummary, TaskSpec, TaskTransport,
 };
-pub use types::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+pub use types::{MapContext, Mapper, ReduceContext, Reducer};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, MrError>;

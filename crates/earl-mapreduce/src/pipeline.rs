@@ -7,10 +7,11 @@
 //! task start-up overhead of a naive "one MR job per sample expansion" design
 //! disappears: tasks are reused as the sample grows.
 //!
-//! A [`PipelinedSession`] models exactly that: the first iteration pays the
-//! full job/task start-up cost; subsequent iterations run with start-up charges
-//! suppressed, and the [`ErrorFeedback`] channel carries error estimates from
-//! the reduce side back to the (conceptual) mappers.
+//! A [`PipelinedSession`] models exactly that: the first iteration is a
+//! cluster-mode job that pays the full job/task start-up cost; subsequent
+//! iterations run in local mode (see [`JobConf::local_mode`] for everything
+//! that changes), and the [`ErrorFeedback`] channel carries error estimates
+//! from the reduce side back to the (conceptual) mappers.
 
 use std::sync::Arc;
 
@@ -57,15 +58,18 @@ impl PipelinedSession {
         self.iterations
     }
 
-    /// Start-up charging for one iteration: the first iteration pays job and
-    /// task start-up; later iterations reuse the live tasks and charge neither
-    /// (the `local_mode` flag of the iteration config only changes start-up
-    /// charging — I/O and CPU are still charged normally because the data
-    /// genuinely has to be read and processed).
+    /// The config of one iteration: the first runs as given; later ones
+    /// reuse the live tasks and run in local mode.  Local mode does more than
+    /// drop the job and task start-up charges: a warm iteration also skips
+    /// the shuffle's sort and network charges, places no task on a node,
+    /// cannot lose a task to a node failure, and never sends its map or
+    /// reduce compute to a remote transport — on a remote deployment only the
+    /// first iteration's job reaches the wire.  DFS reads and map and reduce
+    /// CPU are still charged, because the data genuinely has to be read and
+    /// processed.
     fn iteration_conf(&self, conf: &JobConf) -> JobConf {
         let mut conf = conf.clone();
         if self.iterations > 0 {
-            conf.charge_job_startup = false;
             conf.local_mode = true;
         }
         conf
@@ -157,9 +161,16 @@ impl<K, V> PendingIteration<K, V> {
 mod tests {
     use super::*;
     use crate::contrib::{MeanReducer, ValueExtractMapper};
+    use crate::error::MrError;
     use crate::job::InputSource;
-    use earl_cluster::{Cluster, SimInstant};
+    use crate::transport::{
+        RemoteMapOutcome, RemoteMapRequest, RemoteReduceOutcome, RemoteReduceRequest, TaskSpec,
+        TaskTransport,
+    };
+    use crate::types::{MapContext, ReduceContext};
+    use earl_cluster::{Cluster, Phase, SimInstant};
     use earl_dfs::DfsConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn session() -> PipelinedSession {
         let cluster = Cluster::with_nodes(3);
@@ -281,5 +292,99 @@ mod tests {
             timestamp: SimInstant::EPOCH,
         });
         assert_eq!(session.feedback().len(), 1);
+    }
+
+    /// [`ValueExtractMapper`] with a wire form, so a remote transport is asked.
+    struct SpecMapper;
+    impl Mapper for SpecMapper {
+        type OutKey = u32;
+        type OutValue = f64;
+        fn map(&self, offset: u64, line: &str, ctx: &mut MapContext<u32, f64>) {
+            ValueExtractMapper.map(offset, line, ctx);
+        }
+        fn remote_spec(&self) -> Option<TaskSpec> {
+            Some(TaskSpec::named("mean"))
+        }
+    }
+
+    /// [`MeanReducer`] with a wire form.
+    struct SpecReducer;
+    impl Reducer for SpecReducer {
+        type InKey = u32;
+        type InValue = f64;
+        type Output = f64;
+        fn reduce(&self, key: &u32, values: &[f64], ctx: &mut ReduceContext<f64>) {
+            MeanReducer.reduce(key, values, ctx);
+        }
+        fn remote_spec(&self) -> Option<TaskSpec> {
+            Some(TaskSpec::named("mean"))
+        }
+    }
+
+    /// A non-local transport that counts the calls it gets and refuses each
+    /// one, so the runner computes in-process.
+    #[derive(Debug, Default)]
+    struct CountingTransport {
+        calls: AtomicUsize,
+    }
+
+    impl TaskTransport for CountingTransport {
+        fn is_local(&self) -> bool {
+            false
+        }
+
+        fn remote_map(&self, _request: &RemoteMapRequest<'_>) -> Result<RemoteMapOutcome> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Err(MrError::Transport("refused".into()))
+        }
+
+        fn remote_reduce(&self, _request: &RemoteReduceRequest<'_>) -> Result<RemoteReduceOutcome> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Err(MrError::Transport("refused".into()))
+        }
+    }
+
+    #[test]
+    fn only_the_first_iteration_pays_startup_and_shuffle_and_reaches_the_transport() {
+        let mut session = session();
+        let transport = Arc::new(CountingTransport::default());
+        let records = (1..=500u64).map(|i| (i, i.to_string())).collect();
+        let conf = JobConf::new("mean", InputSource::Memory(records))
+            .with_source_path("/pipe")
+            .with_transport(transport.clone());
+        let cluster = session.dfs().cluster().clone();
+
+        // (jobs started, tasks started, start-up time, shuffle time, wire calls)
+        let mut step = || {
+            let before = cluster.metrics().snapshot();
+            let calls = transport.calls.load(Ordering::Relaxed);
+            let result = session
+                .run_iteration(&conf, &SpecMapper, &SpecReducer)
+                .unwrap();
+            assert_eq!(result.outputs, vec![250.5]);
+            let after = cluster.metrics().snapshot();
+            (
+                after.jobs_run - before.jobs_run,
+                after.tasks_started - before.tasks_started,
+                after.phase(Phase::Other).sim_time_micros
+                    - before.phase(Phase::Other).sim_time_micros,
+                after.phase(Phase::Shuffle).sim_time_micros
+                    - before.phase(Phase::Shuffle).sim_time_micros,
+                transport.calls.load(Ordering::Relaxed) - calls,
+            )
+        };
+
+        let (jobs, tasks, startup, shuffle, calls) = step();
+        assert_eq!(jobs, 1, "the first iteration starts the job");
+        assert_eq!(tasks, 2, "one map task and one reduce task");
+        assert!(startup > 0, "job and task start-up are charged");
+        assert!(shuffle > 0, "the shuffle's sort and network are charged");
+        assert_eq!(calls, 2, "one map and one reduce call on the wire");
+
+        assert_eq!(
+            step(),
+            (0, 0, 0, 0, 0),
+            "a warm iteration charges no start-up or shuffle and stays in-process"
+        );
     }
 }

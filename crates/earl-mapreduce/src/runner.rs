@@ -1,6 +1,6 @@
 //! The job runner: executes a MapReduce job over the simulated cluster.
 //!
-//! User code (mappers, reducers, combiners) runs for real, so results are
+//! User code (mappers and reducers) runs for real, so results are
 //! exact; all I/O, CPU and start-up work is charged to the cluster cost model
 //! so that the simulated elapsed time reflects the work actually performed.
 //! This is the property the EARL reproduction needs: processing time is a
@@ -67,8 +67,8 @@
 //!
 //! ## Streaming shuffle (M3R-style)
 //!
-//! The shuffle is **map-side**: every map task routes its (combined) output
-//! pairs straight into its own per-shard buffers ([`ShardBuffers`]) as it
+//! The shuffle is **map-side**: every map task routes its output pairs
+//! straight into its own per-shard buffers ([`ShardBuffers`]) as it
 //! emits them, so no job-wide all-pairs vector ever exists between map and
 //! shuffle, and a task that aborts or is lost simply has its buffers dropped.
 //! At the reducer-ready barrier the surviving tasks' buffers are assembled in
@@ -93,16 +93,14 @@ use crate::error::MrError;
 #[cfg(any(doc, test))]
 use crate::job::FailurePolicy;
 use crate::job::{InputSource, JobConf, JobResult, JobStats};
-use crate::partition::{HashPartitioner, Partitioner};
-use crate::shuffle::{apply_combiner, ShuffleOutput};
+use crate::shuffle::ShuffleOutput;
 use crate::transport::{RemoteMapRequest, RemoteReduceRequest};
-use crate::types::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use crate::types::{MapContext, Mapper, ReduceContext, Reducer};
 use crate::Result;
 
-/// A combiner over a mapper's intermediate pair type, passed by reference
-/// when a job has one.
-type MapCombiner<'a, M> =
-    &'a dyn Combiner<Key = <M as Mapper>::OutKey, Value = <M as Mapper>::OutValue>;
+/// Estimated serialized size of one intermediate record, used to charge the
+/// shuffle's network traffic.
+const AVG_RECORD_BYTES: u64 = 16;
 
 /// What the compute step of one map task yields: input records consumed, the
 /// task's own shard buffers, and the counters its emits produced.
@@ -121,7 +119,7 @@ type ReduceCompute<R> = (Vec<<R as Reducer>::Output>, Counters);
 /// that finds none, or finds it taken (a re-run), computes in-process.
 type RemoteComputes<T> = Vec<Mutex<Option<T>>>;
 
-/// Runs a job without a combiner.
+/// Runs a job: the map phase, then shuffle and reduce.
 pub fn run_job<M, R>(
     dfs: &Dfs,
     conf: &JobConf,
@@ -132,24 +130,7 @@ where
     M: Mapper,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
-    finish_job(dfs, conf, map_phase(dfs, conf, mapper, None)?, reducer)
-}
-
-/// Runs a job with a combiner applied to each map task's local output.
-pub fn run_job_with_combiner<M, R, C>(
-    dfs: &Dfs,
-    conf: &JobConf,
-    mapper: &M,
-    reducer: &R,
-    combiner: &C,
-) -> Result<JobResult<R::Output>>
-where
-    M: Mapper,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-{
-    let phase = map_phase(dfs, conf, mapper, Some(combiner))?;
-    finish_job(dfs, conf, phase, reducer)
+    finish_job(dfs, conf, run_map_phase(dfs, conf, mapper)?, reducer)
 }
 
 /// The completed map half of a job: all intermediate pairs already sharded
@@ -182,21 +163,6 @@ impl<K, V> MapPhase<K, V> {
     }
 }
 
-/// Runs only the map half of a job (task planning + map tasks + combiner),
-/// leaving shuffle and reduce to [`finish_job`].  A pipelined session uses
-/// this to overlap the map phase of a speculative iteration with the accuracy
-/// estimation of the previous one.
-pub fn run_map_phase<M>(
-    dfs: &Dfs,
-    conf: &JobConf,
-    mapper: &M,
-) -> Result<MapPhase<M::OutKey, M::OutValue>>
-where
-    M: Mapper,
-{
-    map_phase(dfs, conf, mapper, None)
-}
-
 /// The input of one map task.  In-memory records are borrowed from the
 /// [`JobConf`] — the mapper reads them where they are.
 enum MapInput<'a> {
@@ -204,17 +170,20 @@ enum MapInput<'a> {
     Memory(&'a [(u64, String)]),
 }
 
-/// The map phase: one task per input split (or one over the in-memory
-/// records), each streaming into its own [`ShardBuffers`].  Buffers and
-/// counters of surviving tasks are merged in task order, so the reassembled
+/// Runs only the map half of a job, leaving shuffle and reduce to
+/// [`finish_job`].  A pipelined session uses this to overlap the map phase of
+/// a speculative iteration with the accuracy estimation of the previous one.
+///
+/// One task per input split (or one over the in-memory records), each
+/// streaming into its own [`ShardBuffers`].  Buffers and counters of
+/// surviving tasks are merged in task order, so the reassembled
 /// [`ShardedBuffers`] holds the same bits however many rounds it took.  Lost
 /// DFS splits may be abandoned under `Degrade` (§3.4); in-memory inputs are
 /// driver-held (nothing was lost but work) and are always re-run.
-fn map_phase<M: Mapper>(
+pub fn run_map_phase<M: Mapper>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
-    combiner: Option<MapCombiner<'_, M>>,
 ) -> Result<MapPhase<M::OutKey, M::OutValue>> {
     let cluster = dfs.cluster();
     let start = cluster.elapsed();
@@ -222,7 +191,7 @@ fn map_phase<M: Mapper>(
     let mut counters = Counters::new();
     let mut stats = JobStats::default();
 
-    if conf.charge_job_startup && !conf.local_mode {
+    if !conf.local_mode {
         cluster.charge_job_startup();
     }
 
@@ -239,12 +208,7 @@ fn map_phase<M: Mapper>(
     let num_shards = conf.num_reducers.max(1);
 
     let armed = cluster.failure_injection_pending();
-    // A combiner has no wire form, so it keeps the compute in-process.
-    let remote = match combiner {
-        None => remote_map(dfs, conf, mapper, &inputs, num_shards, &mut stats),
-        Some(_) => None,
-    }
-    .unwrap_or_default();
+    let remote = remote_map(dfs, conf, mapper, &inputs, num_shards, &mut stats).unwrap_or_default();
     // Apply any failure already due (e.g. fired during job start-up charges)
     // before planning, so the plan sees the true live set.
     if armed && !inputs.is_empty() && !cluster.arbitrate_failures_at(cluster.now()).is_empty() {
@@ -278,7 +242,7 @@ fn map_phase<M: Mapper>(
             let remote = remote.get(i).and_then(|compute| compute.lock().take());
             let (records, buffers, mut task_counters) = match remote {
                 Some(compute) => compute,
-                None => match run_mapper(dfs, conf, mapper, combiner, &inputs[i], num_shards)? {
+                None => match run_mapper(dfs, conf, mapper, &inputs[i], num_shards)? {
                     Some(compute) => compute,
                     None => return Ok(None),
                 },
@@ -319,7 +283,7 @@ fn map_phase<M: Mapper>(
 }
 
 /// Completes a job from its finished map phase: shuffle (sharded across the
-/// worker pool), reduce, output charging, final stats.
+/// worker pool), reduce, final stats.
 pub fn finish_job<R>(
     dfs: &Dfs,
     conf: &JobConf,
@@ -347,8 +311,8 @@ where
         let nodes = cluster.available_nodes();
         if nodes.len() >= 2 {
             // On average (n-1)/n of intermediate data crosses the network.
-            let crossing = shuffle_records * conf.avg_record_bytes * (nodes.len() as u64 - 1)
-                / nodes.len() as u64;
+            let crossing =
+                shuffle_records * AVG_RECORD_BYTES * (nodes.len() as u64 - 1) / nodes.len() as u64;
             cluster.charge_net_transfer(Phase::Shuffle, nodes[0], nodes[1], crossing);
         }
     }
@@ -368,14 +332,6 @@ where
         &mut counters,
         &mut stats,
     )?;
-
-    // ---- output --------------------------------------------------------------
-    if let Some(_path) = &conf.output_path {
-        // Output records are charged as sequential writes of the estimated
-        // record size (materialisation is left to the caller, which knows how
-        // to serialise its output type).
-        cluster.charge_disk_write(Phase::Output, outputs.len() as u64 * conf.avg_record_bytes);
-    }
 
     record_new_failure_events(dfs, events_seen, &mut stats);
     // Shuffle and fault counters are derived from the stats, and added only
@@ -822,10 +778,9 @@ fn remote_reduce<R: Reducer>(
 
 /// The in-process compute of one map task: the mapper over the task's input,
 /// with the task's pairs routed straight into its own [`ShardBuffers`] by the
-/// same partitioner arithmetic the reduce-side shuffle uses.  Without a
-/// combiner the `MapContext` sinks each pair into the shard buckets *as it is
-/// emitted* — no per-task all-pairs vector ever exists; a combiner still
-/// buffers, since it must see the task's full output before routing.  Returns
+/// same partitioner arithmetic the reduce-side shuffle uses.  The
+/// `MapContext` sinks each pair into the shard buckets *as it is emitted* —
+/// no per-task all-pairs vector ever exists.  Returns
 /// `None` when the task's input blocks were already lost and the failure
 /// policy tolerates dropping them; whatever the task emitted before that
 /// abort (or before a hard error) is dropped with its buffers, so an aborted
@@ -834,15 +789,10 @@ fn run_mapper<M: Mapper>(
     dfs: &Dfs,
     conf: &JobConf,
     mapper: &M,
-    combiner: Option<MapCombiner<'_, M>>,
     input: &MapInput<'_>,
     num_shards: usize,
 ) -> Result<Option<MapCompute<M>>> {
-    let mut ctx = if combiner.is_none() {
-        MapContext::sharded(ShardBuffers::new(num_shards), num_shards)
-    } else {
-        MapContext::new()
-    };
+    let mut ctx = MapContext::sharded(ShardBuffers::new(num_shards), num_shards);
     let mut records = 0u64;
     match input {
         MapInput::Split(split) => {
@@ -867,34 +817,16 @@ fn run_mapper<M: Mapper>(
         }
     }
 
-    Ok(Some(match combiner {
-        // Map-side shuffle already happened inside `emit`.
-        None => {
-            let (buffers, emitted) = ctx.into_shards();
-            (records, buffers, emitted)
-        }
-        Some(combiner) => {
-            let (pairs, mut emitted) = ctx.into_parts();
-            let combined = apply_combiner(pairs, combiner);
-            emitted.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
-            // Route the combined pairs to their reduce shards now — these
-            // pairs are never concatenated with any other task's.
-            let mut buffers = ShardBuffers::new(num_shards);
-            for (key, value) in combined {
-                let shard = HashPartitioner.partition(&key, num_shards);
-                buffers.emit(shard, (key, value));
-            }
-            (records, buffers, emitted)
-        }
-    }))
+    // The map-side shuffle already happened inside `emit`.
+    let (buffers, emitted) = ctx.into_shards();
+    Ok(Some((records, buffers, emitted)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contrib::{
-        CountCombiner, MeanReducer, MedianReducer, TokenCountMapper, ValueExtractMapper,
-        WordCountReducer,
+        MeanReducer, MedianReducer, TokenCountMapper, ValueExtractMapper, WordCountReducer,
     };
     use crate::transport::{RemoteMapOutcome, RemoteReduceOutcome, TaskSpec, TaskTransport};
     use earl_cluster::{Cluster, CostModel, FailureEvent, FailureSchedule, SimInstant};
@@ -941,39 +873,11 @@ mod tests {
     }
 
     #[test]
-    fn combiner_reduces_shuffle_volume_without_changing_results() {
-        let dfs = test_dfs(2, true);
-        let lines: Vec<String> = (0..50)
-            .map(|i| format!("k{} k{} k{}", i % 3, i % 3, i % 5))
-            .collect();
-        dfs.write_lines("/c", &lines).unwrap();
-        let conf = JobConf::new("wc", InputSource::Path("/c".into())).with_reducers(2);
-        let plain = run_job(&dfs, &conf, &TokenCountMapper, &WordCountReducer).unwrap();
-        let combined = run_job_with_combiner(
-            &dfs,
-            &conf,
-            &TokenCountMapper,
-            &WordCountReducer,
-            &CountCombiner,
-        )
-        .unwrap();
-        let mut a = plain.outputs.clone();
-        let mut b = combined.outputs.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner must not change results");
-        assert!(
-            combined.counters.get(builtin::COMBINE_OUTPUT_RECORDS) < plain.stats.shuffle_records,
-            "combiner must shrink intermediate data"
-        );
-    }
-
-    #[test]
     fn memory_input_runs_without_dfs_reads() {
         let dfs = test_dfs(1, false);
         let conf = JobConf::new(
             "mean",
-            InputSource::from_lines((1..=100).map(|i| i.to_string())),
+            InputSource::Memory((1..=100u64).map(|i| (i, i.to_string())).collect()),
         );
         let result = run_job(&dfs, &conf, &ValueExtractMapper, &MeanReducer).unwrap();
         assert_eq!(result.outputs.len(), 1);
@@ -997,7 +901,8 @@ mod tests {
         let cluster_time = dfs.cluster().elapsed();
 
         dfs.cluster().reset_accounting();
-        let local_conf = JobConf::new("mean", InputSource::Path("/m".into())).local();
+        let mut local_conf = cluster_conf.clone();
+        local_conf.local_mode = true;
         run_job(&dfs, &local_conf, &ValueExtractMapper, &MeanReducer).unwrap();
         let local_time = dfs.cluster().elapsed();
 
@@ -1154,28 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn output_path_charges_write_cost() {
-        let dfs = test_dfs(2, false);
-        dfs.write_lines("/in", (1..=100).map(|i| i.to_string()))
-            .unwrap();
-        let before = dfs
-            .cluster()
-            .metrics()
-            .snapshot()
-            .phase(Phase::Output)
-            .disk_bytes_written;
-        let conf = JobConf::new("mean", InputSource::Path("/in".into())).with_output_path("/out");
-        run_job(&dfs, &conf, &ValueExtractMapper, &MeanReducer).unwrap();
-        let after = dfs
-            .cluster()
-            .metrics()
-            .snapshot()
-            .phase(Phase::Output)
-            .disk_bytes_written;
-        assert!(after > before);
-    }
-
-    #[test]
     fn stats_record_sim_time_and_tasks() {
         let dfs = test_dfs(2, false);
         dfs.write_lines("/t", (1..=500).map(|i| i.to_string()))
@@ -1303,12 +1186,9 @@ mod tests {
     }
 
     fn loopback_records() -> Vec<(u64, String)> {
-        let InputSource::Memory(records) =
-            InputSource::from_lines((1..=400).map(|i| (i * 7 % 31).to_string()))
-        else {
-            unreachable!("from_lines builds a memory source");
-        };
-        records
+        (1..=400u64)
+            .map(|i| (i, (i * 7 % 31).to_string()))
+            .collect()
     }
 
     /// Runs the spec job over `records` on a fresh costed cluster, on

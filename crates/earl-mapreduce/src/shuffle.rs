@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use earl_parallel::ShardedBuffers;
 
-use crate::types::{Combiner, MrKey, MrValue};
+use crate::types::{MrKey, MrValue};
 
 /// Intermediate data grouped per reduce partition, with values grouped by key
 /// in sorted key order (the "sort" half of sort-and-shuffle).
@@ -67,11 +67,6 @@ impl<K: MrKey, V: MrValue> ShuffleOutput<K, V> {
         }
     }
 
-    /// Number of reduce partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Total number of records across all partitions (cached at build time).
     pub fn total_records(&self) -> u64 {
         self.total_records
@@ -92,30 +87,6 @@ impl<K: MrKey, V: MrValue> ShuffleOutput<K, V> {
     pub fn into_partitions(self) -> Vec<BTreeMap<K, Vec<V>>> {
         self.partitions
     }
-}
-
-/// Applies a combiner to one mapper's local output, reducing the number of
-/// records that must cross the network.
-///
-/// Each group's key is cloned once per *extra* combined value only (combiners
-/// almost always emit exactly one value per key, in which case the key is
-/// moved) — not once per value as the previous implementation did.
-pub fn apply_combiner<C>(pairs: Vec<(C::Key, C::Value)>, combiner: &C) -> Vec<(C::Key, C::Value)>
-where
-    C: Combiner + ?Sized,
-{
-    let grouped = group_pairs(pairs);
-    let mut combined = Vec::with_capacity(grouped.len());
-    for (key, values) in grouped {
-        let mut out = combiner.combine(&key, &values);
-        let Some(last) = out.pop() else { continue };
-        for value in out {
-            combined.push((key.clone(), value));
-        }
-        // The group's final value rides on the owned key — no clone.
-        combined.push((key, last));
-    }
-    combined
 }
 
 #[cfg(test)]
@@ -170,7 +141,7 @@ mod tests {
     fn shuffle_groups_by_key_in_sorted_order() {
         let pairs = vec![("b", 1), ("a", 2), ("b", 3), ("c", 4), ("a", 5)];
         let out = stream(&pairs, 1, &HashPartitioner, 2, 1);
-        assert_eq!(out.num_partitions(), 1);
+        assert_eq!(out.partitions().count(), 1);
         assert_eq!(out.total_records(), 5);
         assert_eq!(out.total_groups(), 3);
         let partition = &out.into_partitions()[0];
@@ -199,9 +170,9 @@ mod tests {
     #[test]
     fn zero_partitions_is_clamped_to_one() {
         let out = stream(&[("k", 1)], 0, &HashPartitioner, 1, 8);
-        assert_eq!(out.num_partitions(), 1);
+        assert_eq!(out.partitions().count(), 1);
         let out = ShuffleOutput::<&str, i32>::shuffle_streaming(ShardedBuffers::empty(0), 8);
-        assert_eq!(out.num_partitions(), 1);
+        assert_eq!(out.partitions().count(), 1);
     }
 
     #[test]
@@ -243,9 +214,6 @@ mod tests {
     struct CountedKey(u64);
 
     static KEY_CLONES: AtomicUsize = AtomicUsize::new(0);
-    /// Tests reading `KEY_CLONES` deltas hold this lock — the test harness
-    /// runs them on separate threads otherwise, racing the shared counter.
-    static CLONE_COUNT_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     impl Clone for CountedKey {
         fn clone(&self) -> Self {
@@ -256,7 +224,6 @@ mod tests {
 
     #[test]
     fn streaming_shuffle_never_clones_keys() {
-        let _serial = CLONE_COUNT_LOCK.lock();
         let before = KEY_CLONES.load(Ordering::Relaxed);
         // Keys are constructed at emission, like a mapper: nothing to clone from.
         let workers = (0..4u64)
@@ -276,87 +243,5 @@ mod tests {
             before,
             "shuffle must move keys, never clone them"
         );
-    }
-
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = String;
-        type Value = u64;
-        fn combine(&self, _key: &String, values: &[u64]) -> Vec<u64> {
-            vec![values.iter().sum()]
-        }
-    }
-
-    #[test]
-    fn combiner_shrinks_local_output() {
-        let pairs = vec![
-            ("a".to_owned(), 1),
-            ("a".to_owned(), 2),
-            ("b".to_owned(), 3),
-            ("a".to_owned(), 4),
-        ];
-        let combined = apply_combiner(pairs, &SumCombiner);
-        assert_eq!(combined, vec![("a".to_owned(), 7), ("b".to_owned(), 3)]);
-    }
-
-    struct EchoCombiner;
-    impl Combiner for EchoCombiner {
-        type Key = CountedKey;
-        type Value = u64;
-        fn combine(&self, _key: &CountedKey, values: &[u64]) -> Vec<u64> {
-            values.to_vec()
-        }
-    }
-
-    struct DropCombiner;
-    impl Combiner for DropCombiner {
-        type Key = CountedKey;
-        type Value = u64;
-        fn combine(&self, _key: &CountedKey, _values: &[u64]) -> Vec<u64> {
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn combiner_clones_keys_once_per_extra_value_only() {
-        let _serial = CLONE_COUNT_LOCK.lock();
-        struct OneCombiner;
-        impl Combiner for OneCombiner {
-            type Key = CountedKey;
-            type Value = u64;
-            fn combine(&self, _key: &CountedKey, values: &[u64]) -> Vec<u64> {
-                vec![values.iter().sum()]
-            }
-        }
-        let pairs =
-            |n: u64| -> Vec<(CountedKey, u64)> { (0..n).map(|i| (CountedKey(i % 5), 1)).collect() };
-
-        // 1 value per group: the key is moved, zero clones.
-        let before = KEY_CLONES.load(Ordering::Relaxed);
-        let out = apply_combiner(pairs(100), &OneCombiner);
-        assert_eq!(out.len(), 5);
-        assert_eq!(
-            KEY_CLONES.load(Ordering::Relaxed) - before,
-            0,
-            "single combined value must not clone its key"
-        );
-
-        // k values per group: k - 1 clones, and value order is preserved.
-        let before = KEY_CLONES.load(Ordering::Relaxed);
-        let out = apply_combiner(pairs(15), &EchoCombiner);
-        assert_eq!(out.len(), 15);
-        assert_eq!(KEY_CLONES.load(Ordering::Relaxed) - before, 15 - 5);
-        for group in out.chunks(3) {
-            assert!(group.iter().all(|(k, _)| k == &group[0].0));
-            assert_eq!(
-                group.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-                vec![1, 1, 1]
-            );
-        }
-
-        // 0 values per group: nothing emitted, nothing cloned.
-        let before = KEY_CLONES.load(Ordering::Relaxed);
-        assert!(apply_combiner(pairs(20), &DropCombiner).is_empty());
-        assert_eq!(KEY_CLONES.load(Ordering::Relaxed) - before, 0);
     }
 }

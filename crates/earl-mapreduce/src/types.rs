@@ -1,5 +1,5 @@
-//! The MapReduce programming model: mapper, reducer and combiner traits plus
-//! their execution contexts.
+//! The MapReduce programming model: mapper and reducer traits plus their
+//! execution contexts.
 //!
 //! Signatures follow the paper's §2.1:
 //!
@@ -26,116 +26,42 @@ impl<T: Ord + StdHash + Clone + Send + Sync + 'static> MrKey for T {}
 pub trait MrValue: Clone + Send + Sync + 'static {}
 impl<T: Clone + Send + Sync + 'static> MrValue for T {}
 
-/// Where a [`MapContext`]'s emitted pairs go.
-///
-/// `Buffered` collects them into one vector — needed when a combiner must see
-/// the task's full output before routing, and by callers that consume pairs
-/// directly ([`MapContext::into_parts`]).  `Sharded` routes every pair into
-/// per-reduce-shard buckets *as it is emitted*, via the same
-/// [`HashPartitioner`] the shuffle uses — the streaming-shuffle hot path,
-/// which never materialises a per-task all-pairs vector at all.
-#[derive(Debug)]
-enum Sink<K, V> {
-    Buffered(Vec<(K, V)>),
-    Sharded {
-        buffers: ShardBuffers<(K, V)>,
-        num_shards: usize,
-    },
-}
-
 /// Context handed to map functions for emitting intermediate pairs.
+///
+/// Every pair is routed into per-reduce-shard buckets *as it is emitted*, via
+/// the same [`HashPartitioner`] the shuffle uses — the streaming shuffle's
+/// hot path, which never materialises a per-task all-pairs vector.
 #[derive(Debug)]
 pub struct MapContext<K, V> {
-    sink: Sink<K, V>,
+    buffers: ShardBuffers<(K, V)>,
+    num_shards: usize,
     counters: Counters,
-    emitted: usize,
 }
 
 impl<K: MrKey, V: MrValue> MapContext<K, V> {
-    /// Creates an empty buffering context: emitted pairs are collected for
-    /// [`into_parts`](Self::into_parts).
-    pub fn new() -> Self {
-        Self {
-            sink: Sink::Buffered(Vec::new()),
-            counters: Counters::new(),
-            emitted: 0,
-        }
-    }
-
     /// Creates a context that routes every emitted pair straight into
     /// `buffers`' per-shard buckets (hash-partitioned over `num_shards`),
     /// taking temporary ownership of the buffers.  Reclaim them — along with
     /// the counters — via [`into_shards`](Self::into_shards).
     pub fn sharded(buffers: ShardBuffers<(K, V)>, num_shards: usize) -> Self {
         Self {
-            sink: Sink::Sharded {
-                buffers,
-                num_shards,
-            },
+            buffers,
+            num_shards,
             counters: Counters::new(),
-            emitted: 0,
         }
     }
 
     /// Emits one intermediate `(key, value)` pair.
     pub fn emit(&mut self, key: K, value: V) {
         self.counters.increment(builtin::MAP_OUTPUT_RECORDS);
-        self.emitted += 1;
-        match &mut self.sink {
-            Sink::Buffered(pairs) => pairs.push((key, value)),
-            Sink::Sharded {
-                buffers,
-                num_shards,
-            } => {
-                let shard = HashPartitioner.partition(&key, *num_shards);
-                buffers.emit(shard, (key, value));
-            }
-        }
+        let shard = HashPartitioner.partition(&key, self.num_shards);
+        self.buffers.emit(shard, (key, value));
     }
 
-    /// Increments a user counter.
-    pub fn increment_counter(&mut self, name: &str, delta: u64) {
-        self.counters.add(name, delta);
-    }
-
-    /// Number of pairs emitted so far.
-    pub fn emitted_len(&self) -> usize {
-        self.emitted
-    }
-
-    /// Consumes a buffering context, returning emitted pairs and counters.
-    ///
-    /// # Panics
-    /// If the context was built with [`sharded`](Self::sharded) — its pairs
-    /// already live in the shard buffers; use [`into_shards`](Self::into_shards).
-    pub fn into_parts(self) -> (Vec<(K, V)>, Counters) {
-        match self.sink {
-            Sink::Buffered(pairs) => (pairs, self.counters),
-            Sink::Sharded { .. } => {
-                panic!("into_parts on a sharded MapContext; use into_shards")
-            }
-        }
-    }
-
-    /// Consumes a sharded context, returning the shard buffers (with this
-    /// task's pairs routed in) and counters.
-    ///
-    /// # Panics
-    /// If the context was built with [`new`](Self::new); use
-    /// [`into_parts`](Self::into_parts).
+    /// Consumes the context, returning the shard buffers (with this task's
+    /// pairs routed in) and counters.
     pub fn into_shards(self) -> (ShardBuffers<(K, V)>, Counters) {
-        match self.sink {
-            Sink::Sharded { buffers, .. } => (buffers, self.counters),
-            Sink::Buffered(_) => {
-                panic!("into_shards on a buffering MapContext; use into_parts")
-            }
-        }
-    }
-}
-
-impl<K: MrKey, V: MrValue> Default for MapContext<K, V> {
-    fn default() -> Self {
-        Self::new()
+        (self.buffers, self.counters)
     }
 }
 
@@ -159,11 +85,6 @@ impl<O> ReduceContext<O> {
     pub fn emit(&mut self, output: O) {
         self.counters.increment(builtin::REDUCE_OUTPUT_RECORDS);
         self.outputs.push(output);
-    }
-
-    /// Increments a user counter.
-    pub fn increment_counter(&mut self, name: &str, delta: u64) {
-        self.counters.add(name, delta);
     }
 
     /// Consumes the context, returning outputs and counters.
@@ -231,19 +152,6 @@ pub trait Reducer: Send + Sync {
     }
 }
 
-/// A combiner: a local, associative reduction applied to each mapper's output
-/// before the shuffle to cut intermediate data volume.
-pub trait Combiner: Send + Sync {
-    /// Key type.
-    type Key: MrKey;
-    /// Value type.
-    type Value: MrValue;
-
-    /// Combines all values of one key produced by a single mapper into a
-    /// smaller list (often a single element).
-    fn combine(&self, key: &Self::Key, values: &[Self::Value]) -> Vec<Self::Value>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,21 +179,20 @@ mod tests {
 
     #[test]
     fn map_context_collects_emits_and_counters() {
-        let mut ctx = MapContext::new();
+        let mut ctx = MapContext::sharded(ShardBuffers::new(1), 1);
         Tokenizer.map(0, "a b a", &mut ctx);
-        ctx.increment_counter("custom", 2);
-        assert_eq!(ctx.emitted_len(), 3);
-        let (pairs, counters) = ctx.into_parts();
-        assert_eq!(pairs.len(), 3);
+        let (buffers, counters) = ctx.into_shards();
         assert_eq!(counters.get(builtin::MAP_OUTPUT_RECORDS), 3);
-        assert_eq!(counters.get("custom"), 2);
+        let shards = earl_parallel::ShardedBuffers::from_workers(1, vec![buffers])
+            .merge(1, |_, pairs: Vec<(String, u64)>| pairs);
+        let pair = |key: &str| (key.to_owned(), 1);
+        assert_eq!(shards, vec![vec![pair("a"), pair("b"), pair("a")]]);
     }
 
     #[test]
     fn sharded_map_context_routes_like_the_partitioner() {
         let mut ctx = MapContext::sharded(ShardBuffers::new(4), 4);
         Tokenizer.map(0, "a b a c", &mut ctx);
-        assert_eq!(ctx.emitted_len(), 4);
         let (buffers, counters) = ctx.into_shards();
         assert_eq!(counters.get(builtin::MAP_OUTPUT_RECORDS), 4);
         assert_eq!(buffers.emitted(), 4);
@@ -298,20 +205,6 @@ mod tests {
                 assert_eq!(HashPartitioner.partition(&key, 4), shard);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "use into_shards")]
-    fn into_parts_refuses_a_sharded_context() {
-        let ctx = MapContext::<String, u64>::sharded(ShardBuffers::new(2), 2);
-        let _ = ctx.into_parts();
-    }
-
-    #[test]
-    #[should_panic(expected = "use into_parts")]
-    fn into_shards_refuses_a_buffering_context() {
-        let ctx = MapContext::<String, u64>::new();
-        let _ = ctx.into_shards();
     }
 
     #[test]

@@ -88,11 +88,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that never fires — the identity wrapper.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// A plan firing exactly the listed `(worker, call-index, fault)` entries.
     pub fn scripted(faults: impl IntoIterator<Item = (usize, u64, Fault)>) -> Self {
         Self {
@@ -514,7 +509,7 @@ mod tests {
 
     #[test]
     fn the_none_plan_never_fires() {
-        let plan = FaultPlan::none();
+        let plan = FaultPlan::default();
         for worker in 0..4 {
             for call in 0..64 {
                 assert_eq!(plan.fault_for(worker, call), None);

@@ -13,6 +13,7 @@
 //! here" cannot diverge; adding a task here (plus its `wire_spec()` override in
 //! `earl-core`) is all it takes to run it on a real cluster.
 
+use earl_bootstrap::parallel::{ShardBuffers, ShardedBuffers};
 use earl_bootstrap::rng::replicate_rng;
 use earl_bootstrap::{
     KaryComponents, KaryForm, KarySections, LinearForm, LinearSections, MAX_KARY_COMPONENTS,
@@ -24,10 +25,7 @@ use earl_core::tasks::{
     VarianceTask,
 };
 use earl_core::{EarlDriver, EarlReport, EarlUpdate, Progress};
-use earl_mapreduce::{
-    HashPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer, SectionSummary,
-    TaskSpec,
-};
+use earl_mapreduce::{MapContext, Mapper, ReduceContext, Reducer, SectionSummary, TaskSpec};
 
 /// Hard ceiling on the replicates one `SectionTask` may request, so a corrupt
 /// or hostile `b_count` cannot drive an unbounded evaluation loop.  Far above
@@ -270,17 +268,13 @@ fn map_with<T: EarlTask>(
     num_shards: usize,
 ) -> Vec<Vec<(u32, f64)>> {
     let mapper = TaskMapper::new(task);
-    let mut ctx = MapContext::new();
+    let num_shards = num_shards.max(1);
+    let mut ctx = MapContext::sharded(ShardBuffers::new(num_shards), num_shards);
     for &(offset, line) in records {
         mapper.map(offset, line, &mut ctx);
     }
-    let (pairs, _counters) = ctx.into_parts();
-    let mut shards = vec![Vec::new(); num_shards.max(1)];
-    for (key, value) in pairs {
-        let shard = HashPartitioner.partition(&key, num_shards.max(1));
-        shards[shard].push((key, value));
-    }
-    shards
+    let (buffers, _counters) = ctx.into_shards();
+    ShardedBuffers::from_workers(num_shards, vec![buffers]).merge(1, |_, pairs| pairs)
 }
 
 fn reduce_with<T: EarlTask>(task: &T, groups: &[(u32, Vec<f64>)]) -> Vec<f64> {
@@ -296,6 +290,7 @@ fn reduce_with<T: EarlTask>(task: &T, groups: &[(u32, Vec<f64>)]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earl_mapreduce::{HashPartitioner, Partitioner};
 
     #[test]
     fn specs_round_trip_through_the_registry() {

@@ -446,11 +446,6 @@ impl TcpTransport {
         self.workers.lock().iter().map(|w| w.node).collect()
     }
 
-    /// The address each worker was last dialled at, dead or alive.
-    pub fn worker_addrs(&self) -> Vec<SocketAddr> {
-        self.workers.lock().iter().map(|w| w.addr).collect()
-    }
-
     /// Sends `Shutdown` to every live worker and drops the connections.
     pub fn shutdown(&self) {
         let mut workers = self.workers.lock();

@@ -68,11 +68,6 @@ impl PostMapSampler {
     pub fn initial_scan_bytes(&self) -> u64 {
         self.initial_scan_bytes
     }
-
-    /// Exact number of records in the population.
-    pub fn exact_population(&self) -> u64 {
-        self.shuffled.len() as u64
-    }
 }
 
 impl SampleSource for PostMapSampler {
@@ -134,7 +129,6 @@ mod tests {
         let dfs = dataset(1_000);
         let file_len = dfs.status("/data").unwrap().len;
         let sampler = PostMapSampler::new(dfs, "/data", 1).unwrap();
-        assert_eq!(sampler.exact_population(), 1_000);
         assert_eq!(sampler.population_size(), Some(1_000));
         assert_eq!(
             sampler.initial_scan_bytes(),

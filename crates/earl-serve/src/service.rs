@@ -167,11 +167,6 @@ impl JobHandle {
         self.updates.recv().ok()
     }
 
-    /// Non-blocking variant of [`next_update`](Self::next_update).
-    pub fn try_update(&self) -> Option<EarlUpdate> {
-        self.updates.try_recv().ok()
-    }
-
     /// Blocks until the job's terminal [`JobOutcome`].  Progressive updates
     /// not yet drained remain readable-never: prefer draining
     /// [`next_update`](Self::next_update) first if you want them.

@@ -76,11 +76,6 @@ impl Distribution {
             }
         }
     }
-
-    /// Coefficient of variation of the distribution itself (std-dev / mean).
-    pub fn true_cv(&self) -> f64 {
-        self.true_std_dev() / self.true_mean().abs()
-    }
 }
 
 /// A seeded generator of values from a [`Distribution`].
@@ -188,7 +183,7 @@ mod tests {
         let values = ValueGenerator::new(d, 2).take(50_000);
         assert!((empirical_mean(&values) - 100.0).abs() < 0.5);
         assert!((empirical_sd(&values) - 15.0).abs() < 0.5);
-        assert!((d.true_cv() - 0.15).abs() < 1e-12);
+        assert!((d.true_std_dev() - 15.0).abs() < 1e-12);
     }
 
     #[test]
@@ -208,7 +203,7 @@ mod tests {
         let d = Distribution::Exponential { rate: 0.25 };
         let values = ValueGenerator::new(d, 4).take(50_000);
         assert!((empirical_mean(&values) - 4.0).abs() < 0.1);
-        assert!((d.true_cv() - 1.0).abs() < 1e-12);
+        assert!((d.true_std_dev() - d.true_mean()).abs() < 1e-12, "cv 1");
     }
 
     #[test]

@@ -39,24 +39,6 @@ pub fn apply_layout(mut values: Vec<f64>, layout: Layout, seed: u64) -> Vec<f64>
     }
 }
 
-/// A simple measure of how clustered a layout is: the average absolute
-/// difference between consecutive values, normalised by the overall standard
-/// deviation.  Sorted data scores near 0; shuffled data scores near `2/√π ·
-/// √2 ≈ 1.13` for normal data.
-pub fn adjacency_dispersion(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let sd = (values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64).sqrt();
-    if sd == 0.0 {
-        return 0.0;
-    }
-    let adjacent: f64 =
-        values.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (values.len() - 1) as f64;
-    adjacent / sd
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,23 +67,5 @@ mod tests {
         let shuffled = apply_layout(values.clone(), Layout::Shuffled, 1);
         assert!(shuffled.windows(2).any(|w| w[0] > w[1]));
         assert_eq!(apply_layout(values.clone(), Layout::AsGenerated, 1), values);
-    }
-
-    #[test]
-    fn dispersion_separates_the_layouts() {
-        let values: Vec<f64> = (0..2000).map(|i| ((i * 7919) % 2000) as f64).collect();
-        let clustered =
-            adjacency_dispersion(&apply_layout(values.clone(), Layout::ClusteredAscending, 1));
-        let shuffled = adjacency_dispersion(&apply_layout(values, Layout::Shuffled, 1));
-        assert!(
-            clustered < 0.05,
-            "sorted data has tiny adjacent differences: {clustered}"
-        );
-        assert!(
-            shuffled > 0.5,
-            "shuffled data has large adjacent differences: {shuffled}"
-        );
-        assert_eq!(adjacency_dispersion(&[1.0]), 0.0);
-        assert_eq!(adjacency_dispersion(&[3.0, 3.0, 3.0]), 0.0);
     }
 }

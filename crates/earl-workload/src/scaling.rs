@@ -53,11 +53,6 @@ impl NominalSize {
         self.nominal_bytes as f64 / materialised_bytes as f64
     }
 
-    /// The nominal size in GiB.
-    pub fn nominal_gib(&self) -> f64 {
-        self.nominal_bytes as f64 / GIB
-    }
-
     /// The fraction of the nominal file a sample of `records` records
     /// represents.
     pub fn sample_fraction(&self, records: u64) -> f64 {
@@ -75,7 +70,6 @@ mod tests {
         let size = NominalSize::gib(100.0, 1_000_000, 100);
         // Materialised: 100 MB; nominal: 100 GiB → factor ≈ 1073.7
         assert!((size.scale_factor() - 100.0 * GIB / 1e8).abs() < 1.0);
-        assert!((size.nominal_gib() - 100.0).abs() < 1e-9);
         assert_eq!(size.nominal_records(), (100.0 * GIB) as u64 / 100);
     }
 
