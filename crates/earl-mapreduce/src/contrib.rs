@@ -105,11 +105,11 @@ impl Reducer for MedianReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earl_parallel::{ShardBuffers, ShardedBuffers};
+    use earl_parallel::ShardedBuffers;
 
     #[test]
     fn value_extract_parses_plain_and_tabbed_lines() {
-        let mut ctx = MapContext::sharded(ShardBuffers::new(1), 1);
+        let mut ctx = MapContext::sharded(1);
         ValueExtractMapper.map(0, "3.5", &mut ctx);
         ValueExtractMapper.map(1, "key\t7.25", &mut ctx);
         ValueExtractMapper.map(2, "not-a-number", &mut ctx);

@@ -792,7 +792,7 @@ fn run_mapper<M: Mapper>(
     input: &MapInput<'_>,
     num_shards: usize,
 ) -> Result<Option<MapCompute<M>>> {
-    let mut ctx = MapContext::sharded(ShardBuffers::new(num_shards), num_shards);
+    let mut ctx = MapContext::sharded(num_shards);
     let mut records = 0u64;
     match input {
         MapInput::Split(split) => {
@@ -1155,7 +1155,7 @@ mod tests {
                 return Err(MrError::Transport("refused".into()));
             }
             let shards = request.num_shards * self.shard_factor;
-            let mut ctx = MapContext::sharded(ShardBuffers::new(shards), shards);
+            let mut ctx = MapContext::sharded(shards);
             for offset in request.offsets {
                 SpecMapper.map(*offset, &self.records[offset], &mut ctx);
             }

@@ -39,14 +39,15 @@ pub struct MapContext<K, V> {
 }
 
 impl<K: MrKey, V: MrValue> MapContext<K, V> {
-    /// Creates a context that routes every emitted pair straight into
-    /// `buffers`' per-shard buckets (hash-partitioned over `num_shards`),
-    /// taking temporary ownership of the buffers.  Reclaim them — along with
-    /// the counters — via [`into_shards`](Self::into_shards).
-    pub fn sharded(buffers: ShardBuffers<(K, V)>, num_shards: usize) -> Self {
+    /// Creates a context that routes every emitted pair straight into its own
+    /// per-shard buckets, hash-partitioned over `num_shards` (at least one).
+    /// Reclaim them — along with the counters — via
+    /// [`into_shards`](Self::into_shards).
+    pub fn sharded(num_shards: usize) -> Self {
+        let buffers = ShardBuffers::new(num_shards);
         Self {
+            num_shards: buffers.num_shards(),
             buffers,
-            num_shards,
             counters: Counters::new(),
         }
     }
@@ -179,7 +180,7 @@ mod tests {
 
     #[test]
     fn map_context_collects_emits_and_counters() {
-        let mut ctx = MapContext::sharded(ShardBuffers::new(1), 1);
+        let mut ctx = MapContext::sharded(1);
         Tokenizer.map(0, "a b a", &mut ctx);
         let (buffers, counters) = ctx.into_shards();
         assert_eq!(counters.get(builtin::MAP_OUTPUT_RECORDS), 3);
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn sharded_map_context_routes_like_the_partitioner() {
-        let mut ctx = MapContext::sharded(ShardBuffers::new(4), 4);
+        let mut ctx = MapContext::sharded(4);
         Tokenizer.map(0, "a b a c", &mut ctx);
         let (buffers, counters) = ctx.into_shards();
         assert_eq!(counters.get(builtin::MAP_OUTPUT_RECORDS), 4);

@@ -13,7 +13,7 @@
 //! here" cannot diverge; adding a task here (plus its `wire_spec()` override in
 //! `earl-core`) is all it takes to run it on a real cluster.
 
-use earl_bootstrap::parallel::{ShardBuffers, ShardedBuffers};
+use earl_bootstrap::parallel::ShardedBuffers;
 use earl_bootstrap::rng::replicate_rng;
 use earl_bootstrap::{
     KaryComponents, KaryForm, KarySections, LinearForm, LinearSections, MAX_KARY_COMPONENTS,
@@ -268,13 +268,12 @@ fn map_with<T: EarlTask>(
     num_shards: usize,
 ) -> Vec<Vec<(u32, f64)>> {
     let mapper = TaskMapper::new(task);
-    let num_shards = num_shards.max(1);
-    let mut ctx = MapContext::sharded(ShardBuffers::new(num_shards), num_shards);
+    let mut ctx = MapContext::sharded(num_shards);
     for &(offset, line) in records {
         mapper.map(offset, line, &mut ctx);
     }
     let (buffers, _counters) = ctx.into_shards();
-    ShardedBuffers::from_workers(num_shards, vec![buffers]).merge(1, |_, pairs| pairs)
+    ShardedBuffers::from_workers(buffers.num_shards(), vec![buffers]).merge(1, |_, pairs| pairs)
 }
 
 fn reduce_with<T: EarlTask>(task: &T, groups: &[(u32, Vec<f64>)]) -> Vec<f64> {
