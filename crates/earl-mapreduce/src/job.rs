@@ -97,13 +97,12 @@ pub struct JobConf {
     pub num_reducers: usize,
     /// Failure handling policy.
     pub failure_policy: FailurePolicy,
-    /// Local mode: every task runs in the driver process (the paper's
-    /// single-JVM estimation mode, §3.2), and a pipelined session's warm
-    /// iterations run this way (§2.1).  A local job charges no job or task
-    /// start-up, places no task on a node, and no node failure can lose its
-    /// tasks; its shuffle charges neither the sort nor the network; and its
-    /// map and reduce compute never go to a remote transport.  DFS reads and
-    /// map and reduce CPU are charged as in cluster mode.
+    /// Local mode: every task runs in the driver process, as a pipelined
+    /// session's warm iterations do (§2.1).  A local job charges no job or
+    /// task start-up, places no task on a node, and no node failure can lose
+    /// its tasks; its shuffle charges neither the sort nor the network; and
+    /// its map and reduce compute never go to a remote transport.  DFS reads
+    /// and map and reduce CPU are charged as in cluster mode.
     pub local_mode: bool,
     /// Worker threads used to execute map tasks and reduce partitions
     /// concurrently (`None` = one per available core).  Results are identical

@@ -34,7 +34,6 @@ impl<T: Clone + Send + Sync + 'static> MrValue for T {}
 #[derive(Debug)]
 pub struct MapContext<K, V> {
     buffers: ShardBuffers<(K, V)>,
-    num_shards: usize,
     counters: Counters,
 }
 
@@ -44,10 +43,8 @@ impl<K: MrKey, V: MrValue> MapContext<K, V> {
     /// Reclaim them — along with the counters — via
     /// [`into_shards`](Self::into_shards).
     pub fn sharded(num_shards: usize) -> Self {
-        let buffers = ShardBuffers::new(num_shards);
         Self {
-            num_shards: buffers.num_shards(),
-            buffers,
+            buffers: ShardBuffers::new(num_shards),
             counters: Counters::new(),
         }
     }
@@ -55,7 +52,7 @@ impl<K: MrKey, V: MrValue> MapContext<K, V> {
     /// Emits one intermediate `(key, value)` pair.
     pub fn emit(&mut self, key: K, value: V) {
         self.counters.increment(builtin::MAP_OUTPUT_RECORDS);
-        let shard = HashPartitioner.partition(&key, self.num_shards);
+        let shard = HashPartitioner.partition(&key, self.buffers.num_shards());
         self.buffers.emit(shard, (key, value));
     }
 
