@@ -272,6 +272,12 @@ fn map_with<T: EarlTask>(
     for &(offset, line) in records {
         mapper.map(offset, line, &mut ctx);
     }
+    into_shard_vecs(ctx)
+}
+
+/// A map task's shards, each in emission order.  Not generic over the task,
+/// so the merge is compiled once rather than once per registry task.
+fn into_shard_vecs(ctx: MapContext<u32, f64>) -> Vec<Vec<(u32, f64)>> {
     let (buffers, _counters) = ctx.into_shards();
     ShardedBuffers::from_workers(buffers.num_shards(), vec![buffers]).merge(1, |_, pairs| pairs)
 }
