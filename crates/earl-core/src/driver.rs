@@ -1466,4 +1466,73 @@ mod tests {
         assert_eq!(a.sample_size, b.sample_size);
         assert_eq!(a.error_estimate, b.error_estimate);
     }
+
+    /// A non-local transport that counts the map and reduce calls it gets
+    /// and refuses each one, so every task computes in-process.
+    #[derive(Debug, Default)]
+    struct RefusingTransport {
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TaskTransport for RefusingTransport {
+        fn is_local(&self) -> bool {
+            false
+        }
+
+        fn remote_map(
+            &self,
+            _request: &earl_mapreduce::RemoteMapRequest<'_>,
+        ) -> earl_mapreduce::Result<earl_mapreduce::RemoteMapOutcome> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Err(MrError::Transport("refused".into()))
+        }
+
+        fn remote_reduce(
+            &self,
+            _request: &earl_mapreduce::RemoteReduceRequest<'_>,
+        ) -> earl_mapreduce::Result<earl_mapreduce::RemoteReduceOutcome> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Err(MrError::Transport("refused".into()))
+        }
+    }
+
+    /// The ladder's wire contract (§2.1): only step 1's job runs in cluster
+    /// mode, so only its one map task and one reduce partition reach a
+    /// remote transport.  Every later step — committed, staged beside the
+    /// previous accuracy estimation, or staged and then cancelled — runs in
+    /// local mode and stays in-process, at either depth.
+    #[test]
+    fn only_the_first_ladder_step_reaches_the_wire() {
+        for depth in [1usize, 2] {
+            let run = |transport: Arc<dyn TaskTransport>| {
+                let dfs = dfs(4);
+                build_spread(&dfs, 60_000, 21);
+                // σ = 1 % keeps the ladder climbing for several steps.
+                let config = EarlConfig {
+                    sigma: 0.01,
+                    ..multi_iteration_config(depth)
+                };
+                EarlDriver::new(dfs, config)
+                    .with_transport(transport)
+                    .run("/data", &MeanTask)
+                    .unwrap()
+            };
+            let in_process = run(default_transport());
+            let transport = Arc::new(RefusingTransport::default());
+            let remote = run(transport.clone());
+            assert!(
+                remote.iterations >= 3,
+                "the ladder climbs at least 3 steps, got {} (depth {depth})",
+                remote.iterations
+            );
+            assert_eq!(
+                transport.calls.load(std::sync::atomic::Ordering::Relaxed),
+                2,
+                "step 1's map and reduce, nothing after (depth {depth})"
+            );
+            assert_eq!(remote, in_process, "depth {depth}");
+        }
+    }
 }
