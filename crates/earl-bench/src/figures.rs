@@ -207,8 +207,9 @@ pub fn fig5(scale: Scale) -> Series {
 /// MapReduce job over the sample (the "if implemented naively" strawman of
 /// §5), paying a job/task start-up per resample and redrawing every resample
 /// from scratch at each sample expansion.  The optimised implementation is
-/// what EARL ships: resampling inside the reduce phase of a pipelined session
-/// (no per-resample job restarts) with inter-iteration delta maintenance.
+/// what EARL ships: resampling inside the reduce phase of the ladder's warm,
+/// local-mode steps (no per-resample job restarts) with inter-iteration delta
+/// maintenance.
 pub fn fig6(scale: Scale) -> Series {
     let env = BenchEnv::new(0x06);
     let ds = env.standard_dataset("/fig6", scale.records(), 6);

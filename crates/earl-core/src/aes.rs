@@ -6,13 +6,10 @@
 //! deliberately independent of how the resamples were produced — the driver
 //! feeds it either fresh Monte-Carlo resamples or delta-maintained ones.
 
-use earl_bootstrap::bootstrap::{
-    bootstrap_distribution, BootstrapConfig, BootstrapResult, LinearSections, ResolvedKernel,
-};
+use earl_bootstrap::bootstrap::{BootstrapResult, LinearSections, ResolvedKernel};
 use serde::{Deserialize, Serialize};
 
-use crate::task::{EarlTask, TaskEstimator};
-use crate::Result;
+use crate::task::EarlTask;
 
 /// Records a fresh bootstrap of `bootstraps` replicates over a sample of
 /// `records` touches — the work every AES charge (scalar, SSABE pilot,
@@ -60,38 +57,14 @@ impl AccuracyEstimationStage {
         Self { sigma }
     }
 
-    /// The target error bound.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Whether an achieved cv satisfies the bound.
     pub fn meets_bound(&self, cv: f64) -> bool {
         cv.is_finite() && cv <= self.sigma + 1e-12
     }
 
-    /// Runs a fresh Monte-Carlo bootstrap of `task` over `sample` and
-    /// summarises it.  `p` is the sampled fraction used for result correction;
-    /// `bootstrap` carries the resample count, worker-thread count (`None` =
-    /// all cores) and the replicate-evaluation kernel
-    /// ([`earl_bootstrap::BootstrapKernel`]; `Auto` picks the fastest one the
-    /// task supports).  Any worker count gives bit-identical results for a
-    /// fixed kernel.
-    pub fn estimate<T: EarlTask>(
-        &self,
-        seed: u64,
-        task: &T,
-        sample: &[f64],
-        p: f64,
-        bootstrap: &BootstrapConfig,
-    ) -> Result<AesReport> {
-        let estimator = TaskEstimator::new(task);
-        let result = bootstrap_distribution(seed, sample, &estimator, bootstrap)?;
-        Ok(self.summarise(task, &result, p, sample.len()))
-    }
-
-    /// Summarises an already-computed bootstrap result (e.g. one produced by
-    /// the delta-maintained resamples) into an [`AesReport`].
+    /// Summarises a bootstrap result — fresh or produced by the
+    /// delta-maintained resamples — into an [`AesReport`].  `p` is the
+    /// sampled fraction used for result correction.
     pub fn summarise<T: EarlTask>(
         &self,
         task: &T,
@@ -115,7 +88,9 @@ impl AccuracyEstimationStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskEstimator;
     use crate::tasks::{MeanTask, MedianTask, SumTask};
+    use earl_bootstrap::bootstrap::{bootstrap_distribution, BootstrapConfig};
     use earl_bootstrap::rng::{seeded_rng, standard_normal};
 
     fn sample(n: usize, mean: f64, sd: f64, seed: u64) -> Vec<f64> {
@@ -129,15 +104,14 @@ mod tests {
     fn estimate_reports_cv_and_corrected_result() {
         let aes = AccuracyEstimationStage::new(0.05);
         let data = sample(1_000, 200.0, 20.0, 1);
-        let report = aes
-            .estimate(
-                2,
-                &MeanTask,
-                &data,
-                0.01,
-                &BootstrapConfig::with_resamples(40),
-            )
-            .unwrap();
+        let bootstrap = bootstrap_distribution(
+            2,
+            &data,
+            &TaskEstimator::new(&MeanTask),
+            &BootstrapConfig::with_resamples(40),
+        )
+        .unwrap();
+        let report = aes.summarise(&MeanTask, &bootstrap, 0.01, data.len());
         assert_eq!(report.bootstraps, 40);
         assert_eq!(report.sample_size, 1_000);
         assert!((report.result - 200.0).abs() < 3.0);
@@ -154,15 +128,14 @@ mod tests {
     fn sum_task_is_scaled_by_one_over_p() {
         let aes = AccuracyEstimationStage::new(0.05);
         let data = sample(500, 10.0, 1.0, 3);
-        let report = aes
-            .estimate(
-                4,
-                &SumTask,
-                &data,
-                0.1,
-                &BootstrapConfig::with_resamples(30),
-            )
-            .unwrap();
+        let bootstrap = bootstrap_distribution(
+            4,
+            &data,
+            &TaskEstimator::new(&SumTask),
+            &BootstrapConfig::with_resamples(30),
+        )
+        .unwrap();
+        let report = aes.summarise(&SumTask, &bootstrap, 0.1, data.len());
         assert!((report.corrected_result - report.result * 10.0).abs() < 1e-6);
         assert!(report.ci.1 > report.ci.0);
     }
@@ -172,15 +145,14 @@ mod tests {
         let aes = AccuracyEstimationStage::new(0.01);
         // A tiny, highly dispersed sample cannot achieve a 1% bound.
         let data = sample(20, 10.0, 8.0, 5);
-        let report = aes
-            .estimate(
-                6,
-                &MedianTask,
-                &data,
-                1.0,
-                &BootstrapConfig::with_resamples(50),
-            )
-            .unwrap();
+        let bootstrap = bootstrap_distribution(
+            6,
+            &data,
+            &TaskEstimator::new(&MedianTask),
+            &BootstrapConfig::with_resamples(50),
+        )
+        .unwrap();
+        let report = aes.summarise(&MedianTask, &bootstrap, 1.0, data.len());
         assert!(
             !aes.meets_bound(report.cv),
             "cv {} should exceed 0.01",
@@ -191,9 +163,12 @@ mod tests {
 
     #[test]
     fn empty_sample_is_an_error() {
-        let aes = AccuracyEstimationStage::new(0.05);
-        assert!(aes
-            .estimate(7, &MeanTask, &[], 1.0, &BootstrapConfig::with_resamples(30))
-            .is_err());
+        assert!(bootstrap_distribution(
+            7,
+            &[],
+            &TaskEstimator::new(&MeanTask),
+            &BootstrapConfig::with_resamples(30)
+        )
+        .is_err());
     }
 }

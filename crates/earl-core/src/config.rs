@@ -87,9 +87,9 @@ pub struct EarlConfig {
     /// (draw Δ + map) → commit (shuffle + reduce) → accuracy estimation →
     /// verdict — and this knob decides only whether the *next* step is staged
     /// beside the accuracy estimation of the current one.  `2` (the default)
-    /// does: the reducer→mapper feedback channel (§3.3) then commits the
-    /// staged step, or cancels it before its reduce phase when the error bound
-    /// is met.  `1` never stages ahead: every step is staged right before its
+    /// does: the verdict on the current step's error then commits the staged
+    /// step, or cancels it before its reduce phase when the error bound is
+    /// met.  `1` never stages ahead: every step is staged right before its
     /// commit, strictly back to back — the only schedule on which count-based
     /// replicate batches go to remote workers, because no section call can
     /// then interleave with a concurrent map call.  The delivered result

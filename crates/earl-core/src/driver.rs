@@ -28,9 +28,8 @@ use earl_cluster::{FaultLog, Phase, SimDuration};
 use earl_dfs::{Dfs, DfsError, DfsPath};
 use earl_mapreduce::transport::default_transport;
 use earl_mapreduce::{
-    ErrorReport, InputSource, JobConf, MapContext, Mapper, MrError, PendingIteration,
-    PipelinedSession, ReduceContext, Reducer, RemoteSectionsRequest, SectionSummary, TaskSpec,
-    TaskTransport,
+    finish_job, run_map_phase, InputSource, JobConf, MapContext, MapPhase, Mapper, MrError,
+    ReduceContext, Reducer, RemoteSectionsRequest, SectionSummary, TaskSpec, TaskTransport,
 };
 use earl_sampling::SamplingError;
 
@@ -160,7 +159,7 @@ pub(crate) trait Ladder: Sync {
         sample: &Self::Sample,
         iteration: usize,
     ) -> Result<(Self::Estimate, u64)>;
-    /// The verdict: the error to post on the feedback channel (§3.3), and
+    /// The verdict: the error the stopping rule compares against σ, and
     /// whether the sample is large enough for a met bound to count.
     fn verdict(&self, sample: &Self::Sample, estimate: &Self::Estimate) -> (f64, bool);
 }
@@ -179,7 +178,9 @@ type StepObserver<'o, E> = dyn FnMut(usize, &E, u64, f64) -> Progress + 'o;
 /// accuracy estimation.  The verdict on that estimate either commits it
 /// (shuffle + reduce run, records and sample extended) or cancels it.
 struct Staged<L: Ladder> {
-    pending: PendingIteration<MapKey<L>, MapValue<L>>,
+    phase: MapPhase<MapKey<L>, MapValue<L>>,
+    /// The configuration the map phase ran with, and the commit finishes with.
+    conf: JobConf,
     batch: Vec<(u64, String)>,
     /// `sampler.drawn()` right after this step's draw — committed to the
     /// reported sample fraction only if the step itself commits.
@@ -843,6 +844,15 @@ impl EarlDriver {
     /// speculative map work — charged to the simulated clock, discarded on
     /// the final step — differs.  `observer` answering [`Progress::Cancel`]
     /// stops the ladder at that boundary unless the boundary is already final.
+    ///
+    /// The paper's modified Hadoop keeps map and reduce tasks alive across
+    /// sample expansions (§2.1): here the climb's first staged job runs in
+    /// cluster mode and every later one in local mode
+    /// ([`JobConf::local_mode`]), so only the first pays job and task
+    /// start-up or reaches a remote transport.  Its reducers write their
+    /// error to HDFS for the mappers to read (§3.3): here the stop rule reads
+    /// the AES error directly, and cancelling a staged step drops its
+    /// [`MapPhase`] before the reduce phase.
     pub(crate) fn climb<L: Ladder>(
         &self,
         ladder: &L,
@@ -854,29 +864,30 @@ impl EarlDriver {
         let cluster = self.dfs.cluster();
         let population = climb.population;
         let aes = AccuracyEstimationStage::new(self.config.sigma);
-        let mut session = PipelinedSession::new(self.dfs.clone());
-        let feedback = session.feedback();
         let (mapper, reducer) = ladder.tasks();
         let mut target_n = target_n.max(1);
         let mut exhausted = false;
+        // Every job after the climb's first runs in local mode.
+        let mut warm = false;
 
         // Stages one step: expands the sample by up to `needed` records and
         // runs the map phase over `records` + Δ through the MapReduce engine.
-        let stage = |sampler: &mut dyn SampleSource,
-                     session: &mut PipelinedSession,
-                     fault_log: &mut FaultLog,
-                     records: &[(u64, String)],
-                     sample: &L::Sample,
-                     needed: usize|
+        let mut stage = |sampler: &mut dyn SampleSource,
+                         fault_log: &mut FaultLog,
+                         records: &[(u64, String)],
+                         sample: &L::Sample,
+                         needed: usize|
          -> Result<Staged<L>> {
             let batch = draw_degrading(&self.dfs, &self.config, sampler, needed, fault_log)?;
             let input = InputSource::Memory(records.iter().chain(&batch).cloned().collect());
-            let conf = ladder
+            let mut conf = ladder
                 .job(input, sample, &batch)
                 .with_failure_policy(self.config.failure_policy)
                 .with_parallelism(self.config.parallelism);
+            conf.local_mode = std::mem::replace(&mut warm, true);
             Ok(Staged {
-                pending: session.begin_iteration(&conf, &mapper)?,
+                phase: run_map_phase(&self.dfs, &conf, &mapper)?,
+                conf,
                 exhausted: needed > 0 && batch.is_empty(),
                 batch,
                 drawn_after: sampler.drawn(),
@@ -898,7 +909,6 @@ impl EarlDriver {
                     let size = ladder.size(&climb.records, &climb.sample);
                     stage(
                         climb.sampler.as_mut(),
-                        &mut session,
                         &mut climb.fault_log,
                         &climb.records,
                         &climb.sample,
@@ -910,7 +920,7 @@ impl EarlDriver {
             climb.records.extend(step.batch);
             climb.committed_drawn = step.drawn_after;
             exhausted |= step.exhausted;
-            let job = session.complete_iteration(step.pending, &reducer)?;
+            let job = finish_job(&self.dfs, &step.conf, step.phase, &reducer)?;
             climb.fault_log.merge(&job.stats.fault_log);
 
             // ---- AES of step i, beside the staging of step i+1 iff speculating
@@ -933,7 +943,6 @@ impl EarlDriver {
                     let aes_handle = scope.spawn(accuracy);
                     let next = stage(
                         climb.sampler.as_mut(),
-                        &mut session,
                         &mut climb.fault_log,
                         &climb.records,
                         sample,
@@ -951,35 +960,25 @@ impl EarlDriver {
             let next = next?;
             cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_work, reducer.is_heavy());
 
-            // Post the error on the reducer→mapper feedback channel (§3.3).
             let (error, floor_met) = ladder.verdict(&climb.sample, &estimate);
-            feedback.post(ErrorReport {
-                reducer: 0,
-                error,
-                timestamp: cluster.now(),
-            });
             let fraction = climb.sampled_fraction();
             let cancel_requested =
                 observer(iterations, &estimate, sample_size, fraction) == Progress::Cancel;
             climb.estimate = Some(estimate);
 
             // ---- verdict ------------------------------------------------------
-            // The feedback channel — not a driver-local — carries the error
-            // estimate that stops the ladder when the bound is met
-            // (§2.1/§3.3); the bound predicate itself is the AES's.  A boundary
-            // that is already final (exact, bound met, exhausted) completes
-            // normally even if the observer asked to cancel.
+            // The bound predicate is the AES's.  A boundary that is already
+            // final (exact, bound met, exhausted) completes normally even if
+            // the observer asked to cancel.
             climb.exact = sample_size >= population;
-            let bound_met =
-                floor_met && session.latest_error().is_some_and(|cv| aes.meets_bound(cv));
+            let bound_met = floor_met && aes.meets_bound(error);
             let last_step = climb.exact || bound_met || exhausted;
             climb.cancelled = cancel_requested && !last_step;
             if last_step || climb.cancelled {
                 // A staged step is abandoned the same way whichever rule
                 // stopped the ladder.
                 if let Some(step) = next {
-                    let stats = session.cancel_iteration(step.pending);
-                    climb.fault_log.merge(&stats.fault_log);
+                    climb.fault_log.merge(&step.phase.stats().fault_log);
                 }
                 break;
             }

@@ -549,8 +549,8 @@ impl EarlDriver {
     /// the sample expands until **every** group's bootstrap cv meets σ.
     ///
     /// It climbs the scalar [`run`](Self::run)'s ladder — same pilot, draws,
-    /// job per step, feedback channel, stopping rule and §3.4 degrade path —
-    /// but never speculates (`pipeline_depth` is ignored).  What differs: `B`
+    /// job per step, stopping rule and §3.4 degrade path — but never
+    /// speculates (`pipeline_depth` is ignored).  What differs: `B`
     /// comes from `config.bootstraps` (default 100 per group — SSABE's scalar
     /// `B`-search does not transfer to many groups), the accuracy stage runs
     /// one bootstrap per group, each on the deterministic [`group_seed`]
@@ -639,7 +639,7 @@ mod tests {
     use super::*;
     use earl_cluster::{Cluster, NodeId};
     use earl_dfs::{Dfs, DfsConfig};
-    use earl_mapreduce::{FailurePolicy, PipelinedSession};
+    use earl_mapreduce::{run_job, FailurePolicy};
     use earl_workload::{DatasetBuilder, GroupedSpec};
 
     #[test]
@@ -787,15 +787,15 @@ mod tests {
                 config: &config,
                 bootstraps: 20,
             };
-            let mut session = PipelinedSession::new(dfs.clone());
             let mut groups = BTreeMap::new();
             for (from, to) in [(0, 300), (300, 900)] {
                 let batch = &lines[from..to];
                 let input = InputSource::Memory(lines[..to].to_vec());
-                let conf = ladder.job(input, &groups, batch);
+                let mut conf = ladder.job(input, &groups, batch);
+                conf.local_mode = from > 0; // warm, as on the ladder
                 ladder.extend(&mut groups, batch);
                 let (mapper, reducer) = ladder.tasks();
-                let job = session.run_iteration(&conf, &mapper, &reducer).unwrap();
+                let job = run_job(&dfs, &conf, &mapper, &reducer).unwrap();
                 let outputs: BTreeMap<String, f64> = job.outputs.into_iter().collect();
                 let (estimate, _) = ladder.estimate(&mut (), &groups, 0).unwrap();
                 assert_eq!(outputs.len(), estimate.len(), "{stat:?} at {to}");

@@ -97,8 +97,8 @@ pub struct JobConf {
     pub num_reducers: usize,
     /// Failure handling policy.
     pub failure_policy: FailurePolicy,
-    /// Local mode: every task runs in the driver process, as a pipelined
-    /// session's warm iterations do (§2.1).  A local job charges no job or
+    /// Local mode: every task runs in the driver process, as every EARL
+    /// ladder step after the first does.  A local job charges no job or
     /// task start-up, places no task on a node, and no node failure can lose
     /// its tasks; its shuffle charges neither the sort nor the network; and
     /// its map and reduce compute never go to a remote transport.  DFS reads

@@ -15,10 +15,9 @@
 //! * a **local mode** that runs a job's tasks in the driver process —
 //!   without start-up, placement, failure arbitration, shuffle sort and
 //!   network charges or remote compute (see [`JobConf::local_mode`]);
-//! * a **pipelined session** (Hadoop-Online-style) that keeps mapper/reducer
-//!   tasks alive across EARL iterations — every iteration after the first
-//!   runs in local mode — and provides the mapper↔reducer feedback channel
-//!   used to signal sample expansion or termination (§2.1).
+//! * a map phase that runs on its own ([`run_map_phase`]) and is later
+//!   finished by shuffle + reduce ([`finish_job`]) or dropped before its
+//!   reduce phase.
 //!
 //! The engine executes user code for real (results are exact), while all I/O,
 //! CPU and start-up work is charged to the cluster's cost model so simulated
@@ -30,10 +29,8 @@
 pub mod contrib;
 pub mod counters;
 pub mod error;
-pub mod feedback;
 pub mod job;
 pub mod partition;
-pub mod pipeline;
 pub mod runner;
 pub mod shuffle;
 pub mod transport;
@@ -41,10 +38,8 @@ pub mod types;
 
 pub use counters::Counters;
 pub use error::MrError;
-pub use feedback::{ErrorFeedback, ErrorReport};
 pub use job::{FailurePolicy, InputSource, JobConf, JobResult, JobStats};
 pub use partition::{HashPartitioner, Partitioner};
-pub use pipeline::{PendingIteration, PipelinedSession};
 pub use runner::{finish_job, run_job, run_map_phase, MapPhase};
 pub use shuffle::ShuffleOutput;
 pub use transport::{

@@ -136,8 +136,8 @@ where
 /// The completed map half of a job: all intermediate pairs already sharded
 /// map-side, plus the counters and stats accumulated so far.  Produced by
 /// [`run_map_phase`], consumed by [`finish_job`] (shuffle + reduce) — or
-/// dropped outright when a pipelined session cancels a speculative iteration
-/// before its reduce phase.
+/// dropped outright when the caller cancels a staged job before its reduce
+/// phase.
 #[derive(Debug)]
 pub struct MapPhase<K, V> {
     output: ShardedBuffers<(K, V)>,
@@ -156,11 +156,6 @@ impl<K, V> MapPhase<K, V> {
     pub fn stats(&self) -> &JobStats {
         &self.stats
     }
-
-    /// Counters accumulated by the map phase.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
 }
 
 /// The input of one map task.  In-memory records are borrowed from the
@@ -171,8 +166,8 @@ enum MapInput<'a> {
 }
 
 /// Runs only the map half of a job, leaving shuffle and reduce to
-/// [`finish_job`].  A pipelined session uses this to overlap the map phase of
-/// a speculative iteration with the accuracy estimation of the previous one.
+/// [`finish_job`].  EARL's driver uses this to overlap the map phase of a
+/// speculative ladder step with the accuracy estimation of the previous one.
 ///
 /// One task per input split (or one over the in-memory records), each
 /// streaming into its own [`ShardBuffers`].  Buffers and counters of
@@ -890,29 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn local_mode_is_cheaper_than_cluster_mode() {
-        let dfs = test_dfs(3, false);
-        let lines: Vec<String> = (0..200).map(|i| i.to_string()).collect();
-        dfs.write_lines("/m", &lines).unwrap();
-
-        dfs.cluster().reset_accounting();
-        let cluster_conf = JobConf::new("mean", InputSource::Path("/m".into()));
-        run_job(&dfs, &cluster_conf, &ValueExtractMapper, &MeanReducer).unwrap();
-        let cluster_time = dfs.cluster().elapsed();
-
-        dfs.cluster().reset_accounting();
-        let mut local_conf = cluster_conf.clone();
-        local_conf.local_mode = true;
-        run_job(&dfs, &local_conf, &ValueExtractMapper, &MeanReducer).unwrap();
-        let local_time = dfs.cluster().elapsed();
-
-        assert!(
-            local_time < cluster_time,
-            "local mode must avoid job/task start-up costs: {local_time} vs {cluster_time}"
-        );
-    }
-
-    #[test]
     fn empty_input_produces_empty_result() {
         let dfs = test_dfs(1, true);
         let conf = JobConf::new("empty", InputSource::Memory(Vec::new()));
@@ -1276,6 +1248,64 @@ mod tests {
         let fallback = run_spec_job(&records, 3, 4, Some(transport.clone()));
         assert_same_result(&fallback, &local, "refused map call");
         assert!(transport.calls.load(Ordering::Relaxed) > 0, "it was asked");
+    }
+
+    /// The local-mode contract EARL's ladder steps rely on: in cluster mode a
+    /// job starts, runs one map task and one reduce task, charges start-up
+    /// and the shuffle, and asks the transport once per task; in local mode
+    /// the same job gives the same output, sooner, with none of that.
+    #[test]
+    fn local_mode_charges_no_startup_or_shuffle_and_stays_off_the_wire() {
+        let records = loopback_records();
+        let dfs = test_dfs(3, false);
+        let cluster = dfs.cluster().clone();
+        let transport = Arc::new(Loopback {
+            refuse: true,
+            ..Loopback::over(&records)
+        });
+        let conf = JobConf::new("spec", InputSource::Memory(records.clone()))
+            .with_source_path("/data")
+            .with_transport(transport.clone());
+
+        // (outputs, sim time, jobs started, tasks started, start-up time,
+        // shuffle time, wire calls)
+        let run = |local_mode: bool| {
+            let conf = JobConf {
+                local_mode,
+                ..conf.clone()
+            };
+            let before = cluster.metrics().snapshot();
+            let calls = transport.calls.load(Ordering::Relaxed);
+            let result = run_job(&dfs, &conf, &SpecMapper, &SpecReducer).unwrap();
+            let after = cluster.metrics().snapshot();
+            (
+                result.outputs,
+                result.stats.sim_time,
+                after.jobs_run - before.jobs_run,
+                after.tasks_started - before.tasks_started,
+                after.phase(Phase::Other).sim_time_micros
+                    - before.phase(Phase::Other).sim_time_micros,
+                after.phase(Phase::Shuffle).sim_time_micros
+                    - before.phase(Phase::Shuffle).sim_time_micros,
+                transport.calls.load(Ordering::Relaxed) - calls,
+            )
+        };
+
+        let (outputs, sim_time, jobs, tasks, startup, shuffle, calls) = run(false);
+        assert_eq!(jobs, 1, "a cluster-mode job is started");
+        assert_eq!(tasks, 2, "one map task and one reduce task");
+        assert!(startup > 0, "job and task start-up are charged");
+        assert!(shuffle > 0, "the shuffle's sort and network are charged");
+        assert_eq!(calls, 2, "one map and one reduce call on the wire");
+
+        let (local_outputs, local_sim_time, jobs, tasks, startup, shuffle, calls) = run(true);
+        assert_eq!(local_outputs, outputs);
+        assert!(local_sim_time < sim_time, "{local_sim_time} vs {sim_time}");
+        assert_eq!(
+            (jobs, tasks, startup, shuffle, calls),
+            (0, 0, 0, 0, 0),
+            "a local job charges no start-up or shuffle and stays in-process"
+        );
     }
 
     #[test]

@@ -7,9 +7,8 @@ pub mod queue {
 
     /// An unbounded MPMC FIFO queue with the `crossbeam::queue::SegQueue` API.
     ///
-    /// Backed by a mutexed `VecDeque` — contention on the EARL feedback channel
-    /// is a handful of posts per iteration, far below where a lock-free
-    /// segmented queue would matter.
+    /// Backed by a mutexed `VecDeque`.  No workspace code calls it; the
+    /// dependency stays declared until both lockfiles are regenerated.
     #[derive(Debug)]
     pub struct SegQueue<T> {
         inner: Mutex<VecDeque<T>>,

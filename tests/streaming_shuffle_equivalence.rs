@@ -12,8 +12,8 @@
 //! * **no all-pairs vector** — the shuffle's largest single heap allocation
 //!   stays at per-shard scale, never the job-wide pair count (asserted with a
 //!   counting global allocator);
-//! * **pipelined-cancel interaction** — a staged iteration whose map output is
-//!   already sharded map-side cancels cleanly and leaves later iterations
+//! * **pipelined-cancel interaction** — a staged map phase whose output is
+//!   already sharded map-side is dropped cleanly and leaves later iterations
 //!   bit-identical;
 //! * **cached counts** — `total_records` / `total_groups` agree with a manual
 //!   walk of the partitions.
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use earl_mapreduce::partition::{HashPartitioner, Partitioner};
-use earl_mapreduce::{contrib, run_job, InputSource, JobConf, PipelinedSession, ShuffleOutput};
+use earl_mapreduce::{contrib, run_job, run_map_phase, InputSource, JobConf, ShuffleOutput};
 use earl_parallel::{indexed_map, ShardBuffers, ShardedBuffers};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -355,7 +355,7 @@ fn streaming_path_never_materialises_an_all_pairs_vector() {
 // Pipelined-cancel interaction
 // ---------------------------------------------------------------------------
 
-fn pipeline_session(lines: &[String]) -> PipelinedSession {
+fn pipeline_dfs(lines: &[String]) -> earl_dfs::Dfs {
     let cluster = earl_cluster::Cluster::builder()
         .nodes(3)
         .cost_model(earl_cluster::CostModel::commodity_2012())
@@ -372,74 +372,56 @@ fn pipeline_session(lines: &[String]) -> PipelinedSession {
     )
     .unwrap();
     dfs.write_lines("/pipe", lines).unwrap();
-    PipelinedSession::new(dfs)
+    dfs
 }
 
 /// A staged iteration holds map output that is already sharded map-side;
 /// cancelling it must drop those buffers cleanly and leave the next
-/// iterations bit-identical to a schedule that never speculated.
+/// iterations bit-identical to a schedule that never speculated.  As on the
+/// EARL ladder, the first iteration runs in cluster mode and later ones in
+/// local mode.
 #[test]
 fn cancelling_a_staged_streaming_iteration_leaves_later_iterations_identical() {
     let lines: Vec<String> = (0..5_000)
         .map(|i| format!("k{} k{} v{}", i % 97, i % 7, i))
         .collect();
-    let conf = |threads: usize| {
-        JobConf::new("wc", InputSource::Path("/pipe".into()))
+    let conf = |threads: usize, local_mode: bool| JobConf {
+        local_mode,
+        ..JobConf::new("wc", InputSource::Path("/pipe".into()))
             .with_reducers(6)
             .with_parallelism(Some(threads))
     };
+    let (mapper, reducer) = (&contrib::TokenCountMapper, &contrib::WordCountReducer);
 
     for &threads in &thread_counts() {
         // Reference: plain schedule, two committed iterations.
-        let mut plain = pipeline_session(&lines);
-        let first_ref = plain
-            .run_iteration(
-                &conf(1),
-                &contrib::TokenCountMapper,
-                &contrib::WordCountReducer,
-            )
-            .unwrap();
-        let second_ref = plain
-            .run_iteration(
-                &conf(1),
-                &contrib::TokenCountMapper,
-                &contrib::WordCountReducer,
-            )
-            .unwrap();
+        let plain = pipeline_dfs(&lines);
+        let first_ref = run_job(&plain, &conf(1, false), mapper, reducer).unwrap();
+        let second_ref = run_job(&plain, &conf(1, true), mapper, reducer).unwrap();
 
         // Speculative schedule: iteration 2 is staged (its map phase — and
         // with it the map-side sharding — already ran), then cancelled, then
         // re-run for real.
-        let mut spec = pipeline_session(&lines);
-        let first = spec
-            .run_iteration(
-                &conf(threads),
-                &contrib::TokenCountMapper,
-                &contrib::WordCountReducer,
-            )
-            .unwrap();
+        let spec = pipeline_dfs(&lines);
+        let first = run_job(&spec, &conf(threads, false), mapper, reducer).unwrap();
         assert_eq!(first.outputs, first_ref.outputs, "threads {threads}");
         assert_eq!(first.counters, first_ref.counters);
 
-        let pending = spec
-            .begin_iteration(&conf(threads), &contrib::TokenCountMapper)
-            .unwrap();
-        assert!(pending.map_stats().map_tasks >= 1);
+        let staged = run_map_phase(&spec, &conf(threads, true), mapper).unwrap();
+        assert!(staged.stats().map_tasks >= 1);
         assert_eq!(
-            pending.map_stats().shuffle_records,
+            staged.stats().shuffle_records,
             first_ref.stats.shuffle_records,
             "the staged map phase counted its sharded records"
         );
-        let wasted = spec.cancel_iteration(pending);
-        assert_eq!(wasted.reduce_tasks, 0, "cancelled before its reduce phase");
+        assert_eq!(
+            staged.stats().reduce_tasks,
+            0,
+            "cancelled before its reduce phase"
+        );
+        drop(staged);
 
-        let second = spec
-            .run_iteration(
-                &conf(threads),
-                &contrib::TokenCountMapper,
-                &contrib::WordCountReducer,
-            )
-            .unwrap();
+        let second = run_job(&spec, &conf(threads, true), mapper, reducer).unwrap();
         assert_eq!(second.outputs, second_ref.outputs, "threads {threads}");
         assert_eq!(second.counters, second_ref.counters, "threads {threads}");
     }
