@@ -119,6 +119,7 @@ impl Dfs {
             path,
             buffer: Vec::with_capacity(self.inner.config.block_size.min(1 << 20) as usize),
             blocks: Vec::new(),
+            committed: 0,
             bytes_written: 0,
             num_records: 0,
             closed: false,
@@ -136,6 +137,23 @@ impl Dfs {
         for line in lines {
             writer.write_line(line.as_ref())?;
         }
+        writer.close()
+    }
+
+    /// Writes an entire file from `records`, already encoded as
+    /// newline-terminated lines, `num_records` of them.  The file gets the
+    /// blocks, replica placement and charges that [`Dfs::write_lines`] gives
+    /// the same lines: blocks are cut at multiples of the block size however
+    /// the bytes arrive.
+    pub fn write_encoded(
+        &self,
+        path: impl Into<DfsPath>,
+        records: &[u8],
+        num_records: u64,
+    ) -> Result<FileStatus> {
+        let mut writer = self.create(path)?;
+        writer.write_bytes(records)?;
+        writer.num_records = num_records;
         writer.close()
     }
 
@@ -544,7 +562,7 @@ impl Dfs {
         Ok(chosen)
     }
 
-    fn commit_block(&self, data: Vec<u8>, file_offset: u64, phase: Phase) -> Result<BlockMeta> {
+    fn commit_block(&self, data: &[u8], file_offset: u64, phase: Phase) -> Result<BlockMeta> {
         let len = data.len() as u64;
         let replicas = self.place_replicas(self.inner.config.replication)?;
         let id = self.inner.namenode.write().allocate_block_id();
@@ -614,24 +632,41 @@ pub struct DfsWriter {
     path: DfsPath,
     buffer: Vec<u8>,
     blocks: Vec<BlockMeta>,
+    /// Bytes in `blocks`: the file offset of the next block.
+    committed: u64,
     bytes_written: u64,
     num_records: u64,
     closed: bool,
 }
 
 impl DfsWriter {
-    /// Appends raw bytes.
-    pub fn write_bytes(&mut self, data: &[u8]) -> Result<()> {
-        self.buffer.extend_from_slice(data);
+    /// Appends raw bytes.  Each block that fills up is committed as it does,
+    /// straight from `data` when nothing is buffered, so a slice spanning
+    /// many blocks is copied once, into the block store.
+    pub fn write_bytes(&mut self, mut data: &[u8]) -> Result<()> {
         self.bytes_written += data.len() as u64;
         let block_size = self.dfs.inner.config.block_size as usize;
-        while self.buffer.len() >= block_size {
-            let rest = self.buffer.split_off(block_size);
-            let full = std::mem::replace(&mut self.buffer, rest);
-            let offset = self.blocks.iter().map(|b| b.len).sum();
-            let meta = self.dfs.commit_block(full, offset, Phase::Output)?;
-            self.blocks.push(meta);
+        while self.buffer.len() + data.len() >= block_size {
+            let (head, rest) = data.split_at(block_size - self.buffer.len());
+            if self.buffer.is_empty() {
+                self.commit(head)?;
+            } else {
+                self.buffer.extend_from_slice(head);
+                let mut full = std::mem::take(&mut self.buffer);
+                self.commit(&full)?;
+                full.clear();
+                self.buffer = full;
+            }
+            data = rest;
         }
+        self.buffer.extend_from_slice(data);
+        Ok(())
+    }
+
+    fn commit(&mut self, data: &[u8]) -> Result<()> {
+        let meta = self.dfs.commit_block(data, self.committed, Phase::Output)?;
+        self.committed += data.len() as u64;
+        self.blocks.push(meta);
         Ok(())
     }
 
@@ -651,9 +686,7 @@ impl DfsWriter {
     pub fn close(mut self) -> Result<FileStatus> {
         if !self.buffer.is_empty() {
             let data = std::mem::take(&mut self.buffer);
-            let offset = self.blocks.iter().map(|b| b.len).sum();
-            let meta = self.dfs.commit_block(data, offset, Phase::Output)?;
-            self.blocks.push(meta);
+            self.commit(&data)?;
         }
         self.closed = true;
         let blocks = std::mem::take(&mut self.blocks);
@@ -903,6 +936,77 @@ mod tests {
         assert_eq!(w.bytes_written(), 9);
         let status = w.close().unwrap();
         assert_eq!(status.len, 9);
+    }
+
+    #[test]
+    fn one_multi_block_slice_writes_like_line_by_line_writing() {
+        let lines: Vec<String> = (0..3_000)
+            .map(|i| format!("{}", i * 7919 % 100_003))
+            .collect();
+        let encoded: Vec<u8> = lines
+            .iter()
+            .flat_map(|l| format!("{l}\n").into_bytes())
+            .collect();
+        let world = || {
+            let cluster = Cluster::builder()
+                .nodes(5)
+                .cost_model(earl_cluster::CostModel::commodity_2012())
+                .build()
+                .unwrap();
+            Dfs::new(cluster, DfsConfig::small_blocks(1 << 10)).unwrap()
+        };
+        let by_line = world();
+        by_line.write_lines("/f", &lines).unwrap();
+        let (bulk, chunked, encoded_entry) = (world(), world(), world());
+        // One call, then calls of 1.5 blocks each that start with a part
+        // block buffered.
+        for (dfs, chunk) in [(&bulk, encoded.len()), (&chunked, 1_536)] {
+            let mut writer = dfs.create("/f").unwrap();
+            for piece in encoded.chunks(chunk) {
+                writer.write_bytes(piece).unwrap();
+            }
+            writer.num_records = lines.len() as u64;
+            writer.close().unwrap();
+        }
+        encoded_entry
+            .write_encoded("/f", &encoded, lines.len() as u64)
+            .unwrap();
+
+        let state = |dfs: &Dfs| {
+            let path = DfsPath::from("/f");
+            let namenode = dfs.inner.namenode.read();
+            let blocks = namenode.file(&path).unwrap().blocks.clone();
+            let locations: Vec<Vec<NodeId>> = blocks
+                .iter()
+                .map(|b| namenode.locations(b.id).to_vec())
+                .collect();
+            (
+                dfs.status("/f").unwrap(),
+                blocks,
+                locations,
+                dfs.cluster().elapsed(),
+                dfs.cluster().metrics().snapshot(),
+            )
+        };
+        let expected = state(&by_line);
+        assert!(expected.0.num_blocks > 10, "the slice spans many blocks");
+        let cuts: Vec<(u64, u64)> = expected.1.iter().map(|b| (b.file_offset, b.len)).collect();
+        let full = (0..cuts.len() as u64 - 1).map(|i| (i << 10, 1 << 10));
+        let tail = encoded.len() as u64 % (1 << 10);
+        let last = ((cuts.len() as u64 - 1) << 10, tail);
+        assert_eq!(
+            cuts,
+            full.chain([last]).collect::<Vec<_>>(),
+            "cut every block size"
+        );
+        assert_eq!(expected.0.num_records, Some(3_000));
+        assert_eq!(state(&bulk), expected);
+        assert_eq!(state(&chunked), expected);
+        assert_eq!(state(&encoded_entry), expected);
+        assert_eq!(
+            encoded_entry.read_all_lines(Phase::Load, "/f").unwrap(),
+            lines
+        );
     }
 
     // ----- charge equivalence against the pre-PR-19 probe ------------------

@@ -33,8 +33,11 @@
 //!   never what any fixed sequence of verdicts produces.
 //!
 //! Determinism is inherited, not re-proved: each job gets its own
-//! deterministically rebuilt cluster + dataset (from the [`DatasetRegistry`]),
-//! so concurrent jobs share executor threads but never simulated state.
+//! deterministically built cluster + DFS (from the [`DatasetRegistry`]), so
+//! concurrent jobs share executor threads but never simulated state.  The
+//! registry encodes each dataset's records once per entry and writes those
+//! bytes into every job's fresh DFS, which yields the world a from-scratch
+//! [`DatasetDef::build`] would.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -41,12 +41,9 @@ pub fn replay(log: &JobLog, registry: &DatasetRegistry) -> Result<EarlReport, Se
             waited: std::time::Duration::ZERO,
         });
     }
-    let def = registry
-        .get(&log.request.dataset)
-        .ok_or_else(|| ServeError::UnknownDataset(log.request.dataset.clone()))?;
     let task = WireTask::from_spec(&log.request.task)
         .ok_or_else(|| ServeError::UnknownTask(log.request.task.clone()))?;
-    let dfs = def.build()?;
+    let (def, dfs) = registry.build(&log.request.dataset)?;
     let driver = earl_core::EarlDriver::new(dfs, log.request.config);
     let mut observer = |update: earl_core::EarlUpdate| {
         if log.verdict_at(update.iteration) == Some(true) {

@@ -384,13 +384,9 @@ fn execute_job(shared: &Shared, entry: JobEntry, started_seq: u64) {
 }
 
 fn run_job(shared: &Shared, entry: &JobEntry, log: &mut JobLog) -> Result<EarlReport, ServeError> {
-    let def = shared
-        .registry
-        .get(&entry.request.dataset)
-        .ok_or_else(|| ServeError::UnknownDataset(entry.request.dataset.clone()))?;
     let task = WireTask::from_spec(&entry.request.task)
         .ok_or_else(|| ServeError::UnknownTask(entry.request.task.clone()))?;
-    let dfs = def.build()?;
+    let (def, dfs) = shared.registry.build(&entry.request.dataset)?;
     let mut driver = EarlDriver::new(dfs.clone(), entry.request.config);
     if let Some(remote) = &shared.config.remote {
         let transport =
@@ -454,6 +450,28 @@ mod tests {
         assert_eq!(outcome.log.started_seq, 1);
         assert_eq!(outcome.log.events.first(), Some(&JobEvent::Admitted));
         assert_eq!(outcome.log.events.last(), Some(&JobEvent::Finished));
+    }
+
+    #[test]
+    fn re_registering_a_name_serves_the_new_definition() {
+        let mut registry = registry();
+        // Fill the old entry's encoding, then replace the definition.
+        registry.build("small").unwrap();
+        let def = DatasetDef::new(3, "/data", DatasetSpec::normal(2_000, 500.0, 100.0, 8));
+        registry.register("small", def.clone());
+        let service = EarlService::new(registry, ServiceConfig::default());
+        let request = JobRequest::new(TaskSpec::named("mean"), "small", EarlConfig::default());
+        let report = service
+            .admit(request)
+            .unwrap()
+            .wait()
+            .unwrap()
+            .result
+            .unwrap();
+
+        let driver = EarlDriver::new(def.build().unwrap(), EarlConfig::default());
+        let solo = driver.run("/data", &earl_core::tasks::MeanTask).unwrap();
+        assert_eq!(report, solo, "a stale encoding would serve the old records");
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Dataset builders: materialise generated values as files in the simulated
 //! DFS.
 
+use std::fmt;
+use std::io::Write as _;
+
 use earl_dfs::{Dfs, DfsPath, FileStatus};
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +80,52 @@ pub struct GeneratedDataset {
     pub true_std_dev: f64,
 }
 
+/// A dataset's records encoded as the lines of its file: `"{v}\n"` per value,
+/// or `"k{i}\t{v}\n"` when keyed.  Writing the same encoding into two DFSs
+/// with the same configuration gives both the same file, blocks and charges,
+/// so one encoding can stand in for any number of rebuilds.
+pub struct EncodedRecords {
+    bytes: Vec<u8>,
+    num_records: u64,
+}
+
+impl EncodedRecords {
+    /// Encodes `values` in order, one line each.
+    pub fn encode(values: &[f64], keyed: bool) -> Self {
+        // Room for a typical shortest-round-trip value and its key; a longer
+        // one just grows the buffer.
+        let per_line = if keyed { 28 } else { 20 };
+        let mut bytes = Vec::with_capacity(values.len() * per_line);
+        for (i, v) in values.iter().enumerate() {
+            let line = if keyed {
+                writeln!(bytes, "k{i}\t{v}")
+            } else {
+                writeln!(bytes, "{v}")
+            };
+            line.expect("writing to a Vec cannot fail");
+        }
+        bytes.shrink_to_fit();
+        Self {
+            bytes,
+            num_records: values.len() as u64,
+        }
+    }
+
+    /// Writes the records as a new file at `path`.
+    pub fn write(&self, dfs: &Dfs, path: impl Into<DfsPath>) -> earl_dfs::Result<FileStatus> {
+        dfs.write_encoded(path, &self.bytes, self.num_records)
+    }
+}
+
+impl fmt::Debug for EncodedRecords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EncodedRecords")
+            .field("bytes", &self.bytes.len())
+            .field("num_records", &self.num_records)
+            .finish()
+    }
+}
+
 /// Builds datasets into a DFS.
 #[derive(Debug, Clone)]
 pub struct DatasetBuilder {
@@ -101,6 +150,11 @@ impl DatasetBuilder {
         apply_layout(values, spec.layout, spec.seed ^ 0x5eed)
     }
 
+    /// Generates the values for `spec` and encodes them as its file's lines.
+    pub fn encode(spec: &DatasetSpec) -> EncodedRecords {
+        EncodedRecords::encode(&Self::generate_values(spec), spec.keyed)
+    }
+
     /// Generates and writes the dataset to `path`, returning the materialised
     /// dataset with its ground-truth statistics.
     pub fn build(
@@ -110,15 +164,7 @@ impl DatasetBuilder {
     ) -> earl_dfs::Result<GeneratedDataset> {
         let path = path.into();
         let values = Self::generate_values(spec);
-        let status = if spec.keyed {
-            self.dfs.write_lines(
-                path.clone(),
-                values.iter().enumerate().map(|(i, v)| format!("k{i}\t{v}")),
-            )?
-        } else {
-            self.dfs
-                .write_lines(path.clone(), values.iter().map(|v| format!("{v}")))?
-        };
+        let status = EncodedRecords::encode(&values, spec.keyed).write(&self.dfs, path.clone())?;
         let true_mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -181,6 +227,64 @@ mod tests {
         assert_eq!(read.len(), 2_000);
         let parsed: Vec<f64> = read.iter().map(|l| l.parse().unwrap()).collect();
         assert_eq!(parsed, ds.values);
+    }
+
+    /// The build's write as it was before the encoder: one `format!`ed
+    /// `String` per line through `write_lines`.  Kept as the oracle.
+    fn write_formatted_lines(dfs: &Dfs, path: &str, values: &[f64], keyed: bool) -> FileStatus {
+        if keyed {
+            dfs.write_lines(
+                path,
+                values.iter().enumerate().map(|(i, v)| format!("k{i}\t{v}")),
+            )
+        } else {
+            dfs.write_lines(path, values.iter().map(|v| format!("{v}")))
+        }
+        .unwrap()
+    }
+
+    #[test]
+    fn encoded_records_write_the_same_file_as_formatted_lines() {
+        let commodity = || {
+            let cluster = Cluster::builder()
+                .nodes(4)
+                .cost_model(CostModel::commodity_2012())
+                .build()
+                .unwrap();
+            Dfs::new(cluster, DfsConfig::small_blocks(4096)).unwrap()
+        };
+        let awkward = [
+            0.0,
+            -0.0,
+            1e-300,
+            -1e300,
+            0.1 + 0.2,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let mut generated =
+            DatasetBuilder::generate_values(&DatasetSpec::normal(5_000, 500.0, 400.0, 4));
+        generated.extend(awkward);
+        for values in [&[][..], &[42.5][..], &awkward[..], &generated[..]] {
+            for keyed in [false, true] {
+                let (oracle, encoded) = (commodity(), commodity());
+                let status = write_formatted_lines(&oracle, "/f", values, keyed);
+                let records = EncodedRecords::encode(values, keyed);
+                assert_eq!(records.num_records, values.len() as u64);
+                assert_eq!(records.write(&encoded, "/f").unwrap(), status);
+                assert_eq!(encoded.cluster().elapsed(), oracle.cluster().elapsed());
+                assert_eq!(
+                    encoded.cluster().metrics().snapshot(),
+                    oracle.cluster().metrics().snapshot()
+                );
+                assert_eq!(
+                    records.bytes,
+                    &oracle.read_full(Phase::Load, "/f").unwrap()[..],
+                    "{} values, keyed {keyed}",
+                    values.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod layout;
 pub mod paired;
 pub mod scaling;
 
-pub use dataset::{DatasetBuilder, DatasetSpec};
+pub use dataset::{DatasetBuilder, DatasetSpec, EncodedRecords};
 pub use generators::{Distribution, ValueGenerator};
 pub use grouped::{
     CategoricalDataset, CategoricalSpec, GroupSpec, GroupTruth, GroupedDataset, GroupedSpec,

@@ -4,7 +4,7 @@
 //! cancellation releases capacity without corrupting neighbours, and the
 //! 8-job smoke the CI `service-smoke` job runs.
 
-use earl::core::tasks::MeanTask;
+use earl::core::tasks::{MeanTask, MedianTask};
 use earl::core::{EarlConfig, EarlDriver, EarlReport, EarlUpdate};
 use earl::mapreduce::TaskSpec;
 use earl::serve::{
@@ -81,6 +81,43 @@ fn concurrent_jobs_are_bit_identical_to_solo_runs() {
                 report, solo,
                 "seed {seed:#x} at {threads} threads must match its solo run"
             );
+        }
+    }
+}
+
+/// Two jobs start together on a dataset no job has built yet, so both reach
+/// its registry entry while the records are still unencoded: each report
+/// equals its solo run, and each log replays to its live report.
+#[test]
+fn jobs_racing_to_a_cold_dataset_match_their_solo_runs() {
+    for threads in thread_counts() {
+        let registry = registry();
+        let service = EarlService::new(
+            registry.clone(),
+            ServiceConfig {
+                max_running: 2,
+                start_paused: true,
+                ..ServiceConfig::default()
+            },
+        );
+        let config = ladder_config(threads, 0xC01D);
+        let admit = |task: &str| {
+            service
+                .admit(JobRequest::new(TaskSpec::named(task), "spread", config))
+                .unwrap()
+        };
+        let (mean, median) = (admit("mean"), admit("median"));
+        service.resume();
+        let solo = |dfs| EarlDriver::new(dfs, config);
+        let solos = [
+            solo(spread_def().build().unwrap()).run("/spread", &MeanTask),
+            solo(spread_def().build().unwrap()).run("/spread", &MedianTask),
+        ];
+        for (handle, solo) in [mean, median].into_iter().zip(solos) {
+            let outcome = handle.wait().unwrap();
+            let report = outcome.result.expect("cold-start job converges");
+            assert_eq!(report, solo.unwrap(), "at {threads} threads");
+            assert_eq!(replay(&outcome.log, &registry).unwrap(), report);
         }
     }
 }
