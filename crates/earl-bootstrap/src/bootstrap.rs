@@ -1283,6 +1283,46 @@ mod tests {
     }
 
     #[test]
+    fn replicates_match_the_single_pass_oracle() {
+        use crate::estimators::{Count, Max, Min, StdDev, Sum, Variance};
+        use crate::single_pass_oracle::{self, Fold};
+        let data = normal_sample(1_400, 25.0, 6.0, 3001);
+        let oracle = |fold: Fold| -> Vec<f64> {
+            (0..30u64)
+                .map(|b| {
+                    single_pass_oracle::replicate(fold, &mut replicate_rng(5, b), &data, data.len())
+                })
+                .collect()
+        };
+        // Gather draws the oracle's indices in the oracle's order, so the
+        // single-pass folds are its replicates bit for bit.
+        for (fold, est) in [
+            (Fold::Mean, &Mean as &dyn Estimator),
+            (Fold::Sum, &Sum),
+            (Fold::Count, &Count),
+            (Fold::Min, &Min),
+            (Fold::Max, &Max),
+        ] {
+            let config = BootstrapConfig::with_resamples(30).with_kernel(BootstrapKernel::Gather);
+            let gather = bootstrap_distribution(5, &data, est, &config).unwrap();
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&gather.replicates), bits(&oracle(fold)), "{fold:?}");
+        }
+        // The shifted moments agree with Auto's replicates up to
+        // reassociation.
+        for (fold, est) in [
+            (Fold::Variance, &Variance as &dyn Estimator),
+            (Fold::StdDev, &StdDev),
+        ] {
+            let auto = bootstrap_distribution(5, &data, est, &BootstrapConfig::with_resamples(30))
+                .unwrap();
+            for (a, o) in auto.replicates.iter().zip(oracle(fold)) {
+                assert!(((a - o) / o).abs() < 1e-9, "{fold:?}: {a} vs {o}");
+            }
+        }
+    }
+
+    #[test]
     fn count_based_kernel_matches_gather_distribution_moments() {
         let data = normal_sample(4_000, 120.0, 25.0, 33);
         let gather = bootstrap_distribution(

@@ -39,6 +39,8 @@ pub mod delta;
 pub mod estimators;
 pub mod least_squares;
 pub mod rng;
+#[cfg(test)]
+mod single_pass_oracle;
 pub mod ssabe;
 
 /// The shared fork-join executor (re-exported from `earl-parallel`).

@@ -23,7 +23,7 @@
 use earl_bootstrap::bootstrap::{
     bootstrap_distribution, BootstrapConfig, BootstrapKernel, ResolvedKernel,
 };
-use earl_bootstrap::estimators::{Count, Estimator, Mean, Median, StdDev, Sum, Variance};
+use earl_bootstrap::estimators::{Count, Estimator, Max, Mean, Median, Min, StdDev, Sum, Variance};
 use earl_bootstrap::rng::{seeded_rng, standard_normal};
 use earl_core::task::TaskEstimator;
 use earl_core::tasks::{
@@ -444,5 +444,199 @@ fn driver_reports_meet_the_bound_under_every_kernel() {
             );
             assert_eq!(reference.sample_size, report.sample_size);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Single-pass oracle gate: the replicate evaluation of the retired streaming
+// kernel, kept as a test-only oracle, against what `Auto` and `Gather`
+// deliver today.
+// ---------------------------------------------------------------------------
+
+#[path = "../crates/earl-bootstrap/src/single_pass_oracle.rs"]
+mod single_pass_oracle;
+
+use single_pass_oracle::Fold;
+
+/// The single-pass oracle's replicates `0..b` of a `seed` run over `data`.
+fn oracle_replicates(fold: Fold, seed: u64, data: &[f64], b: usize) -> Vec<f64> {
+    (0..b as u64)
+        .map(|i| {
+            let mut rng = earl_bootstrap::rng::replicate_rng(seed, i);
+            single_pass_oracle::replicate(fold, &mut rng, data, data.len())
+        })
+        .collect()
+}
+
+/// Property: on the same `(seed, b)` streams, at every thread count,
+/// * `Auto` replicates of the variance and stddev tasks lie within 1e-9
+///   relative of the oracle's shifted single-pass moments, and
+/// * `Gather` replicates of mean, sum, count, min and max equal the oracle's
+///   single-pass folds bit for bit.
+#[test]
+fn auto_and_gather_replicates_match_the_single_pass_oracle() {
+    for case in 0u64..4 {
+        let n = 500 + (case as usize) * 900;
+        let data = normal_sample(n, 25.0, 6.0, 3000 + case);
+        let moments: [(Fold, Box<dyn Estimator>); 2] = [
+            (Fold::Variance, Box::new(TaskEstimator::new(&VarianceTask))),
+            (Fold::StdDev, Box::new(TaskEstimator::new(&StdDevTask))),
+        ];
+        for (fold, est) in &moments {
+            let oracle = oracle_replicates(*fold, case, &data, 40);
+            for &threads in &thread_counts() {
+                let auto = run(
+                    case,
+                    &data,
+                    est.as_ref(),
+                    40,
+                    BootstrapKernel::Auto,
+                    threads,
+                );
+                assert_eq!(auto.replicates.len(), oracle.len());
+                for (a, o) in auto.replicates.iter().zip(&oracle) {
+                    assert!(
+                        ((a - o) / o).abs() < 1e-9,
+                        "{fold:?}: replicate {a} vs oracle {o} (case {case}, threads {threads})"
+                    );
+                }
+            }
+        }
+        let folds: [(Fold, &dyn Estimator); 5] = [
+            (Fold::Mean, &Mean),
+            (Fold::Sum, &Sum),
+            (Fold::Count, &Count),
+            (Fold::Min, &Min),
+            (Fold::Max, &Max),
+        ];
+        for (fold, est) in folds {
+            let oracle = oracle_replicates(fold, case, &data, 40);
+            for &threads in &thread_counts() {
+                let gather = run(case, &data, est, 40, BootstrapKernel::Gather, threads);
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&gather.replicates),
+                    bits(&oracle),
+                    "{fold:?} (case {case}, threads {threads})"
+                );
+            }
+        }
+    }
+}
+
+/// One variance or stddev run of the full driver: SSABE picks `B` and `n`
+/// on the pilot, and delta maintenance updates the resamples between
+/// iterations.
+fn moment_report<T: earl_core::EarlTask>(task: &T, threads: usize) -> earl_core::EarlReport {
+    use earl_cluster::{Cluster, CostModel};
+    use earl_core::{EarlConfig, EarlDriver};
+    use earl_dfs::{Dfs, DfsConfig};
+    use earl_workload::{DatasetBuilder, DatasetSpec};
+
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .cost_model(CostModel::commodity_2012())
+        .seed(11)
+        .build()
+        .unwrap();
+    let dfs = Dfs::new(
+        cluster,
+        DfsConfig {
+            block_size: 1 << 16,
+            replication: 2,
+            io_chunk: 128,
+        },
+    )
+    .unwrap();
+    DatasetBuilder::new(dfs.clone())
+        .build("/data", &DatasetSpec::normal(40_000, 500.0, 100.0, 11))
+        .unwrap();
+    let config = EarlConfig {
+        sigma: 0.03,
+        tau: 0.002,
+        seed: 11,
+        parallelism: Some(threads),
+        ..EarlConfig::default()
+    };
+    assert!(config.delta_maintenance && config.bootstraps.is_none());
+    EarlDriver::new(dfs, config).run("/data", task).unwrap()
+}
+
+/// A report field pinned bit for bit, and the three error fields pinned to
+/// within 1e-9 relative.
+struct MomentPin {
+    iterations: usize,
+    sample_size: u64,
+    sample_fraction: u64,
+    bootstraps: usize,
+    result: u64,
+    sim_micros: u64,
+    bytes_read: u64,
+    error_estimate: u64,
+    ci_low: u64,
+    ci_high: u64,
+}
+
+fn assert_matches_pin(r: &earl_core::EarlReport, pin: &MomentPin, threads: usize) {
+    let what = format!("{} at {threads} threads", r.task);
+    assert!(!r.exact, "{what}: the run must stay approximate");
+    assert_eq!(r.iterations, pin.iterations, "{what}: iterations");
+    assert_eq!(r.sample_size, pin.sample_size, "{what}: sample size");
+    assert_eq!(
+        r.sample_fraction.to_bits(),
+        pin.sample_fraction,
+        "{what}: sample fraction"
+    );
+    assert_eq!(r.bootstraps, pin.bootstraps, "{what}: bootstraps");
+    assert_eq!(r.result.to_bits(), pin.result, "{what}: result");
+    assert_eq!(r.sim_time.as_micros(), pin.sim_micros, "{what}: sim time");
+    assert_eq!(r.bytes_read, pin.bytes_read, "{what}: bytes read");
+    for (name, observed, pinned) in [
+        ("error estimate", r.error_estimate, pin.error_estimate),
+        ("ci low", r.ci_low, pin.ci_low),
+        ("ci high", r.ci_high, pin.ci_high),
+    ] {
+        let pinned = f64::from_bits(pinned);
+        assert!(
+            ((observed - pinned) / pinned).abs() < 1e-9,
+            "{what}: {name} {observed} vs pinned {pinned}"
+        );
+    }
+}
+
+/// Property: the variance and stddev tasks' full driver runs — SSABE
+/// choosing `B` and `n`, delta-maintained resamples across several
+/// iterations — keep every report field recorded when their replicates came
+/// from the single-pass moments: the control flow and accounting bit for
+/// bit, the error estimate and interval within 1e-9 relative.
+#[test]
+fn moment_task_reports_match_their_single_pass_pins() {
+    let variance = MomentPin {
+        iterations: 3,
+        sample_size: 7032,
+        sample_fraction: 0x3fc6809d495182aa,
+        bootstraps: 12,
+        result: 0x40c36bce0d5903b6,
+        sim_micros: 175_705_588,
+        bytes_read: 2_226_258,
+        error_estimate: 0x3f93a9114ba72b38,
+        ci_low: 0x40c2dcf2f72d17eb,
+        ci_high: 0x40c45b12bb616863,
+    };
+    let std_dev = MomentPin {
+        iterations: 2,
+        sample_size: 866,
+        sample_fraction: 0x3f962b6ae7d566cf,
+        bootstraps: 8,
+        result: 0x4059785f4993e8cb,
+        sim_micros: 19_921_338,
+        bytes_read: 225_367,
+        error_estimate: 0x3f963d63d11a6aa3,
+        ci_low: 0x4058e22161810646,
+        ci_high: 0x405a7345a9046008,
+    };
+    for &threads in &thread_counts() {
+        assert_matches_pin(&moment_report(&VarianceTask, threads), &variance, threads);
+        assert_matches_pin(&moment_report(&StdDevTask, threads), &std_dev, threads);
     }
 }
