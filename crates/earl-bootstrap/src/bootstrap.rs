@@ -25,16 +25,11 @@
 //!
 //! ## Replicate-evaluation kernels
 //!
-//! How a replicate is evaluated is a [`BootstrapKernel`] choice:
+//! A replicate is evaluated by one of two kernels ([`ResolvedKernel`]):
 //!
 //! * **Gather** — materialise the resample into a scratch buffer
 //!   ([`Resampler::resample_into`]) and run [`Estimator::estimate`] over it.
-//!   Two passes over memory; the only kernel that supports order statistics.
-//! * **Streaming** — feed each sampled value straight into the estimator's
-//!   [`Accumulator`]: no value buffer, no second pass.  Consumes the *same*
-//!   RNG stream as the gather kernel, so single-pass statistics
-//!   (mean/sum/count/min/max) are **bit-identical** to gather and the moment
-//!   statistics agree to within reassociation error.
+//!   Serves every estimator, order statistics included.
 //! * **CountBased** — resample-free evaluation for *linear* statistics
 //!   (`θ = g(Σ cᵢxᵢ, Σ cᵢ)`): draw one multinomial count vector over `O(√n)`
 //!   sections of the base sample per replicate and evaluate from section
@@ -58,16 +53,19 @@
 //!   from per-section mean vectors and covariance Cholesky factors, so the
 //!   cross-component correlation that a ratio's variance depends on is
 //!   preserved — `O(k·√n)` draws per replicate instead of `O(n)`.
-//! * **Auto** (default) — per-estimator: CountBased when
-//!   [`Estimator::linear_form`] is declared, Streaming when an accumulator
-//!   exists, Gather otherwise.
+//!
+//! [`BootstrapKernel::Auto`] (the default) resolves each estimator to
+//! CountBased when it declares [`Estimator::linear_form`] or
+//! [`Estimator::kary_form`], and to Gather otherwise;
+//! [`BootstrapKernel::Gather`] forces the gather kernel, the reference the
+//! count-based kernel is checked against.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::estimators::{
-    coefficient_of_variation, Accumulator, Estimator, KaryComponents, KaryForm, LinearForm, Mean,
-    StdDev, MAX_KARY_COMPONENTS,
+    coefficient_of_variation, Estimator, KaryComponents, KaryForm, LinearForm, Mean, StdDev,
+    MAX_KARY_COMPONENTS,
 };
 use crate::parallel::{replicate_map, workers_for};
 use crate::rng::{
@@ -81,21 +79,17 @@ use crate::{Result, StatsError};
 /// `(seed, b)` SplitMix64 stream, so each kernel's output is a pure function
 /// of the seed — bit-identical at every thread count, with `B`-growth
 /// preserving the replicate prefix.  See the module docs for the kernel
-/// semantics and the README for guidance on choosing one.
+/// semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BootstrapKernel {
-    /// Pick per estimator: [`CountBased`](Self::CountBased) for linear
-    /// statistics, [`Streaming`](Self::Streaming) when the estimator exposes
-    /// an accumulator, [`Gather`](Self::Gather) otherwise.
+    /// Pick per estimator: [`ResolvedKernel::CountBased`] for linear and
+    /// k-ary-linear statistics, [`ResolvedKernel::Gather`] otherwise.
     #[default]
     Auto,
-    /// Materialise every resample into a scratch buffer and re-scan it.
+    /// Materialise every resample into a scratch buffer and re-scan it, for
+    /// every estimator — the reference the count-based kernel is checked
+    /// against.
     Gather,
-    /// Feed sampled values straight into a streaming accumulator.
-    Streaming,
-    /// Resample-free multinomial-count evaluation (linear statistics only;
-    /// non-linear estimators degrade to `Streaming`/`Gather`).
-    CountBased,
 }
 
 /// The kernel actually executed after resolving [`BootstrapKernel`] against an
@@ -104,49 +98,23 @@ pub enum BootstrapKernel {
 pub enum ResolvedKernel {
     /// Gather-and-rescan.
     Gather,
-    /// Single-pass accumulator evaluation.
-    Streaming,
     /// Resample-free count-vector evaluation.
     CountBased,
 }
 
 impl BootstrapKernel {
-    /// Resolves the kernel for i.i.d. resampling of `estimator`: requests
-    /// degrade along `CountBased → Streaming → Gather` when the estimator does
-    /// not declare the required capability ([`Estimator::linear_form`] /
-    /// [`Estimator::kary_form`] / [`Estimator::accumulator`]).  Under `Auto`
-    /// a linear or k-ary-linear estimator always lands on `CountBased` —
-    /// never silently on the gather kernel.
+    /// Resolves the kernel for i.i.d. resampling of `estimator`: under `Auto`
+    /// an estimator declaring [`Estimator::linear_form`] or
+    /// [`Estimator::kary_form`] always lands on `CountBased` — never silently
+    /// on the gather kernel — and every other estimator gathers.
     pub fn resolve_for(self, estimator: &(impl Estimator + ?Sized)) -> ResolvedKernel {
         match self {
-            BootstrapKernel::Gather => ResolvedKernel::Gather,
-            BootstrapKernel::Streaming => self.streaming_or_gather(estimator),
-            BootstrapKernel::Auto | BootstrapKernel::CountBased => {
-                if estimator.linear_form().is_some() || estimator.kary_form().is_some() {
-                    ResolvedKernel::CountBased
-                } else {
-                    self.streaming_or_gather(estimator)
-                }
+            BootstrapKernel::Auto
+                if estimator.linear_form().is_some() || estimator.kary_form().is_some() =>
+            {
+                ResolvedKernel::CountBased
             }
-        }
-    }
-
-    /// Resolves the kernel for evaluation over *already materialised* items
-    /// (delta-maintained resamples) where count-based evaluation does not apply:
-    /// `CountBased`/`Auto` degrade to `Streaming` when possible, `Gather`
-    /// otherwise.
-    pub fn resolve_materialised(self, estimator: &(impl Estimator + ?Sized)) -> ResolvedKernel {
-        match self {
-            BootstrapKernel::Gather => ResolvedKernel::Gather,
-            _ => self.streaming_or_gather(estimator),
-        }
-    }
-
-    fn streaming_or_gather(self, estimator: &(impl Estimator + ?Sized)) -> ResolvedKernel {
-        if estimator.accumulator().is_some() {
-            ResolvedKernel::Streaming
-        } else {
-            ResolvedKernel::Gather
+            _ => ResolvedKernel::Gather,
         }
     }
 }
@@ -257,54 +225,29 @@ impl BootstrapResult {
     }
 }
 
-/// Reusable scratch state for evaluating bootstrap replicates.  The gather
-/// kernel uses the index/value buffer pair ([`Resampler::resample_into`]); the
-/// streaming kernel replaces both with one [`Accumulator`] fed directly from
-/// the sampled indices.  Either way, after warm-up the scratch performs no
-/// allocation at all across replicates.
+/// Reusable scratch state for the gather kernel: the index/value buffer pair
+/// ([`Resampler::resample_into`]).  After warm-up it performs no allocation
+/// at all across replicates.
 ///
 /// Each worker thread owns exactly one `Resampler`.
 #[derive(Debug, Default)]
 pub struct Resampler {
     indices: Vec<usize>,
     values: Vec<f64>,
-    accumulator: Option<Box<dyn Accumulator>>,
 }
 
 impl Resampler {
-    /// Creates an empty gather-kernel resampler (buffers grow on first use).
+    /// Creates an empty resampler (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a gather-kernel resampler with buffers pre-sized for
-    /// `size`-element resamples.
+    /// Creates a resampler with buffers pre-sized for `size`-element
+    /// resamples.
     pub fn with_capacity(size: usize) -> Self {
         Self {
             indices: Vec::with_capacity(size),
             values: Vec::with_capacity(size),
-            accumulator: None,
-        }
-    }
-
-    /// Creates the scratch state for evaluating `estimator` replicates under
-    /// `kernel`: a streaming accumulator when the kernel resolves to
-    /// [`ResolvedKernel::Streaming`], gather buffers otherwise.  (A
-    /// [`ResolvedKernel::CountBased`] resolution is driven by
-    /// [`LinearSections`], not by a `Resampler` — this constructor then also
-    /// yields the streaming scratch, which every linear statistic supports.)
-    pub fn for_kernel(
-        size: usize,
-        estimator: &(impl Estimator + ?Sized),
-        kernel: BootstrapKernel,
-    ) -> Self {
-        match kernel.resolve_materialised(estimator) {
-            ResolvedKernel::Streaming => Self {
-                indices: Vec::new(),
-                values: Vec::new(),
-                accumulator: estimator.accumulator(),
-            },
-            _ => Self::with_capacity(size),
         }
     }
 
@@ -326,16 +269,10 @@ impl Resampler {
     /// Evaluates `estimator` on one freshly drawn resample of the replicate
     /// stream `(seed, replicate)` — the unit of work the thread pool executes.
     ///
-    /// With a streaming scratch ([`Resampler::for_kernel`]) each sampled index
-    /// is fed straight into the accumulator — no value gather, no second pass
-    /// — consuming exactly the RNG stream the gather path would, so
-    /// single-pass statistics produce bit-identical replicates on both paths.
-    ///
-    /// For estimators whose [`Estimator::record_stride`] exceeds 1 the gather
-    /// path resamples **whole records** (`size` is a record count): one index
-    /// draw copies the record's `stride` consecutive values, so paired columns
-    /// are never split.  Stride-1 estimators take the original scalar path
-    /// unchanged (identical RNG stream, identical results).
+    /// For estimators whose [`Estimator::record_stride`] exceeds 1 the
+    /// resample is drawn in **whole records** (`size` is a record count): one
+    /// index draw copies the record's `stride` consecutive values, so paired
+    /// columns are never split.  Stride-1 estimators draw one value per index.
     pub fn replicate<E: Estimator + ?Sized>(
         &mut self,
         seed: u64,
@@ -346,35 +283,21 @@ impl Resampler {
     ) -> f64 {
         let mut rng = replicate_rng(seed, replicate);
         let stride = estimator.record_stride().max(1);
-        if stride > 1 {
-            debug_assert!(
-                self.accumulator.is_none(),
-                "streaming accumulators are scalar; multi-column estimators gather"
-            );
-            let n_records = data.len() / stride;
-            if n_records == 0 {
-                return f64::NAN;
-            }
-            self.values.clear();
-            self.values.reserve(size * stride);
-            for _ in 0..size {
-                let r = rng.gen_range(0..n_records);
-                self.values
-                    .extend_from_slice(&data[r * stride..(r + 1) * stride]);
-            }
-            return estimator.estimate(&self.values);
+        if stride == 1 {
+            return estimator.estimate(self.resample_into(&mut rng, data, size));
         }
-        match &mut self.accumulator {
-            Some(acc) if !data.is_empty() => {
-                acc.reset();
-                let n = data.len();
-                for _ in 0..size {
-                    acc.push(data[rng.gen_range(0..n)], 1);
-                }
-                acc.finalize()
-            }
-            _ => estimator.estimate(self.resample_into(&mut rng, data, size)),
+        let n_records = data.len() / stride;
+        if n_records == 0 {
+            return f64::NAN;
         }
+        self.values.clear();
+        self.values.reserve(size * stride);
+        for _ in 0..size {
+            let r = rng.gen_range(0..n_records);
+            self.values
+                .extend_from_slice(&data[r * stride..(r + 1) * stride]);
+        }
+        estimator.estimate(&self.values)
     }
 }
 
@@ -926,20 +849,12 @@ pub fn bootstrap_distribution_via(
                 ),
             }
         }
-        // Streaming and gather share the Resampler entry point; for_kernel
-        // holds an accumulator exactly when the resolution is Streaming.
-        None => {
-            let kernel = match config.kernel.resolve_for(estimator) {
-                ResolvedKernel::Streaming => BootstrapKernel::Streaming,
-                _ => BootstrapKernel::Gather,
-            };
-            replicate_map(
-                config.num_resamples,
-                threads,
-                || Resampler::for_kernel(size, estimator, kernel),
-                |b, scratch| scratch.replicate(seed, b as u64, data, size, estimator),
-            )
-        }
+        None => replicate_map(
+            config.num_resamples,
+            threads,
+            || Resampler::with_capacity(size),
+            |b, scratch| scratch.replicate(seed, b as u64, data, size, estimator),
+        ),
     };
     Ok(summarise(point_estimate, replicates))
 }
@@ -1210,7 +1125,7 @@ mod tests {
     #[test]
     fn kernel_resolution_matches_estimator_capabilities() {
         use crate::estimators::{Count, StdDev, Sum, Variance};
-        // Auto: linear → CountBased, accumulator-only → Streaming, else Gather.
+        // Auto: linear → CountBased, everything else → Gather.
         for est in [&Mean as &dyn Estimator, &Sum, &Count] {
             assert_eq!(
                 BootstrapKernel::Auto.resolve_for(est),
@@ -1218,67 +1133,18 @@ mod tests {
                 "linear estimator {} must not silently route to gather",
                 Estimator::name(est)
             );
+            assert_eq!(
+                BootstrapKernel::Gather.resolve_for(est),
+                ResolvedKernel::Gather
+            );
         }
-        assert_eq!(
-            BootstrapKernel::Auto.resolve_for(&Variance),
-            ResolvedKernel::Streaming
-        );
-        assert_eq!(
-            BootstrapKernel::Auto.resolve_for(&StdDev),
-            ResolvedKernel::Streaming
-        );
-        assert_eq!(
-            BootstrapKernel::Auto.resolve_for(&Median),
-            ResolvedKernel::Gather
-        );
-        // Requests degrade, never upgrade past a missing capability.
-        assert_eq!(
-            BootstrapKernel::CountBased.resolve_for(&Variance),
-            ResolvedKernel::Streaming
-        );
-        assert_eq!(
-            BootstrapKernel::CountBased.resolve_for(&Median),
-            ResolvedKernel::Gather
-        );
-        assert_eq!(
-            BootstrapKernel::Streaming.resolve_for(&Mean),
-            ResolvedKernel::Streaming
-        );
-        assert_eq!(
-            BootstrapKernel::Gather.resolve_for(&Mean),
-            ResolvedKernel::Gather
-        );
-        // Materialised evaluation never yields CountBased.
-        assert_eq!(
-            BootstrapKernel::Auto.resolve_materialised(&Mean),
-            ResolvedKernel::Streaming
-        );
-        assert_eq!(
-            BootstrapKernel::CountBased.resolve_materialised(&Median),
-            ResolvedKernel::Gather
-        );
-    }
-
-    #[test]
-    fn streaming_kernel_is_bit_identical_to_gather_for_single_pass_statistics() {
-        use crate::estimators::{Count, Max, Min, Sum};
-        let data = normal_sample(777, 10.0, 4.0, 31);
-        for est in [&Mean as &dyn Estimator, &Sum, &Count, &Min, &Max] {
-            let gather = bootstrap_distribution(
-                41,
-                &data,
-                est,
-                &BootstrapConfig::with_resamples(50).with_kernel(BootstrapKernel::Gather),
-            )
-            .unwrap();
-            let streaming = bootstrap_distribution(
-                41,
-                &data,
-                est,
-                &BootstrapConfig::with_resamples(50).with_kernel(BootstrapKernel::Streaming),
-            )
-            .unwrap();
-            assert_eq!(gather, streaming, "{}", Estimator::name(est));
+        for est in [&Variance as &dyn Estimator, &StdDev, &Median] {
+            assert_eq!(
+                BootstrapKernel::Auto.resolve_for(est),
+                ResolvedKernel::Gather,
+                "{} has no linear form",
+                Estimator::name(est)
+            );
         }
     }
 
@@ -1336,7 +1202,7 @@ mod tests {
             43,
             &data,
             &Mean,
-            &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::CountBased),
+            &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::Auto),
         )
         .unwrap();
         assert_eq!(counts.point_estimate, gather.point_estimate);
@@ -1360,7 +1226,7 @@ mod tests {
     fn count_based_kernel_is_deterministic_and_thread_invariant() {
         let data = normal_sample(2_048, 7.0, 2.0, 35);
         let config = BootstrapConfig::with_resamples(64)
-            .with_kernel(BootstrapKernel::CountBased)
+            .with_kernel(BootstrapKernel::Auto)
             .with_parallelism(Some(1));
         let reference = bootstrap_distribution(45, &data, &Mean, &config).unwrap();
         for threads in [2usize, 3, 8] {
@@ -1434,15 +1300,6 @@ mod tests {
                 "{} must run resample-free under Auto",
                 Estimator::name(est)
             );
-            assert_eq!(
-                BootstrapKernel::CountBased.resolve_for(est),
-                ResolvedKernel::CountBased
-            );
-            // No accumulator: streaming degrades to gather for paired records.
-            assert_eq!(
-                BootstrapKernel::Streaming.resolve_for(est),
-                ResolvedKernel::Gather
-            );
         }
         // An odd number of values is not a whole number of pairs.
         let odd = [1.0, 2.0, 3.0];
@@ -1468,7 +1325,7 @@ mod tests {
                 47,
                 &data,
                 est,
-                &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::CountBased),
+                &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::Auto),
             )
             .unwrap();
             assert_eq!(counts.point_estimate, gather.point_estimate);
@@ -1496,7 +1353,7 @@ mod tests {
         use crate::estimators::Ratio;
         let data = paired_sample(2_048, 53);
         let config = BootstrapConfig::with_resamples(64)
-            .with_kernel(BootstrapKernel::CountBased)
+            .with_kernel(BootstrapKernel::Auto)
             .with_parallelism(Some(1));
         let reference = bootstrap_distribution(55, &data, &Ratio, &config).unwrap();
         for threads in [2usize, 3, 8] {

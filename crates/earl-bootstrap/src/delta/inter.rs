@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use rand::Rng;
 
-use crate::bootstrap::{summarise, BootstrapKernel, BootstrapResult, ResolvedKernel};
+use crate::bootstrap::{summarise, BootstrapKernel, BootstrapResult};
 use crate::estimators::Estimator;
 use crate::parallel::{replicate_map, replicate_update, workers_for};
 use crate::rng::{binomial_sample, derive_seed, replicate_rng};
@@ -101,7 +101,6 @@ pub struct IncrementalBootstrap {
     expansions: u64,
     seed: u64,
     parallelism: Option<usize>,
-    kernel: BootstrapKernel,
 }
 
 impl IncrementalBootstrap {
@@ -132,7 +131,6 @@ impl IncrementalBootstrap {
             expansions: 0,
             seed,
             parallelism: None,
-            kernel: BootstrapKernel::Auto,
         };
         // Expansion stream 0 is the initial draw; each resample fills itself
         // from its own (seed, 0, i) stream.
@@ -163,14 +161,12 @@ impl IncrementalBootstrap {
         self
     }
 
-    /// Sets the kernel used by `evaluate` over the maintained resamples.
-    /// Maintained resamples are materialised, so `CountBased`/`Auto` resolve
-    /// to the streaming accumulator at best, gather otherwise.  (For linear
-    /// statistics the resample-free count-based kernel supersedes delta
-    /// maintenance entirely — callers route those to
+    /// Accepts a kernel request and ignores it: maintained resamples are
+    /// materialised, so `evaluate` always runs the gather kernel over them.
+    /// (For linear statistics the resample-free count-based kernel
+    /// supersedes delta maintenance entirely — callers route those to
     /// [`crate::bootstrap::bootstrap_distribution`] instead.)
-    pub fn with_kernel(mut self, kernel: BootstrapKernel) -> Self {
-        self.kernel = kernel;
+    pub fn with_kernel(self, _kernel: BootstrapKernel) -> Self {
         self
     }
 
@@ -293,9 +289,7 @@ impl IncrementalBootstrap {
 
     /// Evaluates `estimator` on every maintained resample in parallel and
     /// summarises the result distribution (point estimate taken on the full
-    /// current sample).  With the streaming kernel (the `Auto` resolution for
-    /// any estimator exposing an accumulator) each resample is consumed in a
-    /// single pass instead of `estimate`'s potentially two.
+    /// current sample).
     ///
     /// # Panics
     ///
@@ -314,24 +308,12 @@ impl IncrementalBootstrap {
              count-based kernel instead"
         );
         let threads = self.threads_for(self.sample.len());
-        let replicates = match self.kernel.resolve_materialised(estimator) {
-            ResolvedKernel::Streaming => replicate_map(
-                self.resamples.len(),
-                threads,
-                || {
-                    estimator
-                        .accumulator()
-                        .expect("Streaming resolution implies an accumulator")
-                },
-                |i, acc| acc.accumulate_slice(&self.resamples[i].items),
-            ),
-            _ => replicate_map(
-                self.resamples.len(),
-                threads,
-                || (),
-                |i, ()| estimator.estimate(&self.resamples[i].items),
-            ),
-        };
+        let replicates = replicate_map(
+            self.resamples.len(),
+            threads,
+            || (),
+            |i, ()| estimator.estimate(&self.resamples[i].items),
+        );
         summarise(estimator.estimate(&self.sample), replicates)
     }
 }
@@ -488,22 +470,19 @@ mod tests {
     }
 
     #[test]
-    fn streaming_evaluate_is_bit_identical_to_gather_evaluate() {
-        let initial = normal(1_000, 30.0, 6.0, 40);
-        let delta = normal(400, 30.0, 6.0, 41);
-        let mut ib = IncrementalBootstrap::new(42, &initial, 25, SketchConfig::default()).unwrap();
-        ib.expand(&delta).unwrap();
-        let gather = ib
-            .clone()
-            .with_kernel(BootstrapKernel::Gather)
-            .evaluate(&Mean);
-        let streaming = ib
-            .clone()
-            .with_kernel(BootstrapKernel::Streaming)
-            .evaluate(&Mean);
-        let auto = ib.evaluate(&Mean);
-        assert_eq!(gather, streaming);
-        assert_eq!(gather, auto, "Auto picks streaming for the mean");
+    fn kernel_requests_leave_evaluation_unchanged() {
+        let mut ib = IncrementalBootstrap::new(
+            42,
+            &normal(1_000, 30.0, 6.0, 40),
+            25,
+            SketchConfig::default(),
+        )
+        .unwrap();
+        ib.expand(&normal(400, 30.0, 6.0, 41)).unwrap();
+        let gather = ib.evaluate(&Mean);
+        for kernel in [BootstrapKernel::Auto, BootstrapKernel::Gather] {
+            assert_eq!(ib.clone().with_kernel(kernel).evaluate(&Mean), gather);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Functions of interest (`f` in the paper's notation) and streaming moments.
+//! Functions of interest (`f` in the paper's notation) and mergeable
+//! streaming moments ([`StreamingStats`]).
 //!
 //! EARL's accuracy estimation is *non-parametric*: it never needs a closed-form
 //! variance formula for `f`, only the ability to evaluate `f` on resamples.
@@ -7,24 +8,10 @@
 //! median, quantiles, variance, extrema, counts) plus Pearson correlation over
 //! paired data.
 //!
-//! ## Streaming evaluation
-//!
-//! Evaluating `f` on a bootstrap resample does not require materialising the
-//! resample: most statistics can consume sampled values one at a time.  An
-//! [`Accumulator`] is the single-pass form of a statistic — push `(value,
-//! weight)` pairs, finalize to an `f64` — and estimators that support it
-//! advertise one through [`Estimator::accumulator`].  The bootstrap's
-//! *streaming kernel* feeds sampled indices straight into an accumulator (no
-//! value gather buffer, no second pass); delta-maintained evaluation streams
-//! through the same accumulators.
-//! Single-pass statistics (mean, sum, count, min, max) are **bit-identical**
-//! to their gather evaluation; the moment statistics (variance, stddev) use a
-//! shifted Youngs–Cramer update and agree to within floating-point
-//! reassociation error.
-//!
-//! Statistics that are *linear* — `f = g(Σ wᵢ·xᵢ, Σ wᵢ)` — additionally expose
-//! a [`LinearForm`] via [`Estimator::linear_form`], which is the contract the
-//! resample-free count-based bootstrap kernel builds on.
+//! The bootstrap's gather kernel evaluates `f` on every materialised
+//! resample.  Statistics that are *linear* — `f = g(Σ wᵢ·xᵢ, Σ wᵢ)` —
+//! additionally expose a [`LinearForm`] via [`Estimator::linear_form`], which
+//! is the contract the resample-free count-based bootstrap kernel builds on.
 //!
 //! ## K-ary linear forms
 //!
@@ -57,21 +44,6 @@ pub trait Estimator: Send + Sync {
         "statistic"
     }
 
-    /// A fresh streaming accumulator evaluating this statistic in one pass, or
-    /// `None` when only the gather path applies (order statistics such as the
-    /// median, and opaque closures).
-    ///
-    /// The contract: for any value sequence, pushing `(value, 1)` in order and
-    /// finalizing must reproduce [`Estimator::estimate`] on the same values —
-    /// exactly for single-pass statistics (mean/sum/count/min/max), to within
-    /// floating-point reassociation error (≪ 1e-9 relative) for the moment
-    /// statistics.  Callers create one accumulator per worker and
-    /// [`Accumulator::reset`] it per replicate, so the steady state stays
-    /// allocation-free.
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        None
-    }
-
     /// The statistic's linear form `f = g(Σ wᵢ·xᵢ, Σ wᵢ)`, or `None` when the
     /// statistic is not linear.  Declaring a linear form opts the estimator
     /// into the resample-free count-based bootstrap kernel; the contract is
@@ -99,41 +71,6 @@ pub trait Estimator: Send + Sync {
     /// column-interleaved records and report their interleave width here.
     fn record_stride(&self) -> usize {
         self.kary_form().map(|f| f.stride()).unwrap_or(1)
-    }
-}
-
-/// The single-pass (gather-free) form of a statistic: a small state machine
-/// that absorbs weighted observations and finalizes to the statistic's value.
-///
-/// `push(value, weight)` means "`weight` copies of `value`".  Every production
-/// consumer today — the streaming bootstrap kernel and delta-maintained
-/// evaluation — pushes weight 1 per observation;
-/// the weighted form exists so count-vector evaluation of *non-linear*
-/// single-pass statistics stays expressible (the count-based kernel itself
-/// evaluates linear statistics through [`LinearForm`] and never touches an
-/// accumulator).  Implementations must treat weight 0 as a no-op.
-pub trait Accumulator: Send + std::fmt::Debug {
-    /// Clears the accumulator back to the empty state.
-    fn reset(&mut self);
-    /// Absorbs `weight` copies of `value`.
-    fn push(&mut self, value: f64, weight: u64);
-    /// The statistic of everything pushed since the last reset (NaN when the
-    /// statistic is undefined on the accumulated stream).
-    fn finalize(&self) -> f64;
-
-    /// Pushes every value of `values` with weight 1, in order.
-    fn push_slice(&mut self, values: &[f64]) {
-        for &x in values {
-            self.push(x, 1);
-        }
-    }
-
-    /// Resets, streams `values` through and finalizes — the idiom of every
-    /// materialised-slice evaluation site (delta-maintained resamples).
-    fn accumulate_slice(&mut self, values: &[f64]) -> f64 {
-        self.reset();
-        self.push_slice(values);
-        self.finalize()
     }
 }
 
@@ -250,201 +187,6 @@ impl KaryForm {
     }
 }
 
-/// [`Accumulator`] for [`Sum`]: a running sum (empty stream finalizes to 0,
-/// matching `Sum::estimate(&[])`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SumAccumulator {
-    sum: f64,
-}
-
-impl Accumulator for SumAccumulator {
-    fn reset(&mut self) {
-        self.sum = 0.0;
-    }
-    fn push(&mut self, value: f64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        // weight is 1 on the streaming path; `value * 1.0` is exact, so the
-        // running sum is bit-identical to `iter().sum()` over a gather buffer.
-        self.sum += value * weight as f64;
-    }
-    fn finalize(&self) -> f64 {
-        self.sum
-    }
-}
-
-/// [`Accumulator`] for [`Mean`]: running sum ÷ running count, the same
-/// `Σx / n` arithmetic as the gather evaluation (bit-identical).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeanAccumulator {
-    sum: f64,
-    count: u64,
-}
-
-impl Accumulator for MeanAccumulator {
-    fn reset(&mut self) {
-        *self = Self::default();
-    }
-    fn push(&mut self, value: f64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        self.sum += value * weight as f64;
-        self.count += weight;
-    }
-    fn finalize(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// [`Accumulator`] for [`Count`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountAccumulator {
-    count: u64,
-}
-
-impl Accumulator for CountAccumulator {
-    fn reset(&mut self) {
-        self.count = 0;
-    }
-    fn push(&mut self, _value: f64, weight: u64) {
-        self.count += weight;
-    }
-    fn finalize(&self) -> f64 {
-        self.count as f64
-    }
-}
-
-/// [`Accumulator`] for [`Variance`] / [`StdDev`]: single-pass shifted
-/// second moments in the Youngs–Cramer style.
-///
-/// The first pushed value becomes the shift `K`; thereafter the accumulator
-/// keeps `Σ w·(x−K)` and `Σ w·(x−K)²` — two fused multiply-adds per element,
-/// no division and no loop-carried division chain (the reason this beats both
-/// Welford's update and the two-pass gather evaluation on the bootstrap's hot
-/// path).  Because `K` is itself a draw from the data, `(x−K)` is centred to
-/// within the sample's own spread, so the classic naive-sum-of-squares
-/// cancellation does not occur: versus the two-pass evaluation the result
-/// agrees to well within 1e-9 relative.
-#[derive(Debug, Clone, Copy)]
-pub struct MomentAccumulator {
-    count: u64,
-    shift: f64,
-    s1: f64,
-    s2: f64,
-    take_sqrt: bool,
-}
-
-impl MomentAccumulator {
-    /// An accumulator finalizing to the unbiased sample variance.
-    pub fn variance() -> Self {
-        Self {
-            count: 0,
-            shift: 0.0,
-            s1: 0.0,
-            s2: 0.0,
-            take_sqrt: false,
-        }
-    }
-
-    /// An accumulator finalizing to the sample standard deviation.
-    pub fn std_dev() -> Self {
-        Self {
-            take_sqrt: true,
-            ..Self::variance()
-        }
-    }
-}
-
-impl Accumulator for MomentAccumulator {
-    fn reset(&mut self) {
-        self.count = 0;
-        self.shift = 0.0;
-        self.s1 = 0.0;
-        self.s2 = 0.0;
-    }
-    fn push(&mut self, value: f64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.shift = value;
-        }
-        let w = weight as f64;
-        let d = value - self.shift;
-        self.count += weight;
-        self.s1 += w * d;
-        self.s2 += w * (d * d);
-    }
-    fn finalize(&self) -> f64 {
-        if self.count < 2 {
-            return f64::NAN;
-        }
-        let n = self.count as f64;
-        // Σ(x−x̄)² = Σ(x−K)² − (Σ(x−K))²/n, clamped against rounding.
-        let m2 = (self.s2 - self.s1 * self.s1 / n).max(0.0);
-        let var = m2 / (n - 1.0);
-        if self.take_sqrt {
-            var.sqrt()
-        } else {
-            var
-        }
-    }
-}
-
-/// [`Accumulator`] for [`Min`] / [`Max`]: the same NaN-seeded fold as the
-/// gather evaluation (bit-identical).
-#[derive(Debug, Clone, Copy)]
-pub struct ExtremumAccumulator {
-    best: f64,
-    take_max: bool,
-}
-
-impl ExtremumAccumulator {
-    /// An accumulator finalizing to the minimum.
-    pub fn min() -> Self {
-        Self {
-            best: f64::NAN,
-            take_max: false,
-        }
-    }
-
-    /// An accumulator finalizing to the maximum.
-    pub fn max() -> Self {
-        Self {
-            best: f64::NAN,
-            take_max: true,
-        }
-    }
-}
-
-impl Accumulator for ExtremumAccumulator {
-    fn reset(&mut self) {
-        self.best = f64::NAN;
-    }
-    fn push(&mut self, value: f64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        let better = if self.take_max {
-            value > self.best
-        } else {
-            value < self.best
-        };
-        if self.best.is_nan() || better {
-            self.best = value;
-        }
-    }
-    fn finalize(&self) -> f64 {
-        self.best
-    }
-}
-
 impl<F> Estimator for F
 where
     F: Fn(&[f64]) -> f64 + Send + Sync,
@@ -471,9 +213,6 @@ impl Estimator for Mean {
     fn name(&self) -> &'static str {
         "mean"
     }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(MeanAccumulator::default()))
-    }
     fn linear_form(&self) -> Option<LinearForm> {
         Some(LinearForm::new(
             |sum, n| {
@@ -498,9 +237,6 @@ impl Estimator for Sum {
     fn name(&self) -> &'static str {
         "sum"
     }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(SumAccumulator::default()))
-    }
     fn linear_form(&self) -> Option<LinearForm> {
         Some(LinearForm::new(|sum, _| sum))
     }
@@ -516,9 +252,6 @@ impl Estimator for Count {
     }
     fn name(&self) -> &'static str {
         "count"
-    }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(CountAccumulator::default()))
     }
     fn linear_form(&self) -> Option<LinearForm> {
         Some(LinearForm::new(|_, n| n))
@@ -641,9 +374,6 @@ impl Estimator for Variance {
     fn name(&self) -> &'static str {
         "variance"
     }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(MomentAccumulator::variance()))
-    }
 }
 
 /// The sample standard deviation.
@@ -656,9 +386,6 @@ impl Estimator for StdDev {
     }
     fn name(&self) -> &'static str {
         "stddev"
-    }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(MomentAccumulator::std_dev()))
     }
 }
 
@@ -676,9 +403,6 @@ impl Estimator for Min {
     fn name(&self) -> &'static str {
         "min"
     }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(ExtremumAccumulator::min()))
-    }
 }
 
 /// The maximum.
@@ -694,9 +418,6 @@ impl Estimator for Max {
     }
     fn name(&self) -> &'static str {
         "max"
-    }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        Some(Box::new(ExtremumAccumulator::max()))
     }
 }
 
@@ -1312,79 +1033,6 @@ mod tests {
         assert!((d.variance() - single.variance()).abs() < 1e-12);
     }
 
-    /// Pushes each value with weight 1, in order.
-    fn stream(acc: &mut dyn Accumulator, values: &[f64]) -> f64 {
-        acc.accumulate_slice(values)
-    }
-
-    #[test]
-    fn accumulators_replay_their_estimators_bit_identically() {
-        // Single-pass statistics: the accumulator must be *exactly* the gather
-        // evaluation (this is what makes the streaming bootstrap kernel
-        // bit-identical to the gather kernel).
-        for est in [&Mean as &dyn Estimator, &Sum, &Count, &Min, &Max] {
-            let mut acc = est.accumulator().expect("single-pass estimator");
-            assert_eq!(
-                stream(&mut *acc, &DATA).to_bits(),
-                est.estimate(&DATA).to_bits(),
-                "{}",
-                Estimator::name(est)
-            );
-        }
-    }
-
-    #[test]
-    fn moment_accumulators_match_two_pass_within_reassociation_error() {
-        for est in [&Variance as &dyn Estimator, &StdDev] {
-            let mut acc = est.accumulator().expect("moment estimator");
-            let streamed = stream(&mut *acc, &DATA);
-            let gathered = est.estimate(&DATA);
-            assert!(
-                ((streamed - gathered) / gathered).abs() < 1e-12,
-                "{}: {streamed} vs {gathered}",
-                Estimator::name(est)
-            );
-        }
-    }
-
-    #[test]
-    fn accumulators_reset_and_handle_empty_and_weighted_streams() {
-        let mut mean = Mean.accumulator().unwrap();
-        assert!(mean.finalize().is_nan(), "empty mean is NaN");
-        mean.push(10.0, 3);
-        mean.push(20.0, 0); // weight 0 is a no-op
-        mean.push(40.0, 1);
-        assert!((mean.finalize() - 17.5).abs() < 1e-12);
-        mean.reset();
-        assert!(mean.finalize().is_nan());
-
-        let mut sum = Sum.accumulator().unwrap();
-        assert_eq!(sum.finalize(), 0.0, "empty sum matches Sum::estimate(&[])");
-        sum.push(2.5, 4);
-        assert!((sum.finalize() - 10.0).abs() < 1e-12);
-
-        let mut count = Count.accumulator().unwrap();
-        count.push(99.0, 7);
-        count.push(1.0, 2);
-        assert_eq!(count.finalize(), 9.0);
-
-        let mut var = Variance.accumulator().unwrap();
-        var.push(5.0, 1);
-        assert!(var.finalize().is_nan(), "variance of one value is NaN");
-        // Weighted pushes mean "that many copies": {2.0 ×2, 8.0 ×2} has
-        // sample variance 12.
-        var.reset();
-        var.push(2.0, 2);
-        var.push(8.0, 2);
-        assert!((var.finalize() - 12.0).abs() < 1e-12);
-
-        let mut min = Min.accumulator().unwrap();
-        assert!(min.finalize().is_nan());
-        min.push(3.0, 1);
-        min.push(-1.0, 2);
-        assert_eq!(min.finalize(), -1.0);
-    }
-
     #[test]
     fn linear_forms_reproduce_their_estimators() {
         for est in [&Mean as &dyn Estimator, &Sum, &Count] {
@@ -1402,7 +1050,6 @@ mod tests {
         assert!(Variance.linear_form().is_none(), "second moments stay out");
         let closure = |data: &[f64]| data.len() as f64;
         assert!(Estimator::linear_form(&closure).is_none());
-        assert!(Estimator::accumulator(&closure).is_none());
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //!
 //! * [`estimators`] — the functions of interest `f` (mean, median, quantiles,
 //!   variance, correlation, …) evaluated over numeric samples, their
-//!   single-pass [`estimators::Accumulator`] forms and linear-statistic
-//!   contracts, plus streaming moment accumulators;
+//!   linear-statistic contracts, plus mergeable streaming moments;
 //! * [`bootstrap`] — Monte-Carlo bootstrap resampling producing a result
 //!   distribution, point estimate, standard error, bias, coefficient of
 //!   variation and percentile confidence intervals, evaluated through one of
-//!   three replicate kernels ([`bootstrap::BootstrapKernel`]): gather,
-//!   gather-free streaming, or resample-free count-based for linear
-//!   statistics;
+//!   two replicate kernels ([`bootstrap::ResolvedKernel`]): gather, or
+//!   resample-free count-based for linear statistics;
 //! * [`ssabe`] — the paper's two-phase **S**ample **S**ize **A**nd **B**ootstrap
 //!   **E**stimation algorithm (§3.2) that empirically picks `B` via
 //!   τ-stability and `n` via a least-squares curve fit over a subsample ladder,
@@ -52,8 +50,7 @@ pub use bootstrap::{
     SectionEvaluator,
 };
 pub use estimators::{
-    Accumulator, Estimator, KaryComponents, KaryForm, LinearForm, StreamingStats,
-    MAX_KARY_COMPONENTS,
+    Estimator, KaryComponents, KaryForm, LinearForm, StreamingStats, MAX_KARY_COMPONENTS,
 };
 pub use ssabe::{Ssabe, SsabeConfig, SsabeEstimate};
 

@@ -201,7 +201,7 @@ impl Ssabe {
         let mut scratch = if sections.is_some() {
             Resampler::new()
         } else {
-            Resampler::for_kernel(pilot.len(), estimator, self.config.kernel)
+            Resampler::with_capacity(pilot.len())
         };
         // Remote evaluation is fetched in fixed-size chunks ahead of the
         // incremental B growth: replicate i is a pure function of (b_seed, i),

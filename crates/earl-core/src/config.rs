@@ -55,19 +55,21 @@ pub struct EarlConfig {
     /// Sampling technique.
     pub sampling: SamplingMethod,
     /// Whether inter-iteration delta maintenance is used to update resamples
-    /// incrementally (§4.1) instead of redrawing them.  Applies to estimators
-    /// that need materialised resamples; when `bootstrap_kernel` resolves a
-    /// task to the resample-free count-based kernel (linear statistics under
-    /// `Auto`), that kernel supersedes delta maintenance — re-evaluating every
-    /// replicate from O(√n) section counts is cheaper than maintaining
-    /// resamples at all.
+    /// incrementally (§4.1) instead of redrawing them.  Applies to tasks the
+    /// gather kernel serves (median, quantiles, variance, stddev), whose
+    /// maintained resamples are evaluated through the task itself; when
+    /// `bootstrap_kernel` resolves a task to the resample-free count-based
+    /// kernel (linear statistics under `Auto`), that kernel supersedes delta
+    /// maintenance — re-evaluating every replicate from O(√n) section counts
+    /// is cheaper than maintaining resamples at all.
     pub delta_maintenance: bool,
     /// Replicate-evaluation kernel for the accuracy-estimation bootstraps and
     /// the SSABE pilot (see [`BootstrapKernel`]).  `Auto` (default) picks per
-    /// task: resample-free count-based for linear statistics (mean, sum,
-    /// count), gather-free streaming when the task exposes an accumulator
-    /// (variance, stddev), gather otherwise (median, quantiles).  Every
-    /// kernel is deterministic given the seed at any thread count.
+    /// task: resample-free count-based for linear and k-ary-linear statistics
+    /// (mean, sum, count, proportion, weighted mean, ratio, …), gather
+    /// otherwise (median, quantiles, variance, stddev).  `Gather` forces the
+    /// gather kernel for every task.  Both kernels are deterministic given
+    /// the seed at any thread count.
     pub bootstrap_kernel: BootstrapKernel,
     /// What the MapReduce jobs launched by the driver do when a node fails
     /// mid-task.  The EARL default is [`FailurePolicy::Degrade`] (§3.4): lost

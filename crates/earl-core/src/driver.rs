@@ -328,8 +328,7 @@ impl<'a, T: EarlTask> Ladder for ScalarLadder<'a, T> {
             SketchConfig::default(),
         )
         .map_err(EarlError::Stats)?
-        .with_parallelism(config.parallelism)
-        .with_kernel(config.bootstrap_kernel);
+        .with_parallelism(config.parallelism);
         let result = ib.evaluate(&estimator);
         *incremental = Some(ib);
         Ok((result, (bootstraps * values.len()) as u64))

@@ -15,7 +15,7 @@
 //! the same task can be run by the sampling driver or by an exact MapReduce
 //! job.
 
-use earl_bootstrap::{Accumulator, Estimator, KaryForm, LinearForm};
+use earl_bootstrap::{Estimator, KaryForm, LinearForm};
 
 /// A user analytics task in EARL's incremental-reduce form.
 pub trait EarlTask: Send + Sync {
@@ -79,13 +79,6 @@ pub trait EarlTask: Send + Sync {
         None
     }
 
-    /// A streaming accumulator replaying `evaluate` in one pass over `(value,
-    /// weight)` pairs, if the task supports one — opting the task into the
-    /// gather-free streaming bootstrap kernel.
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        None
-    }
-
     /// The task's k-ary linear form `θ = g(Σφ₁(r), …, Σφ_k(r), m)`, if the
     /// statistic is an aggregate of per-record linear sums (weighted mean,
     /// ratio, covariance, correlation, slope).  Declaring one opts the task
@@ -139,9 +132,6 @@ impl<T: EarlTask> Estimator for TaskEstimator<'_, T> {
     }
     fn name(&self) -> &'static str {
         self.task.name()
-    }
-    fn accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        self.task.streaming_accumulator()
     }
     fn linear_form(&self) -> Option<LinearForm> {
         self.task.linear_form()

@@ -7,7 +7,7 @@
 //! value computed from a `p`-fraction sample must be scaled by `1/p`.
 
 use earl_bootstrap::estimators::{self, Estimator};
-use earl_bootstrap::{Accumulator, LinearForm};
+use earl_bootstrap::LinearForm;
 use serde::{Deserialize, Serialize};
 
 use crate::task::EarlTask;
@@ -62,9 +62,6 @@ impl EarlTask for MeanTask {
     fn linear_form(&self) -> Option<LinearForm> {
         estimators::Mean.linear_form()
     }
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        estimators::Mean.accumulator()
-    }
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec::named("mean"))
     }
@@ -98,9 +95,6 @@ impl EarlTask for SumTask {
     }
     fn linear_form(&self) -> Option<LinearForm> {
         estimators::Sum.linear_form()
-    }
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        estimators::Sum.accumulator()
     }
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec::named("sum"))
@@ -142,9 +136,6 @@ impl EarlTask for CountTask {
     }
     fn linear_form(&self) -> Option<LinearForm> {
         estimators::Count.linear_form()
-    }
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        estimators::Count.accumulator()
     }
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec::named("count"))

@@ -15,7 +15,7 @@
 
 use earl_bootstrap::categorical::ProportionEstimate;
 use earl_bootstrap::estimators::{self, Estimator};
-use earl_bootstrap::{Accumulator, LinearForm, StatsError};
+use earl_bootstrap::{LinearForm, StatsError};
 
 use crate::task::EarlTask;
 use crate::tasks::basic::SumState;
@@ -92,10 +92,6 @@ impl EarlTask for ProportionTask {
     // linear — Auto routes its AES to the resample-free count-based kernel.
     fn linear_form(&self) -> Option<LinearForm> {
         estimators::Mean.linear_form()
-    }
-
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        estimators::Mean.accumulator()
     }
 }
 

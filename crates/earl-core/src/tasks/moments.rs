@@ -4,8 +4,7 @@
 //! Chan/Welford, so `update()` is O(1) regardless of how many values each
 //! partial state absorbed.
 
-use earl_bootstrap::estimators::{self, Estimator};
-use earl_bootstrap::{Accumulator, StreamingStats};
+use earl_bootstrap::StreamingStats;
 
 use crate::task::EarlTask;
 
@@ -35,11 +34,8 @@ impl EarlTask for VarianceTask {
     fn finalize(&self, state: &StreamingStats) -> f64 {
         state.variance()
     }
-    // Second moments are not linear, but they are single-pass: the streaming
-    // bootstrap kernel applies (Welford), the count-based one does not.
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        estimators::Variance.accumulator()
-    }
+    // Second moments are not linear: the AES gathers each resample and
+    // evaluates it through the task itself (Welford).
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec::named("variance"))
     }
@@ -62,9 +58,6 @@ impl EarlTask for StdDevTask {
     }
     fn finalize(&self, state: &StreamingStats) -> f64 {
         state.std_dev()
-    }
-    fn streaming_accumulator(&self) -> Option<Box<dyn Accumulator>> {
-        estimators::StdDev.accumulator()
     }
     fn wire_spec(&self) -> Option<earl_mapreduce::TaskSpec> {
         Some(earl_mapreduce::TaskSpec::named("stddev"))

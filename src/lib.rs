@@ -21,10 +21,10 @@
 //!
 //! ## Choosing a bootstrap kernel
 //!
-//! The accuracy-estimation stage can evaluate its bootstrap replicates three
-//! ways (`Gather`, `Streaming`, `CountBased` — see the README's kernel table);
-//! `Auto` picks the cheapest sound kernel per estimator, and pinning one is a
-//! one-field config change:
+//! The accuracy-estimation stage evaluates its bootstrap replicates one of two
+//! ways (gather or count-based — see the README's kernel table).  `Auto`
+//! picks the count-based kernel for linear statistics and gathers otherwise;
+//! forcing the gather kernel is a one-field config change:
 //!
 //! ```
 //! use earl::bootstrap::BootstrapKernel;
@@ -32,9 +32,9 @@
 //! use earl::core::{tasks::MeanTask, EarlConfig, EarlDriver};
 //! use earl::dfs::{Dfs, DfsConfig};
 //!
-//! // Pin the resample-free count-based kernel (e.g. to A/B error estimates).
+//! // Force the gather kernel (e.g. to A/B the count-based error estimates).
 //! let config = EarlConfig {
-//!     bootstrap_kernel: BootstrapKernel::CountBased,
+//!     bootstrap_kernel: BootstrapKernel::Gather,
 //!     ..EarlConfig::default()
 //! };
 //!

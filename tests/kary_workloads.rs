@@ -335,10 +335,13 @@ fn run_grouped_weighted_means_meet_per_group_truth() {
         let (parallel, _) = run(threads, BootstrapKernel::Auto);
         assert_eq!(report, parallel, "threads {threads}");
     }
-    // Auto is the count-based kernel for the weighted mean (bitwise), and the
-    // gather kernel answers the same question within the bound.
-    let (count_based, _) = run(1, BootstrapKernel::CountBased);
-    assert_eq!(report, count_based, "Auto ≡ CountBased for weighted means");
+    // Auto is the count-based kernel for the weighted mean, and the gather
+    // kernel answers the same question within the bound.
+    assert_eq!(
+        GroupedAggregate::weighted_mean().resolved_kernel(BootstrapKernel::Auto),
+        earl_bootstrap::bootstrap::ResolvedKernel::CountBased,
+        "Auto runs weighted means resample-free"
+    );
     let (gather, _) = run(1, BootstrapKernel::Gather);
     assert!(gather.meets_bound());
     for (a, g) in report.groups.iter().zip(&gather.groups) {

@@ -1,16 +1,14 @@
-//! Kernel-equivalence contract of the bootstrap evaluation kernels (PR 3).
+//! Kernel-equivalence contract of the bootstrap evaluation kernels.
 //!
-//! Three replicate-evaluation kernels can answer the same bootstrap question —
-//! gather (materialise + rescan), streaming (accumulator fed straight from
-//! sampled indices) and count-based (resample-free multinomial section
-//! counts, linear statistics only).  This suite pins their equivalence:
+//! Two replicate-evaluation kernels answer the same bootstrap question —
+//! gather (materialise + rescan) and count-based (resample-free multinomial
+//! section counts, linear statistics only; `Auto` picks it for every
+//! estimator with a linear or k-ary form).  This suite pins:
 //!
-//! * streaming ≡ gather **bit-identically** for single-pass statistics
-//!   (mean/sum/count) — both kernels consume the identical `(seed, replicate)`
-//!   RNG stream and perform the identical arithmetic in the same order;
-//! * streaming ≈ gather within 1e-9 *relative* per replicate for the moment
-//!   statistics (variance/stddev) — single-pass shifted Youngs–Cramer versus
-//!   two-pass;
+//! * gather and `Auto` against a single-pass replicate oracle on the same
+//!   `(seed, replicate)` streams: bit for bit for the single-pass folds
+//!   (mean/sum/count/min/max), within 1e-9 *relative* for the moment tasks
+//!   (variance/stddev), plus two pinned moment-task driver reports;
 //! * count-based reproduces the gather replicate *distribution*'s moments
 //!   (replicate mean, standard error, cv) within seeded tolerance — by
 //!   construction the kernel matches them exactly in expectation;
@@ -23,7 +21,7 @@
 use earl_bootstrap::bootstrap::{
     bootstrap_distribution, BootstrapConfig, BootstrapKernel, ResolvedKernel,
 };
-use earl_bootstrap::estimators::{Count, Estimator, Max, Mean, Median, Min, StdDev, Sum, Variance};
+use earl_bootstrap::estimators::{Count, Estimator, Max, Mean, Median, Min, Sum};
 use earl_bootstrap::rng::{seeded_rng, standard_normal};
 use earl_core::task::TaskEstimator;
 use earl_core::tasks::{
@@ -67,55 +65,6 @@ fn run(
     .expect("bootstrap")
 }
 
-/// Property: for single-pass statistics the streaming kernel is bit-identical
-/// to the gather kernel — every replicate, at every thread count, across a
-/// spread of seeds, sample sizes and B values.
-#[test]
-fn streaming_replicates_are_bit_identical_to_gather_for_linear_statistics() {
-    for case in 0u64..6 {
-        let n = 300 + (case as usize) * 777;
-        let b = 20 + (case as usize) * 13;
-        let data = normal_sample(n, 40.0, 9.0, 2000 + case);
-        for est in [&Mean as &dyn Estimator, &Sum, &Count] {
-            let gather = run(case, &data, est, b, BootstrapKernel::Gather, 1);
-            for &threads in &thread_counts() {
-                let streaming = run(case, &data, est, b, BootstrapKernel::Streaming, threads);
-                assert_eq!(
-                    gather,
-                    streaming,
-                    "{} must be bit-identical (case {case}, threads {threads})",
-                    Estimator::name(est)
-                );
-            }
-        }
-    }
-}
-
-/// Property: the single-pass shifted Youngs–Cramer update (streaming) agrees
-/// with the two-pass gather evaluation within 1e-9 relative, per replicate,
-/// for variance and stddev.
-#[test]
-fn streaming_moment_replicates_match_gather_within_1e9_relative() {
-    for case in 0u64..4 {
-        let n = 500 + (case as usize) * 900;
-        let data = normal_sample(n, 25.0, 6.0, 3000 + case);
-        for est in [&Variance as &dyn Estimator, &StdDev] {
-            let gather = run(case, &data, est, 40, BootstrapKernel::Gather, 1);
-            for &threads in &thread_counts() {
-                let streaming = run(case, &data, est, 40, BootstrapKernel::Streaming, threads);
-                assert_eq!(gather.replicates.len(), streaming.replicates.len());
-                for (g, s) in gather.replicates.iter().zip(&streaming.replicates) {
-                    assert!(
-                        ((g - s) / g).abs() < 1e-9,
-                        "{}: replicate {g} vs {s} (case {case})",
-                        Estimator::name(est)
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Property: the count-based kernel reproduces the gather kernel's replicate
 /// *distribution* moments within seeded tolerance — the same replicate mean,
 /// standard error and cv a materialising bootstrap measures, at O(√n) per
@@ -128,7 +77,7 @@ fn count_based_distribution_moments_match_gather_within_seeded_tolerance() {
         let data = normal_sample(n, 150.0, 35.0, 4000 + case);
         for est in [&Mean as &dyn Estimator, &Sum] {
             let gather = run(case, &data, est, 400, BootstrapKernel::Gather, 1);
-            let counts = run(case, &data, est, 400, BootstrapKernel::CountBased, 1);
+            let counts = run(case, &data, est, 400, BootstrapKernel::Auto, 1);
             assert_eq!(
                 counts.point_estimate, gather.point_estimate,
                 "the point estimate never depends on the kernel"
@@ -162,7 +111,7 @@ fn count_based_distribution_moments_match_gather_within_seeded_tolerance() {
         // Count is the degenerate linear statistic: every replicate is exactly
         // the resample size on both kernels.
         let gather = run(case, &data, &Count, 50, BootstrapKernel::Gather, 1);
-        let counts = run(case, &data, &Count, 50, BootstrapKernel::CountBased, 1);
+        let counts = run(case, &data, &Count, 50, BootstrapKernel::Auto, 1);
         assert_eq!(gather, counts);
     }
 }
@@ -173,12 +122,12 @@ fn count_based_distribution_moments_match_gather_within_seeded_tolerance() {
 #[test]
 fn count_based_kernel_is_thread_invariant_with_prefix_stability() {
     let data = normal_sample(5_000, 60.0, 12.0, 77);
-    let reference = run(9, &data, &Mean, 64, BootstrapKernel::CountBased, 1);
+    let reference = run(9, &data, &Mean, 64, BootstrapKernel::Auto, 1);
     for &threads in &thread_counts() {
-        let parallel = run(9, &data, &Mean, 64, BootstrapKernel::CountBased, threads);
+        let parallel = run(9, &data, &Mean, 64, BootstrapKernel::Auto, threads);
         assert_eq!(reference, parallel, "threads = {threads}");
     }
-    let grown = run(9, &data, &Mean, 96, BootstrapKernel::CountBased, 1);
+    let grown = run(9, &data, &Mean, 96, BootstrapKernel::Auto, 1);
     assert_eq!(reference.replicates[..], grown.replicates[..64]);
 }
 
@@ -206,14 +155,14 @@ fn auto_routes_every_linear_statistic_to_the_count_based_kernel() {
         BootstrapKernel::Auto.resolve_for(&TaskEstimator::new(&CountTask)),
         ResolvedKernel::CountBased
     );
-    // Second moments stream, order statistics gather.
+    // Second moments and order statistics gather.
     assert_eq!(
         BootstrapKernel::Auto.resolve_for(&TaskEstimator::new(&VarianceTask)),
-        ResolvedKernel::Streaming
+        ResolvedKernel::Gather
     );
     assert_eq!(
         BootstrapKernel::Auto.resolve_for(&TaskEstimator::new(&StdDevTask)),
-        ResolvedKernel::Streaming
+        ResolvedKernel::Gather
     );
     assert_eq!(
         BootstrapKernel::Auto.resolve_for(&TaskEstimator::new(&MedianTask)),
@@ -287,7 +236,7 @@ fn kary_count_based_distribution_moments_match_gather_within_seeded_tolerance() 
         for kc in kary_cases() {
             let est = kc.estimator.as_ref();
             let gather = run(case, &data, est, 400, BootstrapKernel::Gather, 1);
-            let counts = run(case, &data, est, 400, BootstrapKernel::CountBased, 1);
+            let counts = run(case, &data, est, 400, BootstrapKernel::Auto, 1);
             assert_eq!(
                 counts.point_estimate, gather.point_estimate,
                 "the point estimate never depends on the kernel ({})",
@@ -327,12 +276,12 @@ fn kary_count_based_kernel_is_thread_invariant_with_prefix_stability() {
     let data = kary_sample(3_000, 88);
     for kc in kary_cases() {
         let est = kc.estimator.as_ref();
-        let reference = run(17, &data, est, 64, BootstrapKernel::CountBased, 1);
+        let reference = run(17, &data, est, 64, BootstrapKernel::Auto, 1);
         for &threads in &thread_counts() {
-            let parallel = run(17, &data, est, 64, BootstrapKernel::CountBased, threads);
+            let parallel = run(17, &data, est, 64, BootstrapKernel::Auto, threads);
             assert_eq!(reference, parallel, "{} threads = {threads}", kc.name);
         }
-        let grown = run(17, &data, est, 96, BootstrapKernel::CountBased, 1);
+        let grown = run(17, &data, est, 96, BootstrapKernel::Auto, 1);
         assert_eq!(
             reference.replicates[..],
             grown.replicates[..64],
@@ -361,12 +310,7 @@ fn auto_routes_every_kary_task_to_the_count_based_kernel() {
             "{} must never silently reach the gather kernel under Auto",
             kc.name
         );
-        // Explicitly requesting CountBased holds too; only an explicit Gather
-        // request lands on gather.
-        assert_eq!(
-            BootstrapKernel::CountBased.resolve_for(kc.estimator.as_ref()),
-            ResolvedKernel::CountBased
-        );
+        // Only an explicit Gather request lands on gather.
         assert_eq!(
             BootstrapKernel::Gather.resolve_for(kc.estimator.as_ref()),
             ResolvedKernel::Gather
@@ -405,12 +349,7 @@ fn driver_reports_meet_the_bound_under_every_kernel() {
             .unwrap();
         dfs
     };
-    for kernel in [
-        BootstrapKernel::Auto,
-        BootstrapKernel::CountBased,
-        BootstrapKernel::Streaming,
-        BootstrapKernel::Gather,
-    ] {
+    for kernel in [BootstrapKernel::Auto, BootstrapKernel::Gather] {
         for &threads in &thread_counts() {
             let config = EarlConfig {
                 bootstrap_kernel: kernel,
