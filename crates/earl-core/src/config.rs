@@ -18,6 +18,11 @@ use serde::{Deserialize, Serialize};
 use crate::error::EarlError;
 use crate::Result;
 
+/// The most worker threads a run may ask for.  Every bootstrap and MapReduce
+/// phase forks up to `parallelism` scoped threads (capped only by its item
+/// count), so an unbounded request could spawn one thread per replicate.
+const MAX_PARALLELISM: usize = 1_024;
+
 /// Which sampling technique feeds the EARL driver (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SamplingMethod {
@@ -83,7 +88,8 @@ pub struct EarlConfig {
     pub seed: u64,
     /// Worker threads used for bootstrap replicate evaluation and MapReduce
     /// task execution (`None` = one per available core).  Any value produces
-    /// bit-identical results; the knob only trades wall-clock time.
+    /// bit-identical results; the knob only trades wall-clock time.  At most
+    /// 1 024 threads: [`EarlConfig::validate`] rejects larger requests.
     pub parallelism: Option<usize>,
     /// Whether the EARL loop speculates.  The driver runs one ladder — stage
     /// (draw Δ + map) → commit (shuffle + reduce) → accuracy estimation →
@@ -170,6 +176,14 @@ impl EarlConfig {
             return Err(EarlError::InvalidConfig(
                 "pipeline_depth must be ≥ 1 (1 = sequential schedule)".into(),
             ));
+        }
+        if self
+            .parallelism
+            .is_some_and(|threads| threads > MAX_PARALLELISM)
+        {
+            return Err(EarlError::InvalidConfig(format!(
+                "parallelism must be ≤ {MAX_PARALLELISM} worker threads"
+            )));
         }
         Ok(())
     }
@@ -273,5 +287,22 @@ mod tests {
         .validate()
         .is_ok());
         assert!(EarlConfig::with_sigma(0.02).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_the_worker_thread_count() {
+        let with = |parallelism| EarlConfig {
+            parallelism,
+            ..Default::default()
+        };
+        for ok in [None, Some(1), Some(MAX_PARALLELISM)] {
+            assert!(with(ok).validate().is_ok(), "{ok:?}");
+        }
+        for too_many in [MAX_PARALLELISM + 1, usize::MAX] {
+            assert!(matches!(
+                with(Some(too_many)).validate(),
+                Err(EarlError::InvalidConfig(_))
+            ));
+        }
     }
 }

@@ -475,6 +475,26 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_thread_request_is_refused_before_any_work() {
+        // B·n < N would admit this job; the thread count must not.  The
+        // engine validates before it samples, so no worker thread starts.
+        let config = EarlConfig {
+            bootstraps: Some(900_000),
+            sample_size: Some(1),
+            parallelism: Some(usize::MAX),
+            ..EarlConfig::default()
+        };
+        let service = EarlService::new(registry(), ServiceConfig::default());
+        let handle = service
+            .admit(JobRequest::new(TaskSpec::named("mean"), "small", config))
+            .unwrap();
+        assert!(matches!(
+            handle.wait().unwrap().result,
+            Err(ServeError::Engine(earl_core::EarlError::InvalidConfig(_)))
+        ));
+    }
+
+    #[test]
     fn unknown_dataset_and_task_fail_cleanly() {
         let service = EarlService::new(registry(), ServiceConfig::default());
         let missing = service
