@@ -203,10 +203,10 @@ fn lloyd_once(points: &[Vec<f64>], config: &KmeansConfig, rng: &mut StdRng) -> K
     }
 }
 
-/// Parses a point from a line of whitespace-separated coordinates.
+/// Parses a point from a line of whitespace-separated coordinates — the
+/// format [`earl_workload::KmeansDataset`] writes, parsed by its own parser.
 pub fn parse_point(line: &str) -> Option<Vec<f64>> {
-    let coords: Option<Vec<f64>> = line.split_whitespace().map(|t| t.parse().ok()).collect();
-    coords.filter(|c| !c.is_empty())
+    earl_workload::KmeansDataset::parse_point(line)
 }
 
 /// How far each `truth` centroid is from its nearest `found` centroid, as a
