@@ -7,9 +7,9 @@
 //!
 //! * a full job run (map → sharded shuffle → reduce) is identical at every
 //!   thread count;
-//! * the pipelined schedule (`pipeline_depth = 2`), including a speculative
-//!   iteration cancelled by the reducer→mapper feedback channel, delivers the
-//!   same final estimate and iteration count as the sequential schedule.
+//! * the pipelined schedule (`pipeline_depth = 2`), including a staged step
+//!   that the stop rule cancels before its reduce phase, delivers the same
+//!   final estimate and iteration count as the sequential schedule.
 //!
 //! The CI thread-matrix job runs this file with `EARL_THREADS` ∈ {1, 2, 4, 8}
 //! on a multi-core runner; when the variable is unset, every count is covered
@@ -106,11 +106,11 @@ fn driver_report(
         .unwrap()
 }
 
-/// A pipelined run whose last speculative iteration is cancelled by the
-/// feedback channel delivers the same final estimate, error, sample size and
-/// iteration count as the sequential schedule — at every thread count.
+/// A pipelined run whose last staged step is cancelled by the stop rule
+/// delivers the same final estimate, error, sample size and iteration count
+/// as the sequential schedule — at every thread count.
 #[test]
-fn pipelined_run_cancelled_by_feedback_matches_sequential_schedule() {
+fn pipelined_run_with_a_cancelled_staged_step_matches_sequential_schedule() {
     // σ = 2% on high-dispersion data needs > 1 iteration, so the pipelined
     // schedule both commits a staged iteration and cancels the final
     // speculative one.
