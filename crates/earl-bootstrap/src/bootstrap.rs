@@ -1198,13 +1198,9 @@ mod tests {
             &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::Gather),
         )
         .unwrap();
-        let counts = bootstrap_distribution(
-            43,
-            &data,
-            &Mean,
-            &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::Auto),
-        )
-        .unwrap();
+        let counts =
+            bootstrap_distribution(43, &data, &Mean, &BootstrapConfig::with_resamples(400))
+                .unwrap();
         assert_eq!(counts.point_estimate, gather.point_estimate);
         assert!(
             (counts.replicate_mean - gather.replicate_mean).abs() / gather.replicate_mean.abs()
@@ -1225,9 +1221,7 @@ mod tests {
     #[test]
     fn count_based_kernel_is_deterministic_and_thread_invariant() {
         let data = normal_sample(2_048, 7.0, 2.0, 35);
-        let config = BootstrapConfig::with_resamples(64)
-            .with_kernel(BootstrapKernel::Auto)
-            .with_parallelism(Some(1));
+        let config = BootstrapConfig::with_resamples(64).with_parallelism(Some(1));
         let reference = bootstrap_distribution(45, &data, &Mean, &config).unwrap();
         for threads in [2usize, 3, 8] {
             let parallel =
@@ -1321,13 +1315,9 @@ mod tests {
                 &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::Gather),
             )
             .unwrap();
-            let counts = bootstrap_distribution(
-                47,
-                &data,
-                est,
-                &BootstrapConfig::with_resamples(400).with_kernel(BootstrapKernel::Auto),
-            )
-            .unwrap();
+            let counts =
+                bootstrap_distribution(47, &data, est, &BootstrapConfig::with_resamples(400))
+                    .unwrap();
             assert_eq!(counts.point_estimate, gather.point_estimate);
             assert!(
                 (counts.replicate_mean - gather.replicate_mean).abs() / gather.replicate_mean.abs()
@@ -1352,9 +1342,7 @@ mod tests {
     fn kary_kernel_is_deterministic_and_thread_invariant() {
         use crate::estimators::Ratio;
         let data = paired_sample(2_048, 53);
-        let config = BootstrapConfig::with_resamples(64)
-            .with_kernel(BootstrapKernel::Auto)
-            .with_parallelism(Some(1));
+        let config = BootstrapConfig::with_resamples(64).with_parallelism(Some(1));
         let reference = bootstrap_distribution(55, &data, &Ratio, &config).unwrap();
         for threads in [2usize, 3, 8] {
             let parallel =

@@ -83,7 +83,7 @@ pub trait EarlTask: Send + Sync {
     /// statistic is an aggregate of per-record linear sums (weighted mean,
     /// ratio, covariance, correlation, slope).  Declaring one opts the task
     /// into the resample-free count-based kernel and makes every kernel
-    /// resample whole records of [`record_stride`](Self::record_stride)(Self::record_stride)
+    /// resample whole records of [`record_stride`](Self::record_stride)
     /// columns.
     fn kary_form(&self) -> Option<KaryForm> {
         None
