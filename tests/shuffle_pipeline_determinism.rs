@@ -110,7 +110,7 @@ fn driver_report(
 /// delivers the same final estimate, error, sample size and iteration count
 /// as the sequential schedule — at every thread count.
 #[test]
-fn pipelined_run_with_a_cancelled_staged_step_matches_sequential_schedule() {
+fn pipelined_run_with_a_cancelled_staged_step_matches_sequential() {
     // σ = 2% on high-dispersion data needs > 1 iteration, so the pipelined
     // schedule both commits a staged iteration and cancels the final
     // speculative one.
