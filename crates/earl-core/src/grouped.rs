@@ -753,6 +753,121 @@ mod tests {
         assert_eq!(only_a[0].1.replicates, all[0].1.replicates);
     }
 
+    /// The per-group accuracy stage as a plain loop over the groups in key
+    /// order, each bootstrap forking over its own replicates: the oracle a
+    /// group-parallel stage must equal bit for bit.
+    fn sequential_grouped_accuracy(
+        seed: u64,
+        groups: &BTreeMap<String, Vec<f64>>,
+        agg: &GroupedAggregate,
+        config: &BootstrapConfig,
+    ) -> Result<Vec<(String, BootstrapResult)>> {
+        groups
+            .iter()
+            .map(|(key, values)| {
+                let result = agg.bootstrap_group(group_seed(seed, key), values, config)?;
+                Ok((key.clone(), result))
+            })
+            .collect()
+    }
+
+    /// Every bit of a stage's outcome: per group its key and each field of
+    /// its bootstrap result, or the error.
+    fn outcome_bits(outcome: &Result<Vec<(String, BootstrapResult)>>) -> String {
+        match outcome {
+            Ok(groups) => groups
+                .iter()
+                .map(|(key, r)| {
+                    let fields = [
+                        r.point_estimate,
+                        r.bias,
+                        r.replicate_mean,
+                        r.std_error,
+                        r.cv,
+                    ];
+                    let bits: Vec<u64> = fields
+                        .iter()
+                        .chain(&r.replicates)
+                        .map(|x| x.to_bits())
+                        .collect();
+                    format!("{key}:{bits:x?}\n")
+                })
+                .collect(),
+            Err(e) => format!("error: {e:?}"),
+        }
+    }
+
+    /// `grouped_accuracy` equals the sequential oracle bit for bit: on 200
+    /// groups (enough work to spread the groups over the workers), on 3
+    /// large groups at 8 threads (fewer groups than workers, so each
+    /// group's replicates fork), for both kernels and a two-column
+    /// statistic; and a failing group yields the first error in key order.
+    #[test]
+    fn group_parallel_aes_matches_the_sequential_oracle() {
+        let mut state = 0x51_7cc1_b727_220a_u64;
+        let mut groups_of = |count: usize, len: usize| -> BTreeMap<String, Vec<f64>> {
+            (0..count)
+                .map(|g| {
+                    let values = (0..len + g % 7 * 2)
+                        .map(|_| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            (state % 100_000) as f64 / 64.0 + 1.0
+                        })
+                        .collect();
+                    (format!("g{g:03}"), values)
+                })
+                .collect()
+        };
+        let many = groups_of(200, 60);
+        let few = groups_of(3, 400);
+        let mut broken = many.clone();
+        broken.insert("g050x".into(), Vec::new());
+        broken.insert("g150x".into(), vec![1.0, 2.0, 3.0]);
+
+        let mut threads = vec![None, Some(1), Some(2), Some(8)];
+        if let Ok(v) = std::env::var("EARL_THREADS") {
+            threads.push(Some(v.parse().expect("EARL_THREADS must be a number")));
+        }
+        for agg in [GroupedAggregate::mean(), GroupedAggregate::weighted_mean()] {
+            for kernel in [BootstrapKernel::Auto, BootstrapKernel::Gather] {
+                for &parallelism in &threads {
+                    let config = BootstrapConfig::with_resamples(100)
+                        .with_parallelism(parallelism)
+                        .with_kernel(kernel);
+                    for groups in [&many, &broken] {
+                        assert_eq!(
+                            outcome_bits(&grouped_accuracy(7, groups, &agg, &config)),
+                            outcome_bits(&sequential_grouped_accuracy(7, groups, &agg, &config)),
+                            "{} {kernel:?} at {parallelism:?}, {} groups",
+                            agg.name(),
+                            groups.len()
+                        );
+                    }
+                }
+                let config = BootstrapConfig::with_resamples(100)
+                    .with_parallelism(Some(8))
+                    .with_kernel(kernel);
+                assert_eq!(
+                    outcome_bits(&grouped_accuracy(7, &few, &agg, &config)),
+                    outcome_bits(&sequential_grouped_accuracy(7, &few, &agg, &config)),
+                    "{} {kernel:?}, 3 groups at 8 threads",
+                    agg.name()
+                );
+            }
+        }
+        let config = BootstrapConfig::with_resamples(100);
+        let mean = GroupedAggregate::mean();
+        assert!(
+            matches!(
+                grouped_accuracy(7, &broken, &mean, &config),
+                Err(EarlError::Stats(earl_bootstrap::StatsError::EmptySample))
+            ),
+            "the empty group g050x fails first"
+        );
+    }
+
     /// The ladder reports each group's AES point estimate; the step job's
     /// reducer computes the same statistic over the same values in the same
     /// order.  Both must agree bit for bit, for every statistic, at every

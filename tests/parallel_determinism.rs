@@ -12,10 +12,12 @@ use earl_bootstrap::rng::{seeded_rng, standard_normal};
 use earl_cluster::{
     Cluster, CostModel, FailureEvent, FailureSchedule, NodeId, SimDuration, SimInstant,
 };
+use earl_core::grouped::GroupedTaskMapper;
 use earl_core::tasks::MeanTask;
-use earl_core::{EarlConfig, EarlDriver};
+use earl_core::{EarlConfig, EarlDriver, GroupedAggregate};
 use earl_dfs::{Dfs, DfsConfig};
-use earl_mapreduce::{contrib, run_job, InputSource, JobConf};
+use earl_mapreduce::{contrib, run_job, InputSource, JobConf, ReduceContext, Reducer};
+use earl_parallel::MIN_PARALLEL_WORK;
 
 /// Non-reference thread counts under test: the `EARL_THREADS` matrix value
 /// when set (the CI thread-matrix job runs this file at 1, 2, 4 and 8), the
@@ -112,6 +114,66 @@ fn run_job_is_identical_across_thread_counts() {
         assert_eq!(reference.outputs, result.outputs, "threads {threads}");
         assert_eq!(reference.counters, result.counters, "threads {threads}");
         assert_eq!(reference.stats, result.stats, "threads {threads}");
+    }
+}
+
+/// Hands every key's values back in the order the reducer received them, so
+/// a reordering anywhere between emit and reduce shows in the outputs.
+struct ArrivalOrder;
+
+impl Reducer for ArrivalOrder {
+    type InKey = String;
+    type InValue = f64;
+    type Output = (String, Vec<f64>);
+    fn reduce(&self, key: &String, values: &[f64], ctx: &mut ReduceContext<Self::Output>) {
+        ctx.emit((key.clone(), values.to_vec()));
+    }
+}
+
+/// Property: a job over in-memory records (the ladder's step job) is
+/// identical at every thread count — outputs with each key's value order,
+/// counters, stats and the cluster's simulated clock — at parallelism 1, 2,
+/// 3 and 8 (and `EARL_THREADS`), over enough records for the map phase to
+/// be worth splitting, with some lines the mapper skips.
+#[test]
+fn memory_input_job_is_identical_across_thread_counts() {
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let records: Vec<(u64, String)> = (0..2 * MIN_PARALLEL_WORK as u64 + 1_234)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let line = if i % 97 == 0 {
+                "unkeyed line".to_owned()
+            } else {
+                format!("k{}\t{}", state % 211, (state >> 20) as f64 / 4096.0)
+            };
+            (i * 24, line)
+        })
+        .collect();
+    let agg = GroupedAggregate::mean();
+    let mapper = GroupedTaskMapper::new(&agg);
+    for reducers in [4, 8] {
+        let run = |threads: usize| {
+            let dfs = test_dfs(4, 7);
+            let conf = JobConf::new("memory", InputSource::Memory(records.clone()))
+                .with_reducers(reducers)
+                .with_parallelism(Some(threads));
+            let job = run_job(&dfs, &conf, &mapper, &ArrivalOrder).unwrap();
+            (job, dfs.cluster().elapsed())
+        };
+        let (reference, reference_clock) = run(1);
+        assert_eq!(reference.stats.map_tasks, 1, "one in-memory map task");
+        let mut counts = vec![2, 3, 8];
+        counts.extend(thread_counts());
+        for threads in counts {
+            let (job, clock) = run(threads);
+            let at = format!("{reducers} reducers, threads {threads}");
+            assert_eq!(reference.outputs, job.outputs, "{at}");
+            assert_eq!(reference.counters, job.counters, "{at}");
+            assert_eq!(reference.stats, job.stats, "{at}");
+            assert_eq!(reference_clock, clock, "{at}");
+        }
     }
 }
 
