@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use earl_bootstrap::bootstrap::{
     bootstrap_distribution, BootstrapConfig, BootstrapResult, ResolvedKernel,
 };
+use earl_bootstrap::parallel::{indexed_map, workers_for};
 use earl_bootstrap::rng::derive_seed;
 use earl_bootstrap::BootstrapKernel;
 use earl_cluster::SimDuration;
@@ -161,6 +162,13 @@ impl GroupedAggregate {
     /// components, all-or-nothing).  `key<TAB>value` for the scalar
     /// statistics, `key<TAB>value<TAB>weight` for the weighted mean.
     pub fn extract_record(&self, line: &str) -> Option<(String, GroupedRecord)> {
+        let (key, record) = self.parse_record(line)?;
+        Some((key.to_owned(), record))
+    }
+
+    /// [`extract_record`](Self::extract_record) with the key borrowed from
+    /// `line`, for callers that allocate a key only when they keep it.
+    fn parse_record<'l>(&self, line: &'l str) -> Option<(&'l str, GroupedRecord)> {
         let (key, rest) = line.split_once('\t')?;
         if key.is_empty() {
             return None;
@@ -175,7 +183,7 @@ impl GroupedAggregate {
             }
             _ => GroupedRecord::scalar(rest.rsplit('\t').next()?.trim().parse().ok()?),
         };
-        Some((key.to_owned(), record))
+        Some((key, record))
     }
 
     /// Evaluates the statistic over one group's (flat, possibly interleaved)
@@ -329,19 +337,43 @@ impl Reducer for GroupedTaskReducer<'_> {
 /// the grouped driver executes — exposed so the equivalence suite can replay
 /// any single group through a standalone [`bootstrap_distribution`] call and
 /// demand bitwise-identical results.
+///
+/// With at least as many groups as workers (`workers_for` over the stage's
+/// total `Σ n_g·B`), the groups themselves run in parallel, in contiguous
+/// key-order chunks, each group's bootstrap on one thread; with fewer, the
+/// groups run in turn and each forks over its own replicates.  A group's
+/// replicates depend only on its stream, so both give the same bits.
+/// Results come back in key order, and an error is the first in key order.
 pub fn grouped_accuracy(
     seed: u64,
     groups: &BTreeMap<String, Vec<f64>>,
     agg: &GroupedAggregate,
     config: &BootstrapConfig,
 ) -> Result<Vec<(String, BootstrapResult)>> {
-    groups
-        .iter()
-        .map(|(key, values)| {
-            let result = agg.bootstrap_group(group_seed(seed, key), values, config)?;
-            Ok((key.clone(), result))
-        })
-        .collect()
+    let work = groups
+        .values()
+        .map(|values| values.len().saturating_mul(config.num_resamples))
+        .fold(0, usize::saturating_add);
+    let workers = workers_for(work, config.parallelism);
+    let run = |(key, values): (&String, &Vec<f64>),
+               config: &BootstrapConfig|
+     -> Result<(String, BootstrapResult)> {
+        let result = agg.bootstrap_group(group_seed(seed, key), values, config)?;
+        Ok((key.clone(), result))
+    };
+    if workers < 2 || groups.len() < workers {
+        return groups.iter().map(|group| run(group, config)).collect();
+    }
+    let single = config.with_parallelism(Some(1));
+    let groups: Vec<_> = groups.iter().collect();
+    indexed_map(
+        groups.len(),
+        workers,
+        || (),
+        |i, ()| run(groups[i], &single),
+    )
+    .into_iter()
+    .collect()
 }
 
 /// The report of one group inside a [`GroupedEarlReport`].
@@ -460,10 +492,17 @@ impl<'a> Ladder for GroupedLadder<'a> {
     type Map = GroupedTaskMapper<'a>;
     type Reduce = GroupedTaskReducer<'a>;
 
+    /// Appends each parsed record to its group; a key is allocated only for
+    /// a group the sample has not seen yet.
     fn extend(&self, groups: &mut Self::Sample, batch: &[(u64, String)]) {
         for (_, line) in batch {
-            if let Some((key, record)) = self.agg.extract_record(line) {
-                groups.entry(key).or_default().extend(record.values());
+            if let Some((key, record)) = self.agg.parse_record(line) {
+                match groups.get_mut(key) {
+                    Some(values) => values.extend(record.values()),
+                    None => {
+                        groups.insert(key.to_owned(), record.values().to_vec());
+                    }
+                }
             }
         }
     }
@@ -482,14 +521,14 @@ impl<'a> Ladder for GroupedLadder<'a> {
     /// on the data — the committed keys plus the batch's new ones, counted
     /// before the map phase shards them — never on the thread count.
     fn job(&self, input: InputSource, groups: &Self::Sample, batch: &[(u64, String)]) -> JobConf {
-        let new_keys: BTreeSet<String> = batch
+        let new_keys: BTreeSet<&str> = batch
             .iter()
             .filter(|(_, line)| {
                 // A committed key needs no parse: it cannot be new.
                 line.split_once('\t')
                     .is_some_and(|(key, _)| !groups.contains_key(key))
             })
-            .filter_map(|(_, line)| self.agg.extract_record(line))
+            .filter_map(|(_, line)| self.agg.parse_record(line))
             .map(|(key, _)| key)
             .collect();
         JobConf::new(format!("earl-{}", self.agg.name()), input)
@@ -751,6 +790,66 @@ mod tests {
         groups.remove("b");
         let only_a = grouped_accuracy(9, &groups, &agg, &cfg).unwrap();
         assert_eq!(only_a[0].1.replicates, all[0].1.replicates);
+    }
+
+    /// The ladder's sample extension as an owned-key `entry` per record: the
+    /// oracle the borrowed-key `extend` must match.
+    fn extend_with_owned_keys(
+        agg: &GroupedAggregate,
+        groups: &mut BTreeMap<String, Vec<f64>>,
+        batch: &[(u64, String)],
+    ) {
+        for (_, line) in batch {
+            if let Some((key, record)) = agg.extract_record(line) {
+                groups.entry(key).or_default().extend(record.values());
+            }
+        }
+    }
+
+    /// A sample's groups with their values as bits (`nan` parses).
+    fn bits(groups: &BTreeMap<String, Vec<f64>>) -> BTreeMap<&str, Vec<u64>> {
+        groups
+            .iter()
+            .map(|(key, values)| (key.as_str(), values.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    /// `extend` builds the same groups as the oracle, batch after batch:
+    /// keyed lines, keys first seen in the middle of a batch, malformed
+    /// lines, and two-column weighted-mean records.
+    #[test]
+    fn extend_matches_the_owned_key_oracle() {
+        let batches: Vec<Vec<&str>> = vec![
+            vec!["a\t1.5", "b\t2", "a\t-3\t4", "noseparator", "\t7", "c\tx"],
+            vec!["b\t5\t1", "d\t6", "a\t7\t0.5", "d\t8", "e\tnan", "a\t"],
+            vec!["f\t1\t2\t3", "b\t9\t9", "g\t1e3\t2", "\t\t", "h\t  4 "],
+        ];
+        for stat in [
+            GroupedStat::Mean,
+            GroupedStat::Sum,
+            GroupedStat::Count,
+            GroupedStat::WeightedMean,
+        ] {
+            let agg = GroupedAggregate::new(stat);
+            let config = EarlConfig::default();
+            let ladder = GroupedLadder {
+                agg: &agg,
+                config: &config,
+                bootstraps: 2,
+            };
+            let (mut groups, mut oracle) = (BTreeMap::new(), BTreeMap::new());
+            for (step, lines) in batches.iter().enumerate() {
+                let batch: Vec<(u64, String)> = lines
+                    .iter()
+                    .enumerate()
+                    .map(|(i, line)| (i as u64, line.to_string()))
+                    .collect();
+                ladder.extend(&mut groups, &batch);
+                extend_with_owned_keys(&agg, &mut oracle, &batch);
+                assert_eq!(bits(&groups), bits(&oracle), "{stat:?} after batch {step}");
+            }
+            assert!(groups.len() >= 4, "{stat:?} saw new keys in every batch");
+        }
     }
 
     /// The per-group accuracy stage as a plain loop over the groups in key

@@ -45,9 +45,15 @@ impl Counters {
         Self::default()
     }
 
-    /// Increments `name` by `delta`.
+    /// Increments `name` by `delta`.  The name is copied only the first time
+    /// it is counted.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.values.entry(name.to_owned()).or_insert(0) += delta;
+        match self.values.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.values.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments `name` by one.
@@ -63,7 +69,7 @@ impl Counters {
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &Counters) {
         for (name, value) in &other.values {
-            *self.values.entry(name.clone()).or_insert(0) += value;
+            self.add(name, *value);
         }
     }
 

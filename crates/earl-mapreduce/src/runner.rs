@@ -103,10 +103,11 @@ use crate::Result;
 const AVG_RECORD_BYTES: u64 = 16;
 
 /// What the compute step of one map task yields: input records consumed, the
-/// task's own shard buffers, and the counters its emits produced.
+/// task's own shard buffers (several when its compute was split, in input
+/// order), and the counters its emits produced.
 type MapCompute<M> = (
     u64,
-    ShardBuffers<(<M as Mapper>::OutKey, <M as Mapper>::OutValue)>,
+    Vec<ShardBuffers<(<M as Mapper>::OutKey, <M as Mapper>::OutValue)>>,
     Counters,
 );
 
@@ -170,7 +171,11 @@ enum MapInput<'a> {
 /// speculative ladder step with the accuracy estimation of the previous one.
 ///
 /// One task per input split (or one over the in-memory records), each
-/// streaming into its own [`ShardBuffers`].  Buffers and counters of
+/// streaming into its own [`ShardBuffers`].  The in-memory task is placed,
+/// charged and counted as one task, but its compute runs on all workers:
+/// above [`MIN_PARALLEL_WORK`](earl_parallel::MIN_PARALLEL_WORK) records it
+/// is cut into contiguous chunks, one per worker, whose buffers join the
+/// task's in input order.  Buffers and counters of
 /// surviving tasks are merged in task order, so the reassembled
 /// [`ShardedBuffers`] holds the same bits however many rounds it took.  Lost
 /// DFS splits may be abandoned under `Degrade` (§3.4); in-memory inputs are
@@ -232,7 +237,9 @@ pub fn run_map_phase<M: Mapper>(
         conf,
         &tasks,
         &mut stats,
-        |(_, buffers): &(Counters, ShardBuffers<_>)| buffers.emitted(),
+        |(_, parts): &(Counters, Vec<ShardBuffers<_>>)| {
+            parts.iter().map(ShardBuffers::emitted).sum()
+        },
         |i| {
             let remote = remote.get(i).and_then(|compute| compute.lock().take());
             let (records, buffers, mut task_counters) = match remote {
@@ -252,9 +259,9 @@ pub fn run_map_phase<M: Mapper>(
     for slot in slots {
         stats.map_tasks += 1;
         match slot {
-            Some((task_counters, buffers)) => {
+            Some((task_counters, parts)) => {
                 counters.merge(&task_counters);
-                workers.push(buffers);
+                workers.extend(parts);
             }
             None => {
                 stats.lost_map_tasks += 1;
@@ -716,7 +723,7 @@ fn remote_map<M: Mapper>(
         if buffers.emitted() > 0 {
             emitted.add(builtin::MAP_OUTPUT_RECORDS, buffers.emitted());
         }
-        computes.push(Mutex::new(Some((outcome.records, buffers, emitted))));
+        computes.push(Mutex::new(Some((outcome.records, vec![buffers], emitted))));
     }
     book_remote_retries(dfs, conf, retries, stats);
     Some(computes)
@@ -780,6 +787,11 @@ fn remote_reduce<R: Reducer>(
 /// policy tolerates dropping them; whatever the task emitted before that
 /// abort (or before a hard error) is dropped with its buffers, so an aborted
 /// task contributes exactly nothing.
+///
+/// An in-memory task is still one task, but its compute runs on all workers:
+/// the records are cut into `workers_for(len, parallelism)` contiguous
+/// chunks, each mapped into its own buffers.  The buffers come back in chunk
+/// order, so every shard still receives its pairs in input order.
 fn run_mapper<M: Mapper>(
     dfs: &Dfs,
     conf: &JobConf,
@@ -787,34 +799,60 @@ fn run_mapper<M: Mapper>(
     input: &MapInput<'_>,
     num_shards: usize,
 ) -> Result<Option<MapCompute<M>>> {
+    let split = match input {
+        MapInput::Split(split) => split,
+        MapInput::Memory(lines) => return Ok(Some(map_memory(conf, mapper, lines, num_shards))),
+    };
     let mut ctx = MapContext::sharded(num_shards);
     let mut records = 0u64;
-    match input {
-        MapInput::Split(split) => {
-            let mut reader = dfs.open_split(split.clone(), Phase::Load);
-            loop {
-                match reader.next_line() {
-                    Ok(Some((offset, line))) => mapper.map(offset, &line, &mut ctx),
-                    Ok(None) => break,
-                    Err(DfsError::BlockUnavailable(_)) if conf.failure_policy.is_degrade() => {
-                        return Ok(None)
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-                records += 1;
+    let mut reader = dfs.open_split(split.clone(), Phase::Load);
+    loop {
+        match reader.next_line() {
+            Ok(Some((offset, line))) => mapper.map(offset, &line, &mut ctx),
+            Ok(None) => break,
+            Err(DfsError::BlockUnavailable(_)) if conf.failure_policy.is_degrade() => {
+                return Ok(None)
             }
+            Err(e) => return Err(e.into()),
         }
-        MapInput::Memory(lines) => {
-            for (offset, line) in *lines {
-                mapper.map(*offset, line, &mut ctx);
-            }
-            records = lines.len() as u64;
-        }
+        records += 1;
     }
-
     // The map-side shuffle already happened inside `emit`.
     let (buffers, emitted) = ctx.into_shards();
-    Ok(Some((records, buffers, emitted)))
+    Ok(Some((records, vec![buffers], emitted)))
+}
+
+/// [`run_mapper`] over in-memory records: one chunk per worker, each mapped
+/// into its own [`MapContext`]; the counters sum and the buffers keep chunk
+/// order.
+fn map_memory<M: Mapper>(
+    conf: &JobConf,
+    mapper: &M,
+    lines: &[(u64, String)],
+    num_shards: usize,
+) -> MapCompute<M> {
+    let workers = workers_for(lines.len(), conf.parallelism);
+    let chunks: Vec<&[(u64, String)]> =
+        lines.chunks(lines.len().div_ceil(workers).max(1)).collect();
+    let parts = indexed_map(
+        chunks.len(),
+        workers,
+        || (),
+        |i, ()| {
+            let mut ctx = MapContext::sharded(num_shards);
+            for (offset, line) in chunks[i] {
+                mapper.map(*offset, line, &mut ctx);
+            }
+            ctx.into_shards()
+        },
+    );
+    let mut counters = Counters::new();
+    let mut buffers = Vec::with_capacity(parts.len());
+    for (part, part_counters) in parts {
+        counters.merge(&part_counters);
+        buffers.push(part);
+    }
+    (lines.len() as u64, buffers, counters)
 }
 
 #[cfg(test)]

@@ -30,11 +30,11 @@ impl<T: Clone + Send + Sync + 'static> MrValue for T {}
 ///
 /// Every pair is routed into per-reduce-shard buckets *as it is emitted*, via
 /// the same [`HashPartitioner`] the shuffle uses — the streaming shuffle's
-/// hot path, which never materialises a per-task all-pairs vector.
+/// hot path, which never materialises a per-task all-pairs vector and
+/// allocates nothing per pair beyond the bucket slot.
 #[derive(Debug)]
 pub struct MapContext<K, V> {
     buffers: ShardBuffers<(K, V)>,
-    counters: Counters,
 }
 
 impl<K: MrKey, V: MrValue> MapContext<K, V> {
@@ -45,21 +45,25 @@ impl<K: MrKey, V: MrValue> MapContext<K, V> {
     pub fn sharded(num_shards: usize) -> Self {
         Self {
             buffers: ShardBuffers::new(num_shards),
-            counters: Counters::new(),
         }
     }
 
     /// Emits one intermediate `(key, value)` pair.
     pub fn emit(&mut self, key: K, value: V) {
-        self.counters.increment(builtin::MAP_OUTPUT_RECORDS);
         let shard = HashPartitioner.partition(&key, self.buffers.num_shards());
         self.buffers.emit(shard, (key, value));
     }
 
     /// Consumes the context, returning the shard buffers (with this task's
-    /// pairs routed in) and counters.
+    /// pairs routed in) and counters.  The buffers count their own pairs, so
+    /// `MAP_OUTPUT_RECORDS` is taken from them here rather than bumped per
+    /// emit; a context that emitted nothing has no such counter at all.
     pub fn into_shards(self) -> (ShardBuffers<(K, V)>, Counters) {
-        (self.buffers, self.counters)
+        let mut counters = Counters::new();
+        if self.buffers.emitted() > 0 {
+            counters.add(builtin::MAP_OUTPUT_RECORDS, self.buffers.emitted());
+        }
+        (self.buffers, counters)
     }
 }
 
@@ -202,6 +206,23 @@ mod tests {
             for (key, _) in pairs {
                 assert_eq!(HashPartitioner.partition(&key, 4), shard);
             }
+        }
+    }
+
+    /// The counters `into_shards` derives from the buffers equal counting
+    /// every emit, for none, one and many pairs.
+    #[test]
+    fn map_output_records_equal_per_emit_counting() {
+        for emits in [0, 1, 1_000] {
+            let mut ctx = MapContext::sharded(3);
+            let mut per_emit = Counters::new();
+            for i in 0..emits {
+                ctx.emit(format!("k{}", i % 7), 1u64);
+                per_emit.increment(builtin::MAP_OUTPUT_RECORDS);
+            }
+            let (buffers, counters) = ctx.into_shards();
+            assert_eq!(counters, per_emit, "{emits} emits");
+            assert_eq!(buffers.emitted(), emits);
         }
     }
 

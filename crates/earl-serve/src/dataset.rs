@@ -130,6 +130,15 @@ impl DatasetRegistry {
         Ok((&entry.def, entry.def.write(records)?))
     }
 
+    /// Whether the dataset registered under `name` has had its records
+    /// encoded (by a first build).
+    #[cfg(test)]
+    pub(crate) fn is_encoded(&self, name: &str) -> bool {
+        self.entries
+            .get(name)
+            .is_some_and(|entry| entry.records.get().is_some())
+    }
+
     /// Number of registered datasets.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -13,7 +13,6 @@
 //! canonical referee for both backends.
 
 use earl_core::EarlReport;
-use earl_net::WireTask;
 
 use crate::dataset::DatasetRegistry;
 use crate::log::JobLog;
@@ -41,9 +40,7 @@ pub fn replay(log: &JobLog, registry: &DatasetRegistry) -> Result<EarlReport, Se
             waited: std::time::Duration::ZERO,
         });
     }
-    let task = WireTask::from_spec(&log.request.task)
-        .ok_or_else(|| ServeError::UnknownTask(log.request.task.clone()))?;
-    let (def, dfs) = registry.build(&log.request.dataset)?;
+    let (task, def, dfs) = log.request.open(registry)?;
     let driver = earl_core::EarlDriver::new(dfs, log.request.config);
     let mut observer = |update: earl_core::EarlUpdate| {
         if log.verdict_at(update.iteration) == Some(true) {
@@ -104,5 +101,51 @@ mod tests {
         };
         let replayed = replay(&log, &registry).unwrap();
         assert_eq!(replayed, solo);
+    }
+
+    /// A request the engine refuses (σ = 0, or more worker threads than it
+    /// allows) is refused with `InvalidConfig` before its dataset is
+    /// encoded or any world is built — on the service's path (`open`) and on
+    /// replay.  No job runs, so no worker thread starts.
+    #[test]
+    fn an_invalid_config_is_refused_before_the_world_is_built() {
+        let mut registry = DatasetRegistry::new();
+        registry.register(
+            "d",
+            DatasetDef::new(3, "/d", DatasetSpec::normal(2_000, 500.0, 100.0, 7)),
+        );
+        let invalid = [
+            EarlConfig {
+                sigma: 0.0,
+                ..EarlConfig::default()
+            },
+            EarlConfig {
+                parallelism: Some(usize::MAX),
+                ..EarlConfig::default()
+            },
+        ];
+        for config in invalid {
+            let request = JobRequest::new(TaskSpec::named("mean"), "d", config);
+            let refused = |result: Result<(), ServeError>| {
+                matches!(
+                    result,
+                    Err(ServeError::Engine(earl_core::EarlError::InvalidConfig(_)))
+                )
+            };
+            assert!(refused(request.open(&registry).map(|_| ())), "{config:?}");
+            let log = JobLog {
+                job_id: JobId(1),
+                seed: config.seed,
+                request,
+                started_seq: 1,
+                events: vec![JobEvent::Admitted, JobEvent::Started],
+            };
+            assert!(refused(replay(&log, &registry).map(|_| ())), "{config:?}");
+            assert!(!registry.is_encoded("d"), "{config:?} encoded the dataset");
+        }
+        // A valid request does fill the slot.
+        let request = JobRequest::new(TaskSpec::named("mean"), "d", EarlConfig::default());
+        request.open(&registry).unwrap();
+        assert!(registry.is_encoded("d"));
     }
 }

@@ -4,7 +4,11 @@ use std::fmt;
 use std::time::Duration;
 
 use earl_core::{EarlConfig, EarlError, EarlReport};
+use earl_dfs::Dfs;
 use earl_mapreduce::TaskSpec;
+use earl_net::WireTask;
+
+use crate::dataset::{DatasetDef, DatasetRegistry};
 
 /// Identity of an admitted job, unique within one service instance and
 /// assigned in admission order.  Together with the request's seed it keys the
@@ -76,6 +80,21 @@ impl JobRequest {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// Everything a run of this request needs, checked cheapest first: the
+    /// task, then the engine config, then the dataset's world (the first
+    /// build of a dataset encodes its records).  A request the engine would
+    /// refuse is refused before any world is built.
+    pub(crate) fn open<'r>(
+        &self,
+        registry: &'r DatasetRegistry,
+    ) -> Result<(WireTask, &'r DatasetDef, Dfs), ServeError> {
+        let task = WireTask::from_spec(&self.task)
+            .ok_or_else(|| ServeError::UnknownTask(self.task.clone()))?;
+        self.config.validate().map_err(ServeError::Engine)?;
+        let (def, dfs) = registry.build(&self.dataset)?;
+        Ok((task, def, dfs))
     }
 }
 

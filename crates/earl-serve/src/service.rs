@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use earl_core::{EarlDriver, EarlReport, EarlUpdate, Progress};
-use earl_net::{TcpTransport, WireTask};
+use earl_net::TcpTransport;
 use earl_parallel::WorkerPool;
 
 use crate::dataset::DatasetRegistry;
@@ -384,9 +384,7 @@ fn execute_job(shared: &Shared, entry: JobEntry, started_seq: u64) {
 }
 
 fn run_job(shared: &Shared, entry: &JobEntry, log: &mut JobLog) -> Result<EarlReport, ServeError> {
-    let task = WireTask::from_spec(&entry.request.task)
-        .ok_or_else(|| ServeError::UnknownTask(entry.request.task.clone()))?;
-    let (def, dfs) = shared.registry.build(&entry.request.dataset)?;
+    let (task, def, dfs) = entry.request.open(&shared.registry)?;
     let mut driver = EarlDriver::new(dfs.clone(), entry.request.config);
     if let Some(remote) = &shared.config.remote {
         let transport =
