@@ -14,8 +14,11 @@
 //!   its own deterministic RNG stream — [`group_seed`] derives the stream from
 //!   `(config.seed, key)` alone, so a group's replicate sequence is identical
 //!   no matter which other groups exist, how the sample grew, or how many
-//!   worker threads run (pin: `tests/grouped_workloads.rs`);
-//! * linear per-group statistics (all three of [`GroupedStat`]) run on the
+//!   worker threads run (pin: `tests/grouped_workloads.rs`).  The groups
+//!   run in parallel when there are at least as many of them as workers,
+//!   each group's bootstrap on one thread; with fewer groups, each group
+//!   forks over its own replicates instead ([`grouped_accuracy`]);
+//! * linear per-group statistics (all four of [`GroupedStat`]) run on the
 //!   resample-free count-based kernel under [`BootstrapKernel::Auto`], exactly
 //!   like their scalar counterparts.
 //!
@@ -355,22 +358,21 @@ pub fn grouped_accuracy(
         .map(|values| values.len().saturating_mul(config.num_resamples))
         .fold(0, usize::saturating_add);
     let workers = workers_for(work, config.parallelism);
-    let run = |(key, values): (&String, &Vec<f64>),
-               config: &BootstrapConfig|
-     -> Result<(String, BootstrapResult)> {
-        let result = agg.bootstrap_group(group_seed(seed, key), values, config)?;
-        Ok((key.clone(), result))
+    let (threads, per_group) = if groups.len() >= workers {
+        (workers, config.with_parallelism(Some(1)))
+    } else {
+        (1, *config)
     };
-    if workers < 2 || groups.len() < workers {
-        return groups.iter().map(|group| run(group, config)).collect();
-    }
-    let single = config.with_parallelism(Some(1));
     let groups: Vec<_> = groups.iter().collect();
     indexed_map(
         groups.len(),
-        workers,
+        threads,
         || (),
-        |i, ()| run(groups[i], &single),
+        |i, ()| {
+            let (key, values) = groups[i];
+            let result = agg.bootstrap_group(group_seed(seed, key), values, &per_group)?;
+            Ok((key.clone(), result))
+        },
     )
     .into_iter()
     .collect()
@@ -593,7 +595,9 @@ impl EarlDriver {
     /// comes from `config.bootstraps` (default 100 per group — SSABE's scalar
     /// `B`-search does not transfer to many groups), the accuracy stage runs
     /// one bootstrap per group, each on the deterministic [`group_seed`]
-    /// stream, and sample sizes count drawn records.  Returns
+    /// stream — the groups in parallel across `config.parallelism` workers
+    /// when there are at least as many groups as workers — and sample sizes
+    /// count drawn records.  Returns
     /// [`EarlError::GroupedAccuracyNotReached`] carrying the partial report
     /// when some group cannot meet the bound within the iteration budget.
     ///

@@ -175,7 +175,7 @@ enum MapInput<'a> {
 /// charged and counted as one task, but its compute runs on all workers:
 /// above [`MIN_PARALLEL_WORK`](earl_parallel::MIN_PARALLEL_WORK) records it
 /// is cut into contiguous chunks, one per worker, whose buffers join the
-/// task's in input order.  Buffers and counters of
+/// task's output in input order.  Buffers and counters of
 /// surviving tasks are merged in task order, so the reassembled
 /// [`ShardedBuffers`] holds the same bits however many rounds it took.  Lost
 /// DFS splits may be abandoned under `Degrade` (§3.4); in-memory inputs are
