@@ -95,7 +95,7 @@ use crate::job::FailurePolicy;
 use crate::job::{InputSource, JobConf, JobResult, JobStats};
 use crate::shuffle::ShuffleOutput;
 use crate::transport::{RemoteMapRequest, RemoteReduceRequest};
-use crate::types::{MapContext, Mapper, ReduceContext, Reducer};
+use crate::types::{map_output_counters, MapContext, Mapper, ReduceContext, Reducer};
 use crate::Result;
 
 /// Estimated serialized size of one intermediate record, used to charge the
@@ -719,10 +719,7 @@ fn remote_map<M: Mapper>(
                 buffers.emit(shard, pair);
             }
         }
-        let mut emitted = Counters::new();
-        if buffers.emitted() > 0 {
-            emitted.add(builtin::MAP_OUTPUT_RECORDS, buffers.emitted());
-        }
+        let emitted = map_output_counters(&buffers);
         computes.push(Mutex::new(Some((outcome.records, vec![buffers], emitted))));
     }
     book_remote_retries(dfs, conf, retries, stats);

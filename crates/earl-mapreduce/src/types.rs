@@ -59,12 +59,20 @@ impl<K: MrKey, V: MrValue> MapContext<K, V> {
     /// `MAP_OUTPUT_RECORDS` is taken from them here rather than bumped per
     /// emit; a context that emitted nothing has no such counter at all.
     pub fn into_shards(self) -> (ShardBuffers<(K, V)>, Counters) {
-        let mut counters = Counters::new();
-        if self.buffers.emitted() > 0 {
-            counters.add(builtin::MAP_OUTPUT_RECORDS, self.buffers.emitted());
-        }
+        let counters = map_output_counters(&self.buffers);
         (self.buffers, counters)
     }
+}
+
+/// The counters of a map compute whose pairs sit in `buffers`:
+/// `MAP_OUTPUT_RECORDS` is the buffers' own pair count, and a compute that
+/// emitted nothing has no such counter at all.
+pub(crate) fn map_output_counters<P>(buffers: &ShardBuffers<P>) -> Counters {
+    let mut counters = Counters::new();
+    if buffers.emitted() > 0 {
+        counters.add(builtin::MAP_OUTPUT_RECORDS, buffers.emitted());
+    }
+    counters
 }
 
 /// Context handed to reduce functions for emitting final output records.
