@@ -15,9 +15,10 @@
 //!   `(config.seed, key)` alone, so a group's replicate sequence is identical
 //!   no matter which other groups exist, how the sample grew, or how many
 //!   worker threads run (pin: `tests/grouped_workloads.rs`).  The groups
-//!   run in parallel when there are at least as many of them as workers,
-//!   each group's bootstrap on one thread; with fewer groups, each group
-//!   forks over its own replicates instead ([`grouped_accuracy`]);
+//!   run in parallel, each group's bootstrap on one thread, in key-order
+//!   runs of about equal work; a group holding more than one worker's share
+//!   of the stage forks over its own replicates instead
+//!   ([`grouped_accuracy`]);
 //! * linear per-group statistics (all four of [`GroupedStat`]) run on the
 //!   resample-free count-based kernel under [`BootstrapKernel::Auto`], exactly
 //!   like their scalar counterparts.
@@ -26,6 +27,7 @@
 //! per-group AES → expand — until **every** group's cv meets σ.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use earl_bootstrap::bootstrap::{
     bootstrap_distribution, BootstrapConfig, BootstrapResult, ResolvedKernel,
@@ -341,41 +343,97 @@ impl Reducer for GroupedTaskReducer<'_> {
 /// any single group through a standalone [`bootstrap_distribution`] call and
 /// demand bitwise-identical results.
 ///
-/// With at least as many groups as workers (`workers_for` over the stage's
-/// total `Σ n_g·B`), the groups themselves run in parallel, in contiguous
-/// key-order chunks, each group's bootstrap on one thread; with fewer, the
-/// groups run in turn and each forks over its own replicates.  A group's
-/// replicates depend only on its stream, so both give the same bits.
-/// Results come back in key order, and an error is the first in key order.
+/// The stage's work `Σ n_g·B` sets the worker count (`workers_for`).  A group
+/// holding more than one worker's share of it forks over its own replicates,
+/// one such group at a time; the other groups run side by side in
+/// contiguous key-order runs of about equal work, each group's bootstrap on
+/// one thread.  So like-sized groups, as many as the workers or more, are
+/// spread over the workers, while a dominant group still gets all of them.
+/// A group's replicates depend only on its stream, so every split gives the
+/// same bits.  Results come back in key order, and an error is the first in
+/// key order.
 pub fn grouped_accuracy(
     seed: u64,
     groups: &BTreeMap<String, Vec<f64>>,
     agg: &GroupedAggregate,
     config: &BootstrapConfig,
 ) -> Result<Vec<(String, BootstrapResult)>> {
-    let work = groups
-        .values()
-        .map(|values| values.len().saturating_mul(config.num_resamples))
-        .fold(0, usize::saturating_add);
-    let workers = workers_for(work, config.parallelism);
-    let (threads, per_group) = if groups.len() >= workers {
-        (workers, config.with_parallelism(Some(1)))
-    } else {
-        (1, *config)
-    };
     let groups: Vec<_> = groups.iter().collect();
-    indexed_map(
-        groups.len(),
-        threads,
+    let work_of: Vec<usize> = groups
+        .iter()
+        .map(|(_, values)| values.len().saturating_mul(config.num_resamples))
+        .collect();
+    let work = work_of.iter().fold(0usize, |sum, &w| sum.saturating_add(w));
+    let share = work.div_ceil(workers_for(work, config.parallelism));
+    let bootstrap = |i: usize, config: &BootstrapConfig| {
+        let (key, values) = groups[i];
+        agg.bootstrap_group(group_seed(seed, key), values, config)
+    };
+
+    // A group past one worker's share forks over its replicates on its own.
+    let mut results: Vec<Option<Result<BootstrapResult>>> = work_of
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| {
+            let forks = w > share && workers_for(w, config.parallelism) > 1;
+            forks.then(|| bootstrap(i, config))
+        })
+        .collect();
+    // The others run side by side, one thread per group.
+    let rest: Vec<usize> = (0..groups.len())
+        .filter(|&i| results[i].is_none())
+        .collect();
+    let rest_work: Vec<usize> = rest.iter().map(|&i| work_of[i]).collect();
+    let rest_total = rest_work
+        .iter()
+        .fold(0usize, |sum, &w| sum.saturating_add(w));
+    let runs = balanced_runs(&rest_work, workers_for(rest_total, config.parallelism));
+    let single = config.with_parallelism(Some(1));
+    let computed = indexed_map(
+        runs.len(),
+        runs.len(),
         || (),
-        |i, ()| {
-            let (key, values) = groups[i];
-            let result = agg.bootstrap_group(group_seed(seed, key), values, &per_group)?;
-            Ok((key.clone(), result))
+        |run, ()| {
+            runs[run]
+                .clone()
+                .map(|j| bootstrap(rest[j], &single))
+                .collect::<Vec<_>>()
         },
-    )
-    .into_iter()
-    .collect()
+    );
+    for (&i, result) in rest.iter().zip(computed.into_iter().flatten()) {
+        results[i] = Some(result);
+    }
+    groups
+        .into_iter()
+        .zip(results)
+        .map(|((key, _), result)| {
+            let result = result.expect("every group was bootstrapped")?;
+            Ok((key.clone(), result))
+        })
+        .collect()
+}
+
+/// Cuts `weights` into at most `parts` contiguous, non-empty index ranges of
+/// about equal total weight: each item goes to the part of the whole that
+/// the midpoint of its own weight falls in.
+fn balanced_runs(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let total: u128 = weights.iter().map(|&w| w as u128).sum();
+    let parts = parts.max(1) as u128;
+    let mut runs: Vec<(u128, Range<usize>)> = Vec::new();
+    let mut before = 0u128;
+    for (i, &w) in weights.iter().enumerate() {
+        let w = w as u128;
+        let part = match total {
+            0 => 0,
+            _ => ((2 * before + w) * parts / (2 * total)).min(parts - 1),
+        };
+        before += w;
+        match runs.last_mut() {
+            Some((last, run)) if *last == part => run.end = i + 1,
+            _ => runs.push((part, i..i + 1)),
+        }
+    }
+    runs.into_iter().map(|(_, run)| run).collect()
 }
 
 /// The report of one group inside a [`GroupedEarlReport`].
@@ -595,8 +653,9 @@ impl EarlDriver {
     /// comes from `config.bootstraps` (default 100 per group — SSABE's scalar
     /// `B`-search does not transfer to many groups), the accuracy stage runs
     /// one bootstrap per group, each on the deterministic [`group_seed`]
-    /// stream — the groups in parallel across `config.parallelism` workers
-    /// when there are at least as many groups as workers — and sample sizes
+    /// stream — the groups in parallel across `config.parallelism` workers,
+    /// a group past one worker's share of the work forking over its own
+    /// replicates instead — and sample sizes
     /// count drawn records.  Returns
     /// [`EarlError::GroupedAccuracyNotReached`] carrying the partial report
     /// when some group cannot meet the bound within the iteration budget.
@@ -901,10 +960,12 @@ mod tests {
     }
 
     /// `grouped_accuracy` equals the sequential oracle bit for bit: on 200
-    /// groups (enough work to spread the groups over the workers), on 3
-    /// large groups at 8 threads (fewer groups than workers, so each
-    /// group's replicates fork), for both kernels and a two-column
-    /// statistic; and a failing group yields the first error in key order.
+    /// groups (enough work to spread the groups over the workers), on one
+    /// dominant group among six small ones (it forks over its replicates
+    /// while the small ones run side by side), on 3 large groups at 8
+    /// threads (fewer groups than workers, so each group's replicates
+    /// fork), for both kernels and a two-column statistic; and a failing
+    /// group yields the first error in key order.
     #[test]
     fn group_parallel_aes_matches_the_sequential_oracle() {
         let mut state = 0x51_7cc1_b727_220a_u64;
@@ -925,6 +986,9 @@ mod tests {
         };
         let many = groups_of(200, 60);
         let few = groups_of(3, 400);
+        let mut skewed = groups_of(6, 60);
+        let dominant = groups_of(1, 3_000).remove("g000").unwrap();
+        skewed.insert("g002a".into(), dominant);
         let mut broken = many.clone();
         broken.insert("g050x".into(), Vec::new());
         broken.insert("g150x".into(), vec![1.0, 2.0, 3.0]);
@@ -939,7 +1003,7 @@ mod tests {
                     let config = BootstrapConfig::with_resamples(100)
                         .with_parallelism(parallelism)
                         .with_kernel(kernel);
-                    for groups in [&many, &broken] {
+                    for groups in [&many, &broken, &skewed] {
                         assert_eq!(
                             outcome_bits(&grouped_accuracy(7, groups, &agg, &config)),
                             outcome_bits(&sequential_grouped_accuracy(7, groups, &agg, &config)),
@@ -969,6 +1033,21 @@ mod tests {
             ),
             "the empty group g050x fails first"
         );
+    }
+
+    /// Each item joins the part its weight's midpoint falls in: equal
+    /// weights split evenly, a heavy head or tail gets a run of its own, and
+    /// no run is empty.
+    #[test]
+    fn balanced_runs_split_by_weight_in_order() {
+        assert_eq!(balanced_runs(&[1; 200], 2), vec![0..100, 100..200]);
+        assert_eq!(balanced_runs(&[1; 12], 8).len(), 8);
+        assert_eq!(balanced_runs(&[9, 1, 1, 1, 1, 1], 2), vec![0..1, 1..6]);
+        assert_eq!(balanced_runs(&[1, 1, 1, 1, 1, 9], 2), vec![0..5, 5..6]);
+        assert_eq!(balanced_runs(&[3, 3], 8), vec![0..1, 1..2]);
+        assert_eq!(balanced_runs(&[0, 0, 0], 2), vec![0..3]);
+        assert_eq!(balanced_runs(&[5, 5], 1), vec![0..2]);
+        assert!(balanced_runs(&[], 4).is_empty());
     }
 
     /// The ladder reports each group's AES point estimate; the step job's
