@@ -203,7 +203,8 @@ impl BootstrapResult {
     /// 0.05` for a 95 % interval).
     ///
     /// Uses `select_nth_unstable` order statistics — O(B) per call instead of
-    /// a full O(B log B) sort of the replicate vector.
+    /// a full O(B log B) sort of the replicate vector.  NaN replicates order
+    /// above every number.
     pub fn percentile_ci(&self, alpha: f64) -> (f64, f64) {
         let alpha = alpha.clamp(0.0, 1.0);
         let b = self.replicates.len();
@@ -212,7 +213,11 @@ impl BootstrapResult {
         }
         let lo_idx = ((alpha / 2.0) * (b - 1) as f64).round() as usize;
         let hi_idx = (((1.0 - alpha / 2.0) * (b - 1) as f64).round() as usize).min(b - 1);
-        let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+        // NaN replicates order last, so the comparator is a total order.
+        let cmp = |a: &f64, b: &f64| {
+            a.partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+        };
         let mut scratch = self.replicates.clone();
         let (_, lo, upper) = scratch.select_nth_unstable_by(lo_idx, cmp);
         let lo = *lo;
@@ -1034,6 +1039,31 @@ mod tests {
             lo <= 20.5 && hi >= 19.5,
             "95% CI [{lo}, {hi}] should cover the true mean 20"
         );
+    }
+
+    #[test]
+    fn percentile_ci_orders_nan_replicates_last() {
+        for b in 2..300usize {
+            let replicates: Vec<f64> = (0..b)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        f64::NAN
+                    } else {
+                        ((i * 7_919) % 1_000) as f64
+                    }
+                })
+                .collect();
+            let smallest = replicates
+                .iter()
+                .copied()
+                .filter(|x| !x.is_nan())
+                .fold(f64::INFINITY, f64::min);
+            // At alpha = 0 the interval spans the extreme ranks: the
+            // smallest number, and a NaN at the top.
+            let (lo, hi) = summarise(0.0, replicates).percentile_ci(0.0);
+            assert_eq!(lo, smallest, "B = {b}");
+            assert!(hi.is_nan(), "B = {b}: {hi}");
+        }
     }
 
     #[test]

@@ -279,12 +279,12 @@ impl Estimator for Median {
 /// by every later call on that thread, never shared between threads: one
 /// allocation per thread, kept at the size of the largest input seen.
 ///
-/// The result is bit-for-bit that of a stable sort by `partial_cmp`.  Among
-/// non-NaN values only `0.0` and `-0.0` compare equal with different bits,
-/// so selection can differ from the stable sort only when an input holds a
-/// NaN (which `partial_cmp` cannot order) or when a selected order statistic
-/// is a zero of either sign (whose sign the stable sort takes from arrival
-/// order).  Both cases fall back to the stable sort.
+/// The quantile of data that holds a NaN is NaN, as the [`Mean`] of such
+/// data is.  On NaN-free data the result is bit-for-bit that of a stable
+/// sort by `partial_cmp`.  There only `0.0` and `-0.0` compare equal with
+/// different bits, so selection can differ from the stable sort only when a
+/// selected order statistic is a zero of either sign (whose sign the stable
+/// sort takes from arrival order).  That case falls back to the stable sort.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Quantile {
     q: f64,
@@ -306,7 +306,7 @@ impl Quantile {
 
 impl Estimator for Quantile {
     fn estimate(&self, data: &[f64]) -> f64 {
-        if data.is_empty() {
+        if data.is_empty() || data.iter().any(|x| x.is_nan()) {
             return f64::NAN;
         }
         thread_local! {
@@ -341,13 +341,10 @@ impl Estimator for Quantile {
     }
 }
 
-/// The `lo`-th and `hi`-th order statistics of `values` (`hi` is `lo` or
-/// `lo + 1`) by selection, or `None` where only a stable sort decides their
-/// bits: `values` holds a NaN, or either order statistic is `±0.0`.
+/// The `lo`-th and `hi`-th order statistics of the NaN-free `values` (`hi`
+/// is `lo` or `lo + 1`) by selection, or `None` where only a stable sort
+/// decides their bits: either order statistic is `±0.0`.
 fn select_order_statistics(values: &mut [f64], lo: usize, hi: usize) -> Option<(f64, f64)> {
-    if values.iter().any(|x| x.is_nan()) {
-        return None;
-    }
     let (_, &mut at_lo, upper) = values.select_nth_unstable_by(lo, |a, b| {
         a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
     });
@@ -904,21 +901,20 @@ mod tests {
     fn selection_matches_the_stable_sort_bit_for_bit() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e1ec7);
-        let (mut selected, mut sorted) = (0usize, 0usize);
-        // The stable sort may panic on a NaN it cannot order ("does not
-        // implement a total order"); selection must then panic the same way.
-        let bits = |f: &dyn Fn() -> f64| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                .map(f64::to_bits)
-                .map_err(|_| "panicked")
-        };
+        let (mut selected, mut sorted, mut nan) = (0usize, 0usize, 0usize);
         let mut check = |data: &[f64], q: f64| {
             let quantile = Quantile::new(q);
-            let expected = bits(&|| reference_quantile(&quantile, data));
-            let observed = bits(&|| quantile.estimate(data));
+            let observed = quantile.estimate(data);
+            if data.iter().any(|x| x.is_nan()) {
+                // The stable sort cannot order a NaN (it may panic); the
+                // quantile of such data is NaN.
+                assert!(observed.is_nan(), "q = {q}, n = {}: NaN input", data.len());
+                nan += 1;
+                return;
+            }
             assert_eq!(
-                observed,
-                expected,
+                observed.to_bits(),
+                reference_quantile(&quantile, data).to_bits(),
                 "q = {q}, n = {}: selection vs the stable sort",
                 data.len()
             );
@@ -945,9 +941,10 @@ mod tests {
                 }
             }
         }
-        // Both paths ran many times over.
+        // All three paths ran many times over.
         assert!(selected > 1_000, "selection decided only {selected} cases");
         assert!(sorted > 1_000, "the fallback decided only {sorted} cases");
+        assert!(nan > 1_000, "only {nan} inputs held a NaN");
     }
 
     #[test]

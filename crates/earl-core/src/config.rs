@@ -91,24 +91,10 @@ pub struct EarlConfig {
     /// bit-identical results; the knob only trades wall-clock time.  At most
     /// 1 024 threads: [`EarlConfig::validate`] rejects larger requests.
     pub parallelism: Option<usize>,
-    /// Whether the EARL loop speculates.  The driver runs one ladder — stage
-    /// (draw Δ + map) → commit (shuffle + reduce) → accuracy estimation →
-    /// verdict — and this knob decides only whether the *next* step is staged
-    /// beside the accuracy estimation of the current one.  `2` (the default)
-    /// does: the verdict on the current step's error then commits the staged
-    /// step, or cancels it before its reduce phase when the error bound is
-    /// met.  `1` never stages ahead: every step is staged right before its
-    /// commit, strictly back to back — the only schedule on which count-based
-    /// replicate batches go to remote workers, because no section call can
-    /// then interleave with a concurrent map call.  The delivered result
-    /// (estimate, error, sample size, iteration count) is identical at every
-    /// depth and thread count; only the simulated time/IO accounting differs
-    /// by the speculative map work that is charged and then discarded on the
-    /// final iteration (`tests/pipeline_depth_default.rs` pins the depth-1
-    /// accounting bit-for-bit).  Values above 2 behave as 2: accuracy
-    /// estimation of iteration *i+1* cannot start before its sample is
-    /// committed, so one iteration of lookahead is the maximum the dependence
-    /// structure allows.
+    /// Ignored.  The EARL ladder runs its steps strictly back to back — draw
+    /// Δ, job, accuracy estimation, verdict — and never stages a step ahead
+    /// of the verdict on the previous one, whatever this field holds.  The
+    /// field stays only so that existing configurations keep compiling.
     pub pipeline_depth: usize,
 }
 
@@ -172,11 +158,6 @@ impl EarlConfig {
                 return Err(EarlError::InvalidConfig("bootstraps must be ≥ 2".into()));
             }
         }
-        if self.pipeline_depth == 0 {
-            return Err(EarlError::InvalidConfig(
-                "pipeline_depth must be ≥ 1 (1 = sequential schedule)".into(),
-            ));
-        }
         if self
             .parallelism
             .is_some_and(|threads| threads > MAX_PARALLELISM)
@@ -210,10 +191,6 @@ mod tests {
             c.failure_policy,
             FailurePolicy::Degrade,
             "EARL degrades gracefully on node failure (§3.4) instead of retrying"
-        );
-        assert_eq!(
-            c.pipeline_depth, 2,
-            "default overlaps AES i with the map phase of i+1"
         );
         assert!(c.validate().is_ok());
     }
@@ -270,18 +247,6 @@ mod tests {
         .is_err());
         assert!(EarlConfig {
             bootstraps: Some(30),
-            ..Default::default()
-        }
-        .validate()
-        .is_ok());
-        assert!(EarlConfig {
-            pipeline_depth: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(EarlConfig {
-            pipeline_depth: 2,
             ..Default::default()
         }
         .validate()

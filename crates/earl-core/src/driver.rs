@@ -28,8 +28,8 @@ use earl_cluster::{FaultLog, Phase, SimDuration};
 use earl_dfs::{Dfs, DfsError, DfsPath};
 use earl_mapreduce::transport::default_transport;
 use earl_mapreduce::{
-    finish_job, run_map_phase, InputSource, JobConf, MapContext, MapPhase, Mapper, MrError,
-    ReduceContext, Reducer, RemoteSectionsRequest, SectionSummary, TaskSpec, TaskTransport,
+    InputSource, JobConf, MapContext, Mapper, MrError, ReduceContext, Reducer,
+    RemoteSectionsRequest, SectionSummary, TaskSpec, TaskTransport,
 };
 use earl_sampling::SamplingError;
 
@@ -127,13 +127,13 @@ impl<T: EarlTask> Reducer for TaskReducer<'_, T> {
 /// What one EARL ladder estimates, and how: the four things a scalar task and
 /// a grouped aggregate do differently inside the one loop,
 /// [`EarlDriver::climb`].
-pub(crate) trait Ladder: Sync {
+pub(crate) trait Ladder {
     /// The committed extracted sample.
-    type Sample: Default + Sync;
+    type Sample: Default;
     /// One step's accuracy estimate.
-    type Estimate: Send;
+    type Estimate;
     /// What the accuracy stage carries from one step to the next.
-    type AesState: Default + Send;
+    type AesState: Default;
     /// The step job's mapper.
     type Map: Mapper;
     /// The step job's reducer; its [`Reducer::is_heavy`] prices the accuracy
@@ -151,8 +151,7 @@ pub(crate) trait Ladder: Sync {
     /// The step job's mapper and reducer.
     fn tasks(&self) -> (Self::Map, Self::Reduce);
     /// The accuracy stage: one step's estimate and the work it charges.
-    /// It never touches the simulated clock, so it may run beside a staged
-    /// map phase.
+    /// It never touches the simulated clock; the climb charges that work.
     fn estimate(
         &self,
         state: &mut Self::AesState,
@@ -171,23 +170,6 @@ type MapValue<L> = <<L as Ladder>::Map as Mapper>::OutValue;
 /// iteration, the estimate, the sample size and the sample fraction.
 type StepObserver<'o, E> = dyn FnMut(usize, &E, u64, f64) -> Progress + 'o;
 
-/// One staged step of the ladder: its Δ sample has been drawn and its **map
-/// phase** has run over the extended sample, but nothing is committed to the
-/// driver's sample state yet.  Every step is staged — right before its commit,
-/// or, when the schedule speculates (§2.1), beside the previous step's
-/// accuracy estimation.  The verdict on that estimate either commits it
-/// (shuffle + reduce run, records and sample extended) or cancels it.
-struct Staged<L: Ladder> {
-    phase: MapPhase<MapKey<L>, MapValue<L>>,
-    /// The configuration the map phase ran with, and the commit finishes with.
-    conf: JobConf,
-    batch: Vec<(u64, String)>,
-    /// `sampler.drawn()` right after this step's draw — committed to the
-    /// reported sample fraction only if the step itself commits.
-    drawn_after: u64,
-    exhausted: bool,
-}
-
 /// One run on its ladder: the sampler, the committed sample and the
 /// accounting its report is assembled from.
 pub(crate) struct Climb<L: Ladder> {
@@ -199,9 +181,6 @@ pub(crate) struct Climb<L: Ladder> {
     pub(crate) records: Vec<(u64, String)>,
     pub(crate) sample: L::Sample,
     fault_log: FaultLog,
-    /// Records drawn by the *delivered* schedule: a speculative draw that is
-    /// cancelled does not count towards the reported sample fraction.
-    committed_drawn: u64,
     pub(crate) iterations: usize,
     pub(crate) exact: bool,
     cancelled: bool,
@@ -211,9 +190,9 @@ pub(crate) struct Climb<L: Ladder> {
 }
 
 impl<L: Ladder> Climb<L> {
-    /// The reported sample fraction: committed draws over the population.
+    /// The reported sample fraction: records drawn over the population.
     pub(crate) fn sampled_fraction(&self) -> f64 {
-        (self.committed_drawn as f64 / self.population as f64).clamp(0.0, 1.0)
+        (self.sampler.drawn() as f64 / self.population as f64).clamp(0.0, 1.0)
     }
 
     /// Simulated time and DFS bytes read since the run started.
@@ -566,15 +545,13 @@ impl EarlDriver {
         // Count-based bootstrap replicates can run on remote workers: the
         // transport ships the O(√n) section summary once per version, and
         // every batch thereafter carries only `(task, path, seed, B-range,
-        // size)`.  Gated on `pipeline_depth <= 1`: under the pipelined
-        // schedule AES overlaps the speculative map phase, and interleaving
-        // section calls with map calls would make per-worker call indices
-        // race-dependent — breaking the deterministic per-(worker, call)
-        // fault plans the chaos suite scripts.  A declined or failed remote
-        // batch falls back to local evaluation inside the bootstrap, which is
-        // bit-identical either way.
+        // size)`.  The ladder's steps run back to back, so section calls never
+        // interleave with map or reduce calls and every worker's call indices
+        // stay deterministic.  A declined or failed remote batch falls back
+        // to local evaluation inside the bootstrap, which is bit-identical
+        // either way.
         let section_evaluator: Option<Arc<SectionEvaluator>> = match task.wire_spec() {
-            Some(spec) if !self.transport.is_local() && self.config.pipeline_depth <= 1 => {
+            Some(spec) if !self.transport.is_local() => {
                 let transport = self.transport.clone();
                 let sections_path = format!("{}#sections", path.as_str());
                 let max_attempts = self.config.failure_policy.max_attempts().max(1);
@@ -684,12 +661,10 @@ impl EarlDriver {
 
         // ---- iterative approximation -----------------------------------------
         let aes = AccuracyEstimationStage::new(self.config.sigma);
-        let depth = self.config.pipeline_depth;
         self.climb(
             &ladder,
             &mut climb,
             target_n,
-            depth,
             &mut |iteration, bootstrap, sample_size, fraction| {
                 let snapshot = aes.summarise(task, bootstrap, fraction, sample_size as usize);
                 observer(EarlUpdate {
@@ -817,7 +792,6 @@ impl EarlDriver {
             return Err(EarlError::NoUsableRecords);
         }
         Ok(Climb {
-            committed_drawn: sampler.drawn(),
             sampler,
             population,
             start,
@@ -832,32 +806,26 @@ impl EarlDriver {
         })
     }
 
-    /// The EARL ladder (Figure 1), the one loop every query climbs: stage
-    /// (draw Δ + map) → commit (shuffle + reduce) → AES → verdict, from
-    /// `target_n` up by `expansion_factor` per step, until the bound is met,
-    /// the sample is exhausted or exact, or the iteration budget runs out.
-    /// At `depth` > 1 (§2.1) the AES of step i runs beside the staging of
-    /// step i+1, and the verdict commits or cancels that staged step; depth 1
-    /// is the same loop never speculating, so delivered results (estimate,
-    /// error, sample size, iteration count) are identical and only the
-    /// speculative map work — charged to the simulated clock, discarded on
-    /// the final step — differs.  `observer` answering [`Progress::Cancel`]
-    /// stops the ladder at that boundary unless the boundary is already final.
+    /// The EARL ladder (Figure 1), the one loop every query climbs: draw Δ →
+    /// job (map + shuffle + reduce over the sample so far plus Δ) → AES →
+    /// verdict, from `target_n` up by `expansion_factor` per step, until the
+    /// bound is met, the sample is exhausted or exact, or the iteration
+    /// budget runs out.  Steps run strictly back to back: the ladder never
+    /// draws or maps ahead of a verdict.  `observer` answering
+    /// [`Progress::Cancel`] stops the ladder at that boundary unless the
+    /// boundary is already final.
     ///
     /// The paper's modified Hadoop keeps map and reduce tasks alive across
-    /// sample expansions (§2.1): here the climb's first staged job runs in
-    /// cluster mode and every later one in local mode
-    /// ([`JobConf::local_mode`]), so only the first pays job and task
-    /// start-up or reaches a remote transport.  Its reducers write their
-    /// error to HDFS for the mappers to read (§3.3): here the stop rule reads
-    /// the AES error directly, and cancelling a staged step drops its
-    /// [`MapPhase`] before the reduce phase.
+    /// sample expansions (§2.1): here the climb's first job runs in cluster
+    /// mode and every later one in local mode ([`JobConf::local_mode`]), so
+    /// only the first pays job and task start-up or reaches a remote
+    /// transport.  Its reducers write their error to HDFS for the mappers to
+    /// read (§3.3): here the stop rule reads the AES error directly.
     pub(crate) fn climb<L: Ladder>(
         &self,
         ladder: &L,
         climb: &mut Climb<L>,
         target_n: u64,
-        depth: usize,
         observer: &mut StepObserver<'_, L::Estimate>,
     ) -> Result<()> {
         let cluster = self.dfs.cluster();
@@ -866,34 +834,7 @@ impl EarlDriver {
         let (mapper, reducer) = ladder.tasks();
         let mut target_n = target_n.max(1);
         let mut exhausted = false;
-        // Every job after the climb's first runs in local mode.
-        let mut warm = false;
 
-        // Stages one step: expands the sample by up to `needed` records and
-        // runs the map phase over `records` + Δ through the MapReduce engine.
-        let mut stage = |sampler: &mut dyn SampleSource,
-                         fault_log: &mut FaultLog,
-                         records: &[(u64, String)],
-                         sample: &L::Sample,
-                         needed: usize|
-         -> Result<Staged<L>> {
-            let batch = draw_degrading(&self.dfs, &self.config, sampler, needed, fault_log)?;
-            let input = InputSource::Memory(records.iter().chain(&batch).cloned().collect());
-            let mut conf = ladder
-                .job(input, sample, &batch)
-                .with_failure_policy(self.config.failure_policy)
-                .with_parallelism(self.config.parallelism);
-            conf.local_mode = std::mem::replace(&mut warm, true);
-            Ok(Staged {
-                phase: run_map_phase(&self.dfs, &conf, &mapper)?,
-                conf,
-                exhausted: needed > 0 && batch.is_empty(),
-                batch,
-                drawn_after: sampler.drawn(),
-            })
-        };
-
-        let mut staged: Option<Staged<L>> = None;
         while climb.iterations < self.config.max_iterations {
             climb.iterations += 1;
             let iterations = climb.iterations;
@@ -901,62 +842,34 @@ impl EarlDriver {
             // write the loss off before expanding the sample.
             self.write_off_losses(&mut climb.fault_log);
 
-            // ---- stage (unless staged beside the previous AES) + commit ------
-            let step = match staged.take() {
-                Some(step) => step,
-                None => {
-                    let size = ladder.size(&climb.records, &climb.sample);
-                    stage(
-                        climb.sampler.as_mut(),
-                        &mut climb.fault_log,
-                        &climb.records,
-                        &climb.sample,
-                        target_n.saturating_sub(size) as usize,
-                    )?
-                }
-            };
-            ladder.extend(&mut climb.sample, &step.batch);
-            climb.records.extend(step.batch);
-            climb.committed_drawn = step.drawn_after;
-            exhausted |= step.exhausted;
-            let job = finish_job(&self.dfs, &step.conf, step.phase, &reducer)?;
+            // ---- draw Δ + the step's job over the sample so far plus Δ -------
+            let needed = target_n.saturating_sub(ladder.size(&climb.records, &climb.sample));
+            let batch = draw_degrading(
+                &self.dfs,
+                &self.config,
+                climb.sampler.as_mut(),
+                needed as usize,
+                &mut climb.fault_log,
+            )?;
+            exhausted |= needed > 0 && batch.is_empty();
+            let input = InputSource::Memory(climb.records.iter().chain(&batch).cloned().collect());
+            let mut conf = ladder
+                .job(input, &climb.sample, &batch)
+                .with_failure_policy(self.config.failure_policy)
+                .with_parallelism(self.config.parallelism);
+            // Every job after the climb's first runs in local mode.
+            conf.local_mode = iterations > 1;
+            let job = earl_mapreduce::run_job(&self.dfs, &conf, &mapper, &reducer)?;
             climb.fault_log.merge(&job.stats.fault_log);
+            ladder.extend(&mut climb.sample, &batch);
+            climb.records.extend(batch);
 
-            // ---- AES of step i, beside the staging of step i+1 iff speculating
+            // ---- AES ----------------------------------------------------------
             let sample_size = ladder.size(&climb.records, &climb.sample);
             target_n = (((sample_size as f64) * self.config.expansion_factor).ceil() as u64)
                 .min(population);
-            let speculate = depth > 1
-                && !exhausted
-                && sample_size < population
-                && iterations < self.config.max_iterations;
-            // The accuracy stage is pure (its work is charged below, at a
-            // deterministic point), so running it off-thread cannot perturb the
-            // simulated accounting.  The remote evaluator exists only on the
-            // never-speculating schedule, so no section call ever interleaves
-            // with a concurrent speculative map.
-            let (sample, aes_state) = (&climb.sample, &mut climb.aes);
-            let mut accuracy = || ladder.estimate(aes_state, sample, iterations);
-            let (aes_out, next) = if speculate {
-                std::thread::scope(|scope| {
-                    let aes_handle = scope.spawn(accuracy);
-                    let next = stage(
-                        climb.sampler.as_mut(),
-                        &mut climb.fault_log,
-                        &climb.records,
-                        sample,
-                        target_n.saturating_sub(sample_size) as usize,
-                    );
-                    let aes_out = aes_handle
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                    (aes_out, next.map(Some))
-                })
-            } else {
-                (accuracy(), Ok(None))
-            };
-            let (estimate, aes_work) = aes_out?;
-            let next = next?;
+            let (estimate, aes_work) =
+                ladder.estimate(&mut climb.aes, &climb.sample, iterations)?;
             cluster.charge_reduce_cpu(Phase::AccuracyEstimation, aes_work, reducer.is_heavy());
 
             let (error, floor_met) = ladder.verdict(&climb.sample, &estimate);
@@ -974,14 +887,8 @@ impl EarlDriver {
             let last_step = climb.exact || bound_met || exhausted;
             climb.cancelled = cancel_requested && !last_step;
             if last_step || climb.cancelled {
-                // A staged step is abandoned the same way whichever rule
-                // stopped the ladder.
-                if let Some(step) = next {
-                    climb.fault_log.merge(&step.phase.stats().fault_log);
-                }
                 break;
             }
-            staged = next;
         }
 
         // A death during the final iteration's charges still counts: write off
@@ -1273,37 +1180,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn pipelined_schedule_delivers_the_sequential_results() {
-        // Multiple expansion iterations (high dispersion + tight bound) so the
-        // overlap path commits at least one staged iteration AND cancels the
-        // final speculative one; both delta modes.
-        for (delta, sigma) in [(true, 0.02), (false, 0.02), (true, 0.05)] {
-            let run = |depth: usize| {
-                let dfs = dfs(4);
-                build_spread(&dfs, 60_000, 21);
-                let config = EarlConfig {
-                    pipeline_depth: depth,
-                    delta_maintenance: delta,
-                    sigma,
-                    ..EarlConfig::default()
-                };
-                EarlDriver::new(dfs, config)
-                    .run("/data", &MeanTask)
-                    .unwrap()
-            };
-            let sequential = run(1);
-            let pipelined = run(2);
-            assert_eq!(sequential.result, pipelined.result, "delta={delta}");
-            assert_eq!(sequential.error_estimate, pipelined.error_estimate);
-            assert_eq!(sequential.sample_size, pipelined.sample_size);
-            assert_eq!(sequential.iterations, pipelined.iterations);
-            assert_eq!(sequential.sample_fraction, pipelined.sample_fraction);
-            assert_eq!(sequential.bootstraps, pipelined.bootstraps);
-            assert_eq!(sequential.exact, pipelined.exact);
-        }
-    }
-
     fn build_spread(dfs: &Dfs, records: u64, seed: u64) {
         DatasetBuilder::new(dfs.clone())
             .build("/data", &DatasetSpec::normal(records, 500.0, 400.0, seed))
@@ -1314,9 +1190,8 @@ mod tests {
     /// fixed starting sample (just above the pilot's 600 records) is far too
     /// small for σ at this dispersion, so the ladder doubles its way up —
     /// deterministically, at every thread count.
-    fn multi_iteration_config(depth: usize) -> EarlConfig {
+    fn multi_iteration_config() -> EarlConfig {
         EarlConfig {
-            pipeline_depth: depth,
             sigma: 0.02,
             bootstraps: Some(60),
             sample_size: Some(700),
@@ -1326,127 +1201,116 @@ mod tests {
 
     #[test]
     fn noop_observer_is_bit_identical_to_run() {
-        for depth in [1usize, 2] {
-            let make = || {
-                let dfs = dfs(4);
-                build_spread(&dfs, 60_000, 21);
-                EarlDriver::new(dfs, multi_iteration_config(depth))
-            };
-            let plain = make().run("/data", &MeanTask).unwrap();
-            let observed = make()
-                .run_with_progress("/data", &MeanTask, &mut |_| Progress::Continue)
-                .unwrap();
-            assert_eq!(plain, observed, "depth {depth}");
-        }
+        let make = || {
+            let dfs = dfs(4);
+            build_spread(&dfs, 60_000, 21);
+            EarlDriver::new(dfs, multi_iteration_config())
+        };
+        let plain = make().run("/data", &MeanTask).unwrap();
+        let observed = make()
+            .run_with_progress("/data", &MeanTask, &mut |_| Progress::Continue)
+            .unwrap();
+        assert_eq!(plain, observed);
     }
 
     #[test]
     fn progress_updates_are_delivered_each_iteration_and_match_the_report() {
-        let collect = |depth: usize| {
-            let dfs = dfs(4);
-            build_spread(&dfs, 60_000, 21);
-            let driver = EarlDriver::new(dfs, multi_iteration_config(depth));
-            let mut updates: Vec<EarlUpdate> = Vec::new();
-            let report = driver
-                .run_with_progress("/data", &MeanTask, &mut |u| {
-                    updates.push(u);
-                    Progress::Continue
-                })
-                .unwrap();
-            assert!(
-                updates.len() >= 2,
-                "multi-iteration workload must deliver ≥2 updates, got {} (depth {depth})",
-                updates.len()
-            );
-            assert_eq!(updates.len(), report.iterations, "one update per iteration");
-            for (i, u) in updates.iter().enumerate() {
-                assert_eq!(u.iteration, i + 1, "iterations are 1-based and monotone");
-            }
-            let last = updates.last().unwrap();
-            assert_eq!(last.cv, report.error_estimate);
-            assert_eq!(last.sample_size, report.sample_size);
-            assert_eq!(last.sample_fraction, report.sample_fraction);
-            assert_eq!(last.estimate, report.result);
-            assert_eq!(last.ci_low, report.ci_low);
-            assert_eq!(last.ci_high, report.ci_high);
-            updates
-        };
-        // Whether the next step is staged beside the AES changes nothing a
-        // subscriber sees: the streams are equal element-wise, on every field.
-        assert_eq!(collect(1), collect(2));
+        let dfs = dfs(4);
+        build_spread(&dfs, 60_000, 21);
+        let driver = EarlDriver::new(dfs, multi_iteration_config());
+        let mut updates: Vec<EarlUpdate> = Vec::new();
+        let report = driver
+            .run_with_progress("/data", &MeanTask, &mut |u| {
+                updates.push(u);
+                Progress::Continue
+            })
+            .unwrap();
+        assert!(
+            updates.len() >= 2,
+            "multi-iteration workload must deliver ≥2 updates, got {}",
+            updates.len()
+        );
+        assert_eq!(updates.len(), report.iterations, "one update per iteration");
+        for (i, u) in updates.iter().enumerate() {
+            assert_eq!(u.iteration, i + 1, "iterations are 1-based and monotone");
+        }
+        let last = updates.last().unwrap();
+        assert_eq!(last.cv, report.error_estimate);
+        assert_eq!(last.sample_size, report.sample_size);
+        assert_eq!(last.sample_fraction, report.sample_fraction);
+        assert_eq!(last.estimate, report.result);
+        assert_eq!(last.ci_low, report.ci_low);
+        assert_eq!(last.ci_high, report.ci_high);
     }
 
     #[test]
     fn cancel_at_the_first_boundary_returns_the_partial_report() {
         for boundary in [1usize, 2] {
-            let cancel_at = |depth: usize| {
-                let dfs = dfs(4);
-                build_spread(&dfs, 60_000, 21);
-                // σ = 1 % keeps the ladder climbing past the second boundary.
-                let config = EarlConfig {
-                    sigma: 0.01,
-                    ..multi_iteration_config(depth)
-                };
-                let driver = EarlDriver::new(dfs, config);
-                let mut seen = 0usize;
-                let err = driver
-                    .run_with_progress("/data", &MeanTask, &mut |_| {
-                        seen += 1;
-                        if seen == boundary {
-                            Progress::Cancel
-                        } else {
-                            Progress::Continue
-                        }
-                    })
-                    .unwrap_err();
-                assert_eq!(seen, boundary, "cancel stops the ladder at its boundary");
-                match err {
-                    EarlError::Cancelled(report) => {
-                        assert_eq!(report.iterations, boundary, "depth {depth}");
-                        assert!(!report.exact);
-                        assert!(report.sample_size > 0);
-                        assert!(
-                            report.error_estimate > 0.01,
-                            "a run worth cancelling had not met its bound yet"
-                        );
-                        *report
-                    }
-                    other => panic!("expected Cancelled, got {other:?}"),
-                }
+            let dfs = dfs(4);
+            build_spread(&dfs, 60_000, 21);
+            // σ = 1 % keeps the ladder climbing past the second boundary.
+            let config = EarlConfig {
+                sigma: 0.01,
+                ..multi_iteration_config()
             };
-            // Both schedules deliver the same partial report; only `sim_time`
-            // and `bytes_read` differ, by the cancelled speculative map.
-            let (sequential, pipelined) = (cancel_at(1), cancel_at(2));
-            assert_eq!(sequential.result, pipelined.result, "boundary {boundary}");
-            assert_eq!(sequential.error_estimate, pipelined.error_estimate);
-            assert_eq!(sequential.ci_low, pipelined.ci_low);
-            assert_eq!(sequential.ci_high, pipelined.ci_high);
-            assert_eq!(sequential.sample_size, pipelined.sample_size);
-            assert_eq!(sequential.sample_fraction, pipelined.sample_fraction);
-            assert_eq!(sequential.iterations, pipelined.iterations);
-            assert_eq!(sequential.bootstraps, pipelined.bootstraps);
-            assert_eq!(sequential.exact, pipelined.exact);
+            let driver = EarlDriver::new(dfs, config);
+            let mut seen = 0usize;
+            let err = driver
+                .run_with_progress("/data", &MeanTask, &mut |_| {
+                    seen += 1;
+                    if seen == boundary {
+                        Progress::Cancel
+                    } else {
+                        Progress::Continue
+                    }
+                })
+                .unwrap_err();
+            assert_eq!(seen, boundary, "cancel stops the ladder at its boundary");
+            match err {
+                EarlError::Cancelled(report) => {
+                    assert_eq!(report.iterations, boundary);
+                    assert!(!report.exact);
+                    assert!(report.sample_size > 0);
+                    assert!(
+                        report.error_estimate > 0.01,
+                        "a run worth cancelling had not met its bound yet"
+                    );
+                }
+                other => panic!("expected Cancelled, got {other:?}"),
+            }
         }
     }
 
+    /// `NaN` parses as a value, so a median job can meet NaN records: the
+    /// quantile of such a sample is NaN, and the run returns instead of
+    /// panicking in a sort that cannot order a NaN.
     #[test]
-    fn deeper_pipelines_behave_as_depth_two() {
-        let run = |depth: usize| {
-            let dfs = dfs(3);
-            build(&dfs, 30_000, 23);
+    fn median_over_nan_lines_returns_without_panicking() {
+        let dfs = dfs(3);
+        dfs.write_lines(
+            "/nan",
+            (0..20_000u64).map(|i| {
+                if i % 7 == 0 {
+                    "NaN".to_owned()
+                } else {
+                    format!("{}", (i * 7_919) % 1_000)
+                }
+            }),
+        )
+        .unwrap();
+        for delta in [true, false] {
             let config = EarlConfig {
-                pipeline_depth: depth,
+                delta_maintenance: delta,
                 ..EarlConfig::default()
             };
-            EarlDriver::new(dfs, config)
-                .run("/data", &MeanTask)
-                .unwrap()
-        };
-        let two = run(2);
-        let eight = run(8);
-        assert_eq!(two.result, eight.result);
-        assert_eq!(two.iterations, eight.iterations);
-        assert_eq!(two.sim_time, eight.sim_time, "depth > 2 adds no lookahead");
+            let outcome = EarlDriver::new(dfs.clone(), config).run("/nan", &MedianTask);
+            let report = match outcome {
+                Ok(report) => report,
+                Err(EarlError::AccuracyNotReached(report)) => *report,
+                Err(other) => panic!("delta={delta}: unexpected error {other:?}"),
+            };
+            assert!(report.result.is_nan(), "delta={delta}: {}", report.result);
+        }
     }
 
     #[test]
@@ -1498,39 +1362,36 @@ mod tests {
 
     /// The ladder's wire contract (§2.1): only step 1's job runs in cluster
     /// mode, so only its one map task and one reduce partition reach a
-    /// remote transport.  Every later step — committed, staged beside the
-    /// previous accuracy estimation, or staged and then cancelled — runs in
-    /// local mode and stays in-process, at either depth.
+    /// remote transport.  Every later step runs in local mode and stays
+    /// in-process.
     #[test]
     fn only_the_first_ladder_step_reaches_the_wire() {
-        for depth in [1usize, 2] {
-            let run = |transport: Arc<dyn TaskTransport>| {
-                let dfs = dfs(4);
-                build_spread(&dfs, 60_000, 21);
-                // σ = 1 % keeps the ladder climbing for several steps.
-                let config = EarlConfig {
-                    sigma: 0.01,
-                    ..multi_iteration_config(depth)
-                };
-                EarlDriver::new(dfs, config)
-                    .with_transport(transport)
-                    .run("/data", &MeanTask)
-                    .unwrap()
+        let run = |transport: Arc<dyn TaskTransport>| {
+            let dfs = dfs(4);
+            build_spread(&dfs, 60_000, 21);
+            // σ = 1 % keeps the ladder climbing for several steps.
+            let config = EarlConfig {
+                sigma: 0.01,
+                ..multi_iteration_config()
             };
-            let in_process = run(default_transport());
-            let transport = Arc::new(RefusingTransport::default());
-            let remote = run(transport.clone());
-            assert!(
-                remote.iterations >= 3,
-                "the ladder climbs at least 3 steps, got {} (depth {depth})",
-                remote.iterations
-            );
-            assert_eq!(
-                transport.calls.load(std::sync::atomic::Ordering::Relaxed),
-                2,
-                "step 1's map and reduce, nothing after (depth {depth})"
-            );
-            assert_eq!(remote, in_process, "depth {depth}");
-        }
+            EarlDriver::new(dfs, config)
+                .with_transport(transport)
+                .run("/data", &MeanTask)
+                .unwrap()
+        };
+        let in_process = run(default_transport());
+        let transport = Arc::new(RefusingTransport::default());
+        let remote = run(transport.clone());
+        assert!(
+            remote.iterations >= 3,
+            "the ladder climbs at least 3 steps, got {}",
+            remote.iterations
+        );
+        assert_eq!(
+            transport.calls.load(std::sync::atomic::Ordering::Relaxed),
+            2,
+            "step 1's map and reduce, nothing after"
+        );
+        assert_eq!(remote, in_process);
     }
 }

@@ -648,8 +648,7 @@ impl EarlDriver {
     /// the sample expands until **every** group's bootstrap cv meets σ.
     ///
     /// It climbs the scalar [`run`](Self::run)'s ladder — same pilot, draws,
-    /// job per step, stopping rule and §3.4 degrade path — but never
-    /// speculates (`pipeline_depth` is ignored).  What differs: `B`
+    /// job per step, stopping rule and §3.4 degrade path.  What differs: `B`
     /// comes from `config.bootstraps` (default 100 per group — SSABE's scalar
     /// `B`-search does not transfer to many groups), the accuracy stage runs
     /// one bootstrap per group, each on the deterministic [`group_seed`]
@@ -682,7 +681,7 @@ impl EarlDriver {
             .sample_size
             .unwrap_or(climb.records.len() as u64)
             .min(climb.population);
-        self.climb(&ladder, &mut climb, target_n, 1, &mut |_, _, _, _| {
+        self.climb(&ladder, &mut climb, target_n, &mut |_, _, _, _| {
             Progress::Continue
         })?;
 

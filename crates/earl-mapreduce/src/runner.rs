@@ -167,8 +167,8 @@ enum MapInput<'a> {
 }
 
 /// Runs only the map half of a job, leaving shuffle and reduce to
-/// [`finish_job`].  EARL's driver uses this to overlap the map phase of a
-/// speculative ladder step with the accuracy estimation of the previous one.
+/// [`finish_job`]; [`run_job`] runs the two back to back.  Split, the halves
+/// can be timed apart, or the map phase dropped before its reduce.
 ///
 /// One task per input split (or one over the in-memory records), each
 /// streaming into its own [`ShardBuffers`].  The in-memory task is placed,

@@ -170,6 +170,11 @@ fn assert_result_bits_equal(a: &EarlReport, b: &EarlReport) {
 /// the first job-time request a worker serves is call 2.
 const FIRST_JOB_CALL: u64 = 2;
 
+/// Calls 2–13 on each worker carry SSABE's replicate batches over the section
+/// path; the first map-path request each worker serves, step 1's map task,
+/// is call 14.  A plan aimed at the job's map and reduce tasks starts here.
+const FIRST_MAP_CALL: u64 = 14;
+
 // ---------------------------------------------------------------------------
 // Tentpole (a): every fault kind, survived transparently, bit-identical.
 // ---------------------------------------------------------------------------
@@ -182,7 +187,7 @@ fn every_fault_kind_is_revived_transparently_with_bit_identical_reports() {
     let baseline = run_local(4, 2, &config);
 
     for fault in [Fault::Reset, Fault::Truncate, Fault::Corrupt, Fault::Stall] {
-        let plan = FaultPlan::scripted([(0, FIRST_JOB_CALL, fault)]);
+        let plan = FaultPlan::scripted([(0, FIRST_MAP_CALL, fault)]);
         let (report, transport) = run_chaos(4, 2, &config, chaos_config(), &addrs, plan);
         assert_eq!(
             baseline, report,
@@ -237,7 +242,7 @@ fn a_reported_death_with_retry_policy_reproduces_result_bits_with_replication_2(
     // Revival disabled: the reset is a real, reported death.
     let mut tcp = chaos_config();
     tcp.redials_per_call = 0;
-    let plan = FaultPlan::scripted([(0, FIRST_JOB_CALL, Fault::Reset)]);
+    let plan = FaultPlan::scripted([(0, FIRST_MAP_CALL, Fault::Reset)]);
     let (report, transport) = run_chaos(4, 2, &config, tcp, &addrs, plan);
 
     assert_result_bits_equal(&baseline, &report);
@@ -272,7 +277,7 @@ fn degrade_policy_records_losses_in_the_fault_log() {
 
     let mut tcp = chaos_config();
     tcp.redials_per_call = 0;
-    let plan = FaultPlan::scripted([(0, FIRST_JOB_CALL, Fault::Reset)]);
+    let plan = FaultPlan::scripted([(0, FIRST_MAP_CALL, Fault::Reset)]);
     let (report, transport) = run_chaos(2, 1, &config, tcp, &addrs, plan);
 
     assert!(report.result.is_finite(), "the degraded run still answers");
@@ -363,7 +368,7 @@ fn rejoin_and_recover_with_real_subprocess_workers() {
     let proxy = ChaosProxy::spawn(
         behind_proxy.addr,
         0,
-        FaultPlan::scripted([(0, FIRST_JOB_CALL, Fault::Reset)]),
+        FaultPlan::scripted([(0, FIRST_MAP_CALL, Fault::Reset)]),
     )
     .unwrap();
     let addrs = vec![proxy.addr(), direct.addr];
@@ -407,14 +412,14 @@ fn rejoin_and_recover_with_real_subprocess_workers() {
 }
 
 /// The second CI `chaos-net` gate: kill-and-rejoin over the **section path**
-/// (wire v2).  At `pipeline_depth` 1 the driver routes SSABE and AES
-/// replicate batches through `remote_sections`; worker 0 sits behind a
-/// [`ChaosProxy`] that resets its connection at its first job-time call —
-/// which on this schedule is section-path traffic, before any map task.  With
-/// revival disabled the death is reported into the failure machinery, the
-/// batch re-chunks onto the survivor (bit-identical by replicate purity), and
-/// the worker rejoins at a later remote-call boundary — its O(√n) summary
-/// replayed along with the records it missed.
+/// (wire v2).  The driver routes SSABE and AES replicate batches through
+/// `remote_sections`; worker 0 sits behind a [`ChaosProxy`] that resets its
+/// connection at its first job-time call — which is section-path traffic
+/// (SSABE's), before any map task.  With revival disabled the death is
+/// reported into the failure machinery, the batch re-chunks onto the
+/// survivor (bit-identical by replicate purity), and the worker rejoins at a
+/// later remote-call boundary — its O(√n) summary replayed along with the
+/// records it missed.
 #[test]
 fn section_path_kill_and_rejoin_recovers_result_bits() {
     let behind_proxy = spawn_worker();
@@ -428,7 +433,6 @@ fn section_path_kill_and_rejoin_recovers_result_bits() {
     let addrs = vec![proxy.addr(), direct.addr];
 
     let config = EarlConfig {
-        pipeline_depth: 1,
         failure_policy: FailurePolicy::retry(),
         ..EarlConfig::default()
     };
@@ -489,10 +493,10 @@ fn call_deadline_detects_a_stall_faster_than_the_heartbeat() {
     };
     let baseline = run_local(4, 2, &config);
 
-    // Worker 0 swallows every job-time frame it is ever sent (including
-    // rejoin handshakes).  The heartbeat alone would need 10 s to notice;
-    // the 250 ms deadline must do it instead.
-    let stall_everything: Vec<(usize, u64, Fault)> = (FIRST_JOB_CALL..256)
+    // From the job's first map task on, worker 0 swallows every frame it is
+    // ever sent (including rejoin handshakes).  The heartbeat alone would
+    // need 10 s to notice; the 250 ms deadline must do it instead.
+    let stall_everything: Vec<(usize, u64, Fault)> = (FIRST_MAP_CALL..256)
         .map(|c| (0, c, Fault::Stall))
         .collect();
     let mut tcp = TcpTransportConfig::with_heartbeat(Duration::from_secs(10));
@@ -594,8 +598,8 @@ fn chaos_reports_are_identical_across_thread_counts() {
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
     // One transparent fault on each worker, mid-run.
     let plan = [
-        (0usize, FIRST_JOB_CALL, Fault::Corrupt),
-        (1usize, FIRST_JOB_CALL + 1, Fault::Reset),
+        (0usize, FIRST_MAP_CALL, Fault::Corrupt),
+        (1usize, FIRST_MAP_CALL + 1, Fault::Reset),
     ];
 
     let mut reports = Vec::new();

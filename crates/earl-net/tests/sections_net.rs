@@ -156,12 +156,7 @@ fn remote_section_reports_are_bit_identical_to_in_process() {
 
     for nodes in [1u32, 2, 4] {
         for threads in thread_counts() {
-            // Depth 1 is the schedule the remote section gate is defined for:
-            // under pipelining the AES overlaps the speculative map phase,
-            // and the driver deliberately keeps section work in-process to
-            // preserve the per-worker call ladder.
             let config = EarlConfig {
-                pipeline_depth: 1,
                 parallelism: Some(threads),
                 ..EarlConfig::default()
             };
@@ -200,16 +195,14 @@ fn remote_section_reports_are_bit_identical_to_in_process() {
     }
 }
 
+/// The default configuration ships count-based replicate batches to the
+/// workers too: every remote run takes the section path, and its report is
+/// bit-identical to the in-process run.
 #[test]
-fn pipelined_schedules_keep_section_work_in_process() {
+fn default_config_remote_run_ships_section_batches() {
     let workers = [spawn_worker(), spawn_worker()];
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
 
-    // Default config: pipeline_depth 2.  The report must still be
-    // bit-identical (that is the existing tcp_cluster contract) and the
-    // section path must stay cold — routing it remotely would interleave
-    // section calls with the concurrent speculative map calls and make the
-    // per-worker call ladder race-dependent.
     let dfs = make_dfs(4);
     build_dataset(&dfs);
     let local = EarlDriver::new(dfs, EarlConfig::default())
@@ -227,10 +220,9 @@ fn pipelined_schedules_keep_section_work_in_process() {
         .unwrap();
 
     assert_eq!(local, remote);
-    assert_eq!(
-        transport.section_calls(),
-        0,
-        "the pipelined schedule must not route section work remotely"
+    assert!(
+        transport.section_calls() > 0,
+        "the default configuration must route section work remotely"
     );
     transport.shutdown();
 }
@@ -240,10 +232,7 @@ fn dead_cluster_falls_back_in_process_and_still_answers() {
     let mut workers = [spawn_worker(), spawn_worker()];
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.addr).collect();
 
-    let config = EarlConfig {
-        pipeline_depth: 1,
-        ..EarlConfig::default()
-    };
+    let config = EarlConfig::default();
     let dfs = make_dfs(4);
     build_dataset(&dfs);
     let transport =

@@ -48,8 +48,8 @@ pub struct JobRequest {
     /// Name of a dataset registered in the service's
     /// [`DatasetRegistry`](crate::DatasetRegistry).
     pub dataset: String,
-    /// Engine configuration: accuracy budget σ, seed, pipeline depth,
-    /// parallelism, …  The seed keys the job's deterministic replay log.
+    /// Engine configuration: accuracy budget σ, seed, kernel, parallelism,
+    /// …  The seed keys the job's deterministic replay log.
     pub config: EarlConfig,
     /// Scheduling priority.
     pub priority: Priority,

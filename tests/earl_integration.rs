@@ -121,31 +121,12 @@ fn earl_reads_much_less_data_than_exact_execution_on_large_inputs() {
     let approx = driver.run("/integration/large", &MeanTask).unwrap();
     let exact = driver.run_exact("/integration/large", &MeanTask).unwrap();
     assert!(!approx.exact);
-    // The default overlap schedule (pipeline_depth: 2) charges the cancelled
-    // speculative draw's reads too, so the margin is 3× here; the sequential
-    // schedule reads about half as much again.
     assert!(
-        approx.bytes_read * 3 < exact.bytes_read,
+        approx.bytes_read * 4 < exact.bytes_read,
         "{} vs {}",
         approx.bytes_read,
         exact.bytes_read
     );
-    let sequential = EarlDriver::new(
-        driver.dfs().clone(),
-        EarlConfig {
-            pipeline_depth: 1,
-            ..EarlConfig::default()
-        },
-    )
-    .run("/integration/large", &MeanTask)
-    .unwrap();
-    assert!(
-        sequential.bytes_read * 4 < exact.bytes_read,
-        "{} vs {}",
-        sequential.bytes_read,
-        exact.bytes_read
-    );
-    assert_eq!(sequential.result, approx.result);
     assert!((approx.result - exact.result).abs() / exact.result < 0.05);
 }
 

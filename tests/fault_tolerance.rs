@@ -532,10 +532,10 @@ fn degrade_driver_survives_mid_run_node_death_at_replication_one() {
 }
 
 #[test]
-fn degrade_driver_is_thread_and_depth_invariant_while_failures_fire() {
+fn degrade_driver_is_thread_invariant_while_failures_fire() {
     // Replication 2: the node death fires but loses no data, so the delivered
     // numbers must match the no-failure run AND be identical at every thread
-    // count and pipeline depth.
+    // count.
     let probe = {
         let dfs = make_dfs(4, 2, FailureSchedule::None);
         write_mean_dataset(&dfs, 30_000, 48);
@@ -550,40 +550,37 @@ fn degrade_driver_is_thread_and_depth_invariant_while_failures_fire() {
         at: within(probe.0, probe.1, 1, 2),
     }]);
 
-    for depth in [1usize, 2] {
-        let mut reference: Option<earl_core::EarlReport> = None;
-        for threads in thread_counts() {
-            let dfs = make_dfs(4, 2, schedule.clone());
-            write_mean_dataset(&dfs, 30_000, 48);
-            let config = EarlConfig {
-                parallelism: Some(threads),
-                pipeline_depth: depth,
-                ..EarlConfig::default()
-            };
-            let report = EarlDriver::new(dfs.clone(), config)
-                .run("/data", &MeanTask)
-                .unwrap();
-            assert!(
-                !dfs.cluster().failed_nodes().is_empty(),
-                "the failure must fire (depth {depth}, threads {threads})"
-            );
-            match &reference {
-                None => reference = Some(report),
-                Some(r) => {
-                    assert_eq!(r.result.to_bits(), report.result.to_bits());
-                    assert_eq!(r.error_estimate.to_bits(), report.error_estimate.to_bits());
-                    assert_eq!(r.ci_low.to_bits(), report.ci_low.to_bits());
-                    assert_eq!(r.ci_high.to_bits(), report.ci_high.to_bits());
-                    assert_eq!(r.sample_size, report.sample_size);
-                    assert_eq!(r.sample_fraction, report.sample_fraction);
-                    assert_eq!(r.iterations, report.iterations);
-                    assert_eq!(r.exact, report.exact);
-                    assert_eq!(r.fault_log, report.fault_log);
-                    assert_eq!(
-                        r.sim_time, report.sim_time,
-                        "sim accounting is thread-invariant (depth {depth}, threads {threads})"
-                    );
-                }
+    let mut reference: Option<earl_core::EarlReport> = None;
+    for threads in thread_counts() {
+        let dfs = make_dfs(4, 2, schedule.clone());
+        write_mean_dataset(&dfs, 30_000, 48);
+        let config = EarlConfig {
+            parallelism: Some(threads),
+            ..EarlConfig::default()
+        };
+        let report = EarlDriver::new(dfs.clone(), config)
+            .run("/data", &MeanTask)
+            .unwrap();
+        assert!(
+            !dfs.cluster().failed_nodes().is_empty(),
+            "the failure must fire (threads {threads})"
+        );
+        match &reference {
+            None => reference = Some(report),
+            Some(r) => {
+                assert_eq!(r.result.to_bits(), report.result.to_bits());
+                assert_eq!(r.error_estimate.to_bits(), report.error_estimate.to_bits());
+                assert_eq!(r.ci_low.to_bits(), report.ci_low.to_bits());
+                assert_eq!(r.ci_high.to_bits(), report.ci_high.to_bits());
+                assert_eq!(r.sample_size, report.sample_size);
+                assert_eq!(r.sample_fraction, report.sample_fraction);
+                assert_eq!(r.iterations, report.iterations);
+                assert_eq!(r.exact, report.exact);
+                assert_eq!(r.fault_log, report.fault_log);
+                assert_eq!(
+                    r.sim_time, report.sim_time,
+                    "sim accounting is thread-invariant (threads {threads})"
+                );
             }
         }
     }

@@ -174,7 +174,7 @@ fn weighted_mean_meets_its_bound_on_weighted_truth() {
 
 #[test]
 fn armed_failure_schedules_deliver_bit_identical_kary_reports() {
-    // Thread counts × pipeline depths × every k-ary task: the armed engine
+    // Thread counts × every k-ary task: the armed engine
     // (deterministic failure arbitration) and the unarmed fast path must
     // deliver the same report to the last bit.  (A never-firing deterministic
     // event keeps the failure injector armed for the whole run.)
@@ -200,47 +200,44 @@ fn armed_failure_schedules_deliver_bit_identical_kary_reports() {
             )
             .unwrap();
     };
-    for depth in [1usize, 2] {
-        for &threads in &thread_counts() {
-            let config = EarlConfig {
-                pipeline_depth: depth,
-                parallelism: Some(threads),
-                ..EarlConfig::default()
-            };
-            let run_one = |dfs: Dfs, path: &str, weighted: bool| {
-                build(&dfs);
-                let driver = EarlDriver::new(dfs, config);
-                if weighted {
-                    driver.run(path, &WeightedMeanTask).unwrap()
-                } else {
-                    driver.run(path, &RatioTask).unwrap()
-                }
-            };
-            for (path, weighted) in [("/pairs", false), ("/weighted", true)] {
-                let free = run_one(make_dfs(4), path, weighted);
-                let armed = run_one(make_armed_dfs(4), path, weighted);
-                assert_eq!(
-                    free.result.to_bits(),
-                    armed.result.to_bits(),
-                    "result (depth {depth}, threads {threads}, {path})"
-                );
-                assert_eq!(
-                    free.uncorrected_result.to_bits(),
-                    armed.uncorrected_result.to_bits()
-                );
-                assert_eq!(
-                    free.error_estimate.to_bits(),
-                    armed.error_estimate.to_bits(),
-                    "error estimate (depth {depth}, threads {threads}, {path})"
-                );
-                assert_eq!(free.ci_low.to_bits(), armed.ci_low.to_bits());
-                assert_eq!(free.ci_high.to_bits(), armed.ci_high.to_bits());
-                assert_eq!(free.sample_size, armed.sample_size);
-                assert_eq!(free.sample_fraction, armed.sample_fraction);
-                assert_eq!(free.bootstraps, armed.bootstraps);
-                assert_eq!(free.iterations, armed.iterations);
-                assert_eq!(free.exact, armed.exact);
+    for &threads in &thread_counts() {
+        let config = EarlConfig {
+            parallelism: Some(threads),
+            ..EarlConfig::default()
+        };
+        let run_one = |dfs: Dfs, path: &str, weighted: bool| {
+            build(&dfs);
+            let driver = EarlDriver::new(dfs, config);
+            if weighted {
+                driver.run(path, &WeightedMeanTask).unwrap()
+            } else {
+                driver.run(path, &RatioTask).unwrap()
             }
+        };
+        for (path, weighted) in [("/pairs", false), ("/weighted", true)] {
+            let free = run_one(make_dfs(4), path, weighted);
+            let armed = run_one(make_armed_dfs(4), path, weighted);
+            assert_eq!(
+                free.result.to_bits(),
+                armed.result.to_bits(),
+                "result (threads {threads}, {path})"
+            );
+            assert_eq!(
+                free.uncorrected_result.to_bits(),
+                armed.uncorrected_result.to_bits()
+            );
+            assert_eq!(
+                free.error_estimate.to_bits(),
+                armed.error_estimate.to_bits(),
+                "error estimate (threads {threads}, {path})"
+            );
+            assert_eq!(free.ci_low.to_bits(), armed.ci_low.to_bits());
+            assert_eq!(free.ci_high.to_bits(), armed.ci_high.to_bits());
+            assert_eq!(free.sample_size, armed.sample_size);
+            assert_eq!(free.sample_fraction, armed.sample_fraction);
+            assert_eq!(free.bootstraps, armed.bootstraps);
+            assert_eq!(free.iterations, armed.iterations);
+            assert_eq!(free.exact, armed.exact);
         }
     }
 }

@@ -562,8 +562,8 @@ fn moment_task_reports_match_their_single_pass_pins() {
         sample_fraction: 0x3fc6809d495182aa,
         bootstraps: 12,
         result: 0x40c36bce0d5903b6,
-        sim_micros: 175_705_588,
-        bytes_read: 2_226_258,
+        sim_micros: 79_447_788,
+        bytes_read: 988_263,
         error_estimate: 0x3f93a9114ba72b38,
         ci_low: 0x40c2dcf2f72d17eb,
         ci_high: 0x40c45b12bb616863,
@@ -574,8 +574,8 @@ fn moment_task_reports_match_their_single_pass_pins() {
         sample_fraction: 0x3f962b6ae7d566cf,
         bootstraps: 8,
         result: 0x4059785f4993e8cb,
-        sim_micros: 19_921_338,
-        bytes_read: 225_367,
+        sim_micros: 11_066_987,
+        bytes_read: 111_831,
         error_estimate: 0x3f963d63d11a6aa3,
         ci_low: 0x4058e22161810646,
         ci_high: 0x405a7345a9046008,

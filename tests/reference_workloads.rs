@@ -302,8 +302,8 @@ fn scan_linear_full_size() {
             iterations: 1,
             bootstraps: 5,
             exact: false,
-            sim_micros: 814_472_281,
-            bytes_read: 331_054_127,
+            sim_micros: 406_616_550,
+            bytes_read: 164_763_154,
             resample_work: None,
         },
     );
@@ -326,8 +326,8 @@ fn scan_linear_twin() {
             iterations: 3,
             bootstraps: 5,
             exact: false,
-            sim_micros: 537_030_719,
-            bytes_read: 218_037_533,
+            sim_micros: 251_574_880,
+            bytes_read: 101_591_408,
             resample_work: None,
         },
     );
@@ -363,8 +363,8 @@ fn ladder_order_full_size() {
             iterations: 4,
             bootstraps: 200,
             exact: false,
-            sim_micros: 1_785_191_875,
-            bytes_read: 713_717_931,
+            sim_micros: 871_561_231,
+            bytes_read: 341_206_744,
             resample_work: Some((16_044_804, 30_000_000, 14_044_804, 15_665)),
         },
     );
@@ -389,8 +389,8 @@ fn ladder_order_twin() {
             iterations: 3,
             bootstraps: 200,
             exact: false,
-            sim_micros: 429_248_758,
-            bytes_read: 170_774_386,
+            sim_micros: 215_573_999,
+            bytes_read: 83_638_509,
             resample_work: Some((4_015_680, 7_000_000, 3_015_680, 6_034)),
         },
     );
@@ -707,8 +707,8 @@ fn serve_closed_full_size() {
                     iterations: 3,
                     bootstraps: 60,
                     exact: false,
-                    sim_micros: 837_026_000,
-                    bytes_read: 10_677_120,
+                    sim_micros: 411_023_413,
+                    bytes_read: 5_225_984,
                     resample_work: None,
                 },
             },
@@ -725,8 +725,8 @@ fn serve_closed_full_size() {
                     iterations: 4,
                     bootstraps: 60,
                     exact: false,
-                    sim_micros: 1_756_806_961,
-                    bytes_read: 22_324_224,
+                    sim_micros: 846_956_003,
+                    bytes_read: 10_681_600,
                     resample_work: Some((4_816_504, 9_000_000, 4_216_504, 4_703)),
                 },
             },
@@ -756,8 +756,8 @@ fn serve_closed_twin() {
                     iterations: 5,
                     bootstraps: 60,
                     exact: false,
-                    sim_micros: 297_511_160,
-                    bytes_read: 3_787_859,
+                    sim_micros: 128_919_460,
+                    bytes_read: 1_624_659,
                     resample_work: None,
                 },
             },
@@ -774,8 +774,8 @@ fn serve_closed_twin() {
                     iterations: 5,
                     bootstraps: 60,
                     exact: false,
-                    sim_micros: 301_042_654,
-                    bytes_read: 3_820_424,
+                    sim_micros: 129_890_665,
+                    bytes_read: 1_620_352,
                     resample_work: Some((680_260, 1_302_000, 638_260, 2_067)),
                 },
             },

@@ -1,15 +1,15 @@
-//! Determinism suite for the sharded shuffle and the pipelined EARL schedule
-//! (PR 2), companion to `parallel_determinism.rs`.  (The shuffle's equivalence
-//! with the sequential BTreeMap oracle on arbitrary inputs lives in
-//! `streaming_shuffle_equivalence.rs`.)
+//! Determinism suite for the sharded shuffle and the EARL ladder that runs a
+//! job through it at every step, companion to `parallel_determinism.rs`.
+//! (The shuffle's equivalence with the sequential BTreeMap oracle on
+//! arbitrary inputs lives in `streaming_shuffle_equivalence.rs`.)
 //!
 //! Contracts enforced here:
 //!
 //! * a full job run (map → sharded shuffle → reduce) is identical at every
 //!   thread count;
-//! * the pipelined schedule (`pipeline_depth = 2`), including a staged step
-//!   that the stop rule cancels before its reduce phase, delivers the same
-//!   final estimate and iteration count as the sequential schedule.
+//! * a ladder that climbs several steps delivers the same whole report —
+//!   estimate, error, sample, iteration count, simulated time and bytes
+//!   read — at every thread count.
 //!
 //! The CI thread-matrix job runs this file with `EARL_THREADS` ∈ {1, 2, 4, 8}
 //! on a multi-core runner; when the variable is unset, every count is covered
@@ -77,12 +77,7 @@ fn job_with_sharded_shuffle_is_identical_across_thread_counts() {
     }
 }
 
-fn driver_report(
-    threads: usize,
-    pipeline_depth: usize,
-    sigma: f64,
-    delta: bool,
-) -> earl_core::EarlReport {
+fn driver_report(threads: usize, sigma: f64, delta: bool) -> earl_core::EarlReport {
     let dfs = test_dfs(4, 17);
     earl_workload::DatasetBuilder::new(dfs.clone())
         .build(
@@ -92,11 +87,10 @@ fn driver_report(
         .unwrap();
     let config = EarlConfig {
         parallelism: Some(threads),
-        pipeline_depth,
         sigma,
         delta_maintenance: delta,
-        // Start deliberately small so the bound is missed and the loop
-        // actually expands — the overlap path needs > 1 iteration.
+        // Start deliberately small so the bound is missed and the ladder
+        // actually expands.
         bootstraps: Some(40),
         sample_size: Some(500),
         ..EarlConfig::default()
@@ -106,90 +100,51 @@ fn driver_report(
         .unwrap()
 }
 
-/// A pipelined run whose last staged step is cancelled by the stop rule
-/// delivers the same final estimate, error, sample size and iteration count
-/// as the sequential schedule — at every thread count.
+/// The ladder's whole report is bit-identical across thread counts, on a
+/// run that climbs several steps (σ = 2 %) and on one that stops earlier
+/// (σ = 5 %): the simulated time/IO accounting depends only on the seed.
 #[test]
-fn pipelined_run_with_a_cancelled_staged_step_matches_sequential() {
-    // σ = 2% on high-dispersion data needs > 1 iteration, so the pipelined
-    // schedule both commits a staged iteration and cancels the final
-    // speculative one.
-    let sequential = driver_report(1, 1, 0.02, true);
-    assert!(
-        sequential.iterations >= 2,
-        "test needs a multi-iteration run to exercise the overlap (got {})",
-        sequential.iterations
-    );
-    assert!(!sequential.exact);
-    for &threads in &thread_counts() {
-        let pipelined = driver_report(threads, 2, 0.02, true);
-        assert_eq!(sequential.result, pipelined.result, "threads {threads}");
-        assert_eq!(
-            sequential.error_estimate, pipelined.error_estimate,
-            "threads {threads}"
-        );
-        assert_eq!(
-            sequential.sample_size, pipelined.sample_size,
-            "threads {threads}"
-        );
-        assert_eq!(
-            sequential.iterations, pipelined.iterations,
-            "threads {threads}"
-        );
-        assert_eq!(
-            sequential.sample_fraction, pipelined.sample_fraction,
-            "threads {threads}"
-        );
+fn ladder_reports_are_identical_across_thread_counts() {
+    for sigma in [0.02, 0.05] {
+        let reference = driver_report(1, sigma, true);
+        assert!(!reference.exact);
+        if sigma == 0.02 {
+            assert!(
+                reference.iterations >= 2,
+                "σ = 2 % on high-dispersion data needs > 1 step (got {})",
+                reference.iterations
+            );
+        }
+        for &threads in &thread_counts() {
+            let report = driver_report(threads, sigma, true);
+            assert_eq!(reference, report, "σ {sigma}, threads {threads}");
+        }
     }
 }
 
-/// The pipelined schedule itself is bit-identical across thread counts — the
-/// full report, including the simulated time/IO accounting of the speculative
-/// work, depends only on the seed.
+/// Non-delta (fresh bootstrap per iteration) ladders are thread-invariant
+/// too, with a heavier order-statistic task.
 #[test]
-fn pipelined_schedule_is_identical_across_thread_counts() {
-    let reference = driver_report(1, 2, 0.05, true);
-    for &threads in &thread_counts() {
-        let report = driver_report(threads, 2, 0.05, true);
-        assert_eq!(reference.result, report.result, "threads {threads}");
-        assert_eq!(
-            reference.error_estimate, report.error_estimate,
-            "threads {threads}"
-        );
-        assert_eq!(
-            reference.sample_size, report.sample_size,
-            "threads {threads}"
-        );
-        assert_eq!(reference.iterations, report.iterations, "threads {threads}");
-        assert_eq!(reference.sim_time, report.sim_time, "threads {threads}");
-        assert_eq!(reference.bytes_read, report.bytes_read, "threads {threads}");
-    }
-}
-
-/// Non-delta (fresh bootstrap per iteration) pipelining also matches, with a
-/// heavier order-statistic task.
-#[test]
-fn pipelined_median_without_delta_matches_sequential() {
-    let dfs = test_dfs(3, 29);
-    earl_workload::DatasetBuilder::new(dfs.clone())
-        .build(
-            "/data",
-            &earl_workload::DatasetSpec::normal(30_000, 500.0, 150.0, 29),
-        )
-        .unwrap();
-    let run = |depth: usize| {
+fn median_without_delta_is_identical_across_thread_counts() {
+    let run = |threads: usize| {
+        let dfs = test_dfs(3, 29);
+        earl_workload::DatasetBuilder::new(dfs.clone())
+            .build(
+                "/data",
+                &earl_workload::DatasetSpec::normal(30_000, 500.0, 150.0, 29),
+            )
+            .unwrap();
         let config = EarlConfig {
-            pipeline_depth: depth,
+            parallelism: Some(threads),
             delta_maintenance: false,
             ..EarlConfig::default()
         };
-        EarlDriver::new(dfs.clone(), config)
+        EarlDriver::new(dfs, config)
             .run("/data", &MedianTask)
             .unwrap()
     };
-    let sequential = run(1);
-    let pipelined = run(2);
-    assert_eq!(sequential.result, pipelined.result);
-    assert_eq!(sequential.iterations, pipelined.iterations);
-    assert_eq!(sequential.error_estimate, pipelined.error_estimate);
+    let reference = run(1);
+    for &threads in &thread_counts() {
+        assert_eq!(reference, run(threads), "threads {threads}");
+    }
 }

@@ -375,11 +375,11 @@ fn pipeline_dfs(lines: &[String]) -> earl_dfs::Dfs {
     dfs
 }
 
-/// A staged iteration holds map output that is already sharded map-side;
-/// cancelling it must drop those buffers cleanly and leave the next
-/// iterations bit-identical to a schedule that never speculated.  As on the
-/// EARL ladder, the first iteration runs in cluster mode and later ones in
-/// local mode.
+/// A map phase run on its own holds map output that is already sharded
+/// map-side; dropping it before its reduce phase must release those buffers
+/// cleanly and leave the next jobs bit-identical to a run that never staged
+/// one.  As on the EARL ladder, the first job runs in cluster mode and later
+/// ones in local mode.
 #[test]
 fn cancelling_a_staged_streaming_iteration_leaves_later_iterations_identical() {
     let lines: Vec<String> = (0..5_000)
@@ -399,9 +399,9 @@ fn cancelling_a_staged_streaming_iteration_leaves_later_iterations_identical() {
         let first_ref = run_job(&plain, &conf(1, false), mapper, reducer).unwrap();
         let second_ref = run_job(&plain, &conf(1, true), mapper, reducer).unwrap();
 
-        // Speculative schedule: iteration 2 is staged (its map phase — and
-        // with it the map-side sharding — already ran), then cancelled, then
-        // re-run for real.
+        // Staged schedule: iteration 2's map phase (and with it the map-side
+        // sharding) runs on its own, is dropped, then the job re-runs for
+        // real.
         let spec = pipeline_dfs(&lines);
         let first = run_job(&spec, &conf(threads, false), mapper, reducer).unwrap();
         assert_eq!(first.outputs, first_ref.outputs, "threads {threads}");
