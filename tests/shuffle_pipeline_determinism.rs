@@ -7,9 +7,12 @@
 //!
 //! * a full job run (map → sharded shuffle → reduce) is identical at every
 //!   thread count;
-//! * a ladder that climbs several steps delivers the same whole report —
-//!   estimate, error, sample, iteration count, simulated time and bytes
-//!   read — at every thread count.
+//! * a ladder delivers the same whole report — estimate, error, sample,
+//!   iteration count, simulated time and bytes read — at every thread count,
+//!   and the same whether it is configured as pipelined
+//!   (`pipeline_depth = 2`, the default) or sequential (`pipeline_depth = 1`):
+//!   the engine runs one back-to-back schedule and ignores the depth. The
+//!   `pipelined_*` test names date from the speculative depth-2 schedule.
 //!
 //! The CI thread-matrix job runs this file with `EARL_THREADS` ∈ {1, 2, 4, 8}
 //! on a multi-core runner; when the variable is unset, every count is covered
@@ -77,7 +80,12 @@ fn job_with_sharded_shuffle_is_identical_across_thread_counts() {
     }
 }
 
-fn driver_report(threads: usize, sigma: f64, delta: bool) -> earl_core::EarlReport {
+fn driver_report(
+    threads: usize,
+    pipeline_depth: usize,
+    sigma: f64,
+    delta: bool,
+) -> earl_core::EarlReport {
     let dfs = test_dfs(4, 17);
     earl_workload::DatasetBuilder::new(dfs.clone())
         .build(
@@ -87,6 +95,7 @@ fn driver_report(threads: usize, sigma: f64, delta: bool) -> earl_core::EarlRepo
         .unwrap();
     let config = EarlConfig {
         parallelism: Some(threads),
+        pipeline_depth,
         sigma,
         delta_maintenance: delta,
         // Start deliberately small so the bound is missed and the ladder
@@ -100,25 +109,38 @@ fn driver_report(threads: usize, sigma: f64, delta: bool) -> earl_core::EarlRepo
         .unwrap()
 }
 
-/// The ladder's whole report is bit-identical across thread counts, on a
-/// run that climbs several steps (σ = 2 %) and on one that stops earlier
-/// (σ = 5 %): the simulated time/IO accounting depends only on the seed.
+/// A run configured as pipelined (`pipeline_depth = 2`, the default) on a
+/// ladder that climbs several steps (σ = 2 %) delivers the whole report of
+/// the sequential configuration (`pipeline_depth = 1`) — estimate, error,
+/// sample, iteration count, simulated time and bytes read — at every thread
+/// count. The engine runs one schedule and ignores the depth, so no step is
+/// staged ahead and none is cancelled: nothing read or charged past the
+/// stopping step may show up in the report.
 #[test]
-fn ladder_reports_are_identical_across_thread_counts() {
-    for sigma in [0.02, 0.05] {
-        let reference = driver_report(1, sigma, true);
-        assert!(!reference.exact);
-        if sigma == 0.02 {
-            assert!(
-                reference.iterations >= 2,
-                "σ = 2 % on high-dispersion data needs > 1 step (got {})",
-                reference.iterations
-            );
-        }
-        for &threads in &thread_counts() {
-            let report = driver_report(threads, sigma, true);
-            assert_eq!(reference, report, "σ {sigma}, threads {threads}");
-        }
+fn pipelined_run_with_a_cancelled_staged_step_matches_sequential() {
+    let sequential = driver_report(1, 1, 0.02, true);
+    assert!(
+        sequential.iterations >= 2,
+        "σ = 2 % on high-dispersion data needs > 1 step (got {})",
+        sequential.iterations
+    );
+    assert!(!sequential.exact);
+    for &threads in &thread_counts() {
+        let pipelined = driver_report(threads, 2, 0.02, true);
+        assert_eq!(sequential, pipelined, "threads {threads}");
+    }
+}
+
+/// The ladder's whole report at the default configuration is bit-identical
+/// across thread counts on a run that stops earlier (σ = 5 %): the simulated
+/// time/IO accounting depends only on the seed.
+#[test]
+fn pipelined_schedule_is_identical_across_thread_counts() {
+    let reference = driver_report(1, 2, 0.05, true);
+    assert!(!reference.exact);
+    for &threads in &thread_counts() {
+        let report = driver_report(threads, 2, 0.05, true);
+        assert_eq!(reference, report, "threads {threads}");
     }
 }
 
