@@ -1,5 +1,7 @@
 //! The DFS facade: create, write, read, list, delete, split.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -60,14 +62,13 @@ struct DfsInner {
     namenode: RwLock<NameNode>,
     store: RwLock<BlockStore>,
     directory: RwLock<DataNodeDirectory>,
-    /// Where the previous read of each file ended, used to distinguish
-    /// sequential reads (no seek charged) from random reads (seek charged).
-    /// Open read-stream heads per file: a multiset of "end offsets" of
-    /// previous reads.  A read starting at one of these offsets continues an
-    /// existing stream (no seek); any other start opens a new stream (seek).
-    /// Multiset semantics make the seek accounting commutative, so charges are
-    /// identical no matter how concurrent readers interleave.
-    read_cursors: RwLock<std::collections::HashMap<DfsPath, std::collections::HashMap<u64, u32>>>,
+    /// Open read-stream heads per file: a multiset of the end offsets of
+    /// previous reads.  A read that starts at one of them continues that
+    /// stream, sequentially, with no seek charged; any other start opens a
+    /// new stream and is charged a seek.  Multiset semantics make the seek
+    /// accounting commutative, so charges are identical no matter how
+    /// concurrent readers interleave.
+    read_cursors: RwLock<HashMap<DfsPath, HashMap<u64, u32>>>,
 }
 
 impl Dfs {
@@ -86,7 +87,7 @@ impl Dfs {
                 namenode: RwLock::new(NameNode::new()),
                 store: RwLock::new(BlockStore::new()),
                 directory: RwLock::new(DataNodeDirectory::new()),
-                read_cursors: RwLock::new(std::collections::HashMap::new()),
+                read_cursors: RwLock::new(HashMap::new()),
             }),
         })
     }
@@ -212,8 +213,21 @@ impl Dfs {
             if len == 0 {
                 return Ok(Bytes::new());
             }
+            let end = offset + len;
+            let blocks = &file.meta.blocks[overlapping(&file.meta.blocks, offset, end)];
+            let views = blocks.iter().map(|block| file.view(block));
+            self.read_step(views, phase, len, || {
+                let mut cursors = self.inner.read_cursors.write();
+                let heads = if let Some(heads) = cursors.get_mut(file.path) {
+                    heads
+                } else {
+                    cursors.entry(file.path.clone()).or_default()
+                };
+                continue_stream(heads, offset, end)
+            })?;
             let mut out = Vec::with_capacity(len as usize);
-            for piece in self.charge_read(file, phase, offset, len)? {
+            let payloads = blocks.iter().map(|block| file.payload(block));
+            for piece in pieces(payloads, offset, end) {
                 out.extend_from_slice(piece);
             }
             Ok(Bytes::from(out))
@@ -280,69 +294,69 @@ impl Dfs {
     /// Hadoop's `LineRecordReader` behaviour used by pre-map sampling
     /// (Algorithm 2): if `offset` is not at a line boundary the reader skips
     /// forward to the start of the next line.  Returns `(line_start, line)` or
-    /// `None` if no complete line starts at or after `offset`.
+    /// `None` if no complete line starts at or after `offset`.  It is a
+    /// [`Dfs::probe_lines`] session of one probe, charged as
+    /// [`LineProbes::probe`] describes.
     pub fn read_line_at(
         &self,
         phase: Phase,
         path: impl Into<DfsPath>,
         offset: u64,
     ) -> Result<Option<(u64, String)>> {
-        self.probe_line(phase, &path.into(), offset)
+        self.probe_lines(phase, &path.into(), |probes| {
+            let probe = probes.probe(offset)?;
+            Ok(probe.map(|(start, line)| (start, String::from_utf8_lossy(line).into_owned())))
+        })
     }
 
-    /// [`Self::read_line_at`] for a caller that holds the path: a sampler
-    /// probing one file thousands of times builds no path per probe.
+    /// Runs `probe` over a [`LineProbes`] session on `path`: the file and
+    /// its stream heads are looked up once for any number of line probes,
+    /// each charged exactly as a [`Dfs::read_line_at`] of its own.  This is
+    /// the pre-map draw's read path.
     ///
-    /// The probe is *charged* as a buffered scan — reads of
-    /// `max(io_chunk, 16)` bytes starting one byte before `offset` (that byte
-    /// tells whether `offset` is already a line start), continuing
-    /// sequentially until the line's newline or EOF, so each probe costs one
-    /// seek — but it scans the block payloads in place and copies only the
-    /// line it returns.
-    pub fn probe_line(
+    /// The session holds the metadata and stream-head locks until `probe`
+    /// returns, so `probe` must not read through this `Dfs`, and other
+    /// readers of it wait for the session to end.
+    pub fn probe_lines<R, E: From<DfsError>>(
         &self,
         phase: Phase,
         path: &DfsPath,
-        offset: u64,
-    ) -> Result<Option<(u64, String)>> {
+        probe: impl FnOnce(&mut LineProbes<'_>) -> std::result::Result<R, E>,
+    ) -> std::result::Result<R, E> {
         self.with_file(path, |file| {
-            let file_len = file.meta.len;
-            if offset >= file_len {
-                return Ok(None);
+            let mut cursors = self.inner.read_cursors.write();
+            let (key, heads) = cursors.remove_entry(path).unzip();
+            let mut probes = LineProbes {
+                dfs: self,
+                file: *file,
+                phase,
+                chunk: self.inner.config.io_chunk.max(16),
+                table: Vec::new(),
+                heads,
+                line: Vec::new(),
+                bytes_read: 0,
+            };
+            let result = probe(&mut probes);
+            if let Some(heads) = probes.heads {
+                cursors.insert(key.unwrap_or_else(|| path.clone()), heads);
             }
-            let chunk = self.inner.config.io_chunk.max(16);
-            // The line starts after the first newline at or after
-            // `offset - 1`; at offset 0 it starts right there.
-            let mut line_start = (offset == 0).then_some(0);
-            let mut line = Vec::new();
-            let mut pos = offset.saturating_sub(1);
-            while pos < file_len {
-                let len = chunk.min(file_len - pos);
-                for mut piece in self.charge_read(file, phase, pos, len)? {
-                    let piece_start = pos;
-                    pos += piece.len() as u64;
-                    if line_start.is_none() {
-                        let Some(nl) = piece.iter().position(|b| *b == b'\n') else {
-                            continue;
-                        };
-                        let start = piece_start + nl as u64 + 1;
-                        if start >= file_len {
-                            return Ok(None);
-                        }
-                        line_start = Some(start);
-                        piece = &piece[nl + 1..];
-                    }
-                    if let Some(nl) = piece.iter().position(|b| *b == b'\n') {
-                        line.extend_from_slice(&piece[..nl]);
-                        return Ok(line_start.map(|start| (start, lossy_string(line))));
-                    }
-                    line.extend_from_slice(piece);
-                }
-            }
-            // EOF before a newline: what was read is the (final) line — or, if
-            // the scan never reached a line start, there is no line.
-            Ok(line_start.map(|start| (start, lossy_string(line))))
+            result
         })
+    }
+
+    /// The open read-stream heads of `path`, in offset order: the end offset
+    /// of an earlier read and how many streams end there.  A read that starts
+    /// at one is charged no seek.
+    pub fn stream_heads(&self, path: impl Into<DfsPath>) -> Vec<(u64, u32)> {
+        let mut heads: Vec<(u64, u32)> = self
+            .inner
+            .read_cursors
+            .read()
+            .get(&path.into())
+            .map(|heads| heads.iter().map(|(end, n)| (*end, *n)).collect())
+            .unwrap_or_default();
+        heads.sort_unstable();
+        heads
     }
 
     /// Opens a buffered line reader over an input split.
@@ -444,11 +458,11 @@ impl Dfs {
     /// block-store read locks for the duration — so `read` must not take
     /// either again (a recursive read lock can deadlock behind a waiting
     /// writer).
-    fn with_file<R>(
+    fn with_file<R, E: From<DfsError>>(
         &self,
         path: &DfsPath,
-        read: impl FnOnce(&OpenFile<'_>) -> Result<R>,
-    ) -> Result<R> {
+        read: impl FnOnce(&OpenFile<'_>) -> std::result::Result<R, E>,
+    ) -> std::result::Result<R, E> {
         let namenode = self.inner.namenode.read();
         let store = self.inner.store.read();
         read(&OpenFile {
@@ -459,85 +473,43 @@ impl Dfs {
         })
     }
 
-    /// The cost model's one read step, for the non-empty in-bounds range
-    /// `[offset, offset + len)` of `file`, in this order:
+    /// The cost model's one read step, shared by range reads and line
+    /// probes, for a non-empty in-bounds range of `len` bytes whose
+    /// overlapping blocks are `blocks`, in this order:
     ///
-    /// 1. liveness of every overlapping block — an unavailable one fails the
-    ///    read with stream heads and metrics untouched;
-    /// 2. the stream-head update that decides seek vs sequential;
+    /// 1. liveness of every block — an unavailable one fails the read with
+    ///    stream heads and metrics untouched;
+    /// 2. `continues_stream`, the stream-head update that decides seek vs
+    ///    sequential (see [`continue_stream`]);
     /// 3. the disk charge, which also polls the failure injector.
     ///
-    /// Returns the bytes of the range as borrowed slices of the block
-    /// payloads, in file order.
-    fn charge_read<'a>(
+    /// Liveness is asked of the cluster at every step, so a node that a
+    /// failure poll took down is seen by the very next read.
+    fn read_step<'a>(
         &self,
-        file: &OpenFile<'a>,
+        blocks: impl Iterator<Item = BlockView<'a>>,
         phase: Phase,
-        offset: u64,
         len: u64,
-    ) -> Result<impl Iterator<Item = &'a [u8]>> {
-        let end = offset + len;
-        // Blocks are contiguous and in file order (`DfsWriter` cuts them so).
-        let blocks = &file.meta.blocks;
-        let first = blocks.partition_point(|b| b.file_offset + b.len <= offset);
-        let overlapping = blocks[first..].partition_point(|b| b.file_offset < end);
-        let blocks = &blocks[first..first + overlapping];
+        continues_stream: impl FnOnce() -> bool,
+    ) -> Result<()> {
         for block in blocks {
             // No recorded replicas: a file written before any failure
             // bookkeeping, readable as long as the payload exists.
-            let replicas = file.namenode.locations(block.id);
-            let dead = !replicas.is_empty()
-                && !replicas
+            let dead = !block.replicas.is_empty()
+                && !block
+                    .replicas
                     .iter()
                     .any(|n| self.inner.cluster.is_node_available(*n));
-            if dead || file.store.payload(block.id).is_none() {
-                return Err(DfsError::BlockUnavailable(block.id));
+            if dead || block.payload.is_none() {
+                return Err(DfsError::BlockUnavailable(block.meta.id));
             }
         }
-        let sequential = {
-            // Bound on retained stream heads per file.  Streaming readers keep
-            // the multiset size constant (each read consumes one head and
-            // inserts one), so the cap is only approached by long runs of
-            // random probes — which are sequential driver code, keeping the
-            // cap deterministic.  At the cap, new heads are simply not
-            // recorded: later reads at those offsets charge a seek, which is
-            // what a cold random probe pays anyway.
-            const MAX_STREAM_HEADS: usize = 4096;
-            let mut cursors = self.inner.read_cursors.write();
-            let heads = if let Some(heads) = cursors.get_mut(file.path) {
-                heads
-            } else {
-                cursors.entry(file.path.clone()).or_default()
-            };
-            let sequential = match heads.get_mut(&offset) {
-                Some(count) if *count > 0 => {
-                    *count -= 1;
-                    if *count == 0 {
-                        heads.remove(&offset);
-                    }
-                    true
-                }
-                _ => false,
-            };
-            if heads.len() < MAX_STREAM_HEADS {
-                *heads.entry(end).or_insert(0) += 1;
-            }
-            sequential
-        };
-        if sequential {
+        if continues_stream() {
             self.inner.cluster.charge_disk_read(phase, len);
         } else {
             self.inner.cluster.charge_disk_seek_read(phase, len);
         }
-        let store = file.store;
-        Ok(blocks.iter().map(move |block| {
-            let data = store
-                .payload(block.id)
-                .expect("payload checked above, under the same store lock");
-            let from = offset.saturating_sub(block.file_offset) as usize;
-            let to = (end.min(block.file_offset + block.len) - block.file_offset) as usize;
-            &data[from..to]
-        }))
+        Ok(())
     }
 
     fn place_replicas(&self, count: u32) -> Result<Vec<NodeId>> {
@@ -610,8 +582,8 @@ impl Dfs {
 }
 
 /// A file resolved for reading: its metadata and the block payloads, borrowed
-/// under their read locks (see [`Dfs::with_file`]), so a probe that spans
-/// several chunks looks nothing up twice.
+/// under their read locks (see [`Dfs::with_file`]).
+#[derive(Clone, Copy)]
 struct OpenFile<'a> {
     path: &'a DfsPath,
     meta: &'a FileMeta,
@@ -619,10 +591,204 @@ struct OpenFile<'a> {
     store: &'a BlockStore,
 }
 
-/// `bytes` as a string, replacing invalid UTF-8 sequences; valid input (the
-/// common case) is not copied again.
-fn lossy_string(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+impl<'a> OpenFile<'a> {
+    /// `block` of this file with its replicas and payload looked up.
+    fn view(&self, block: &'a BlockMeta) -> BlockView<'a> {
+        BlockView {
+            meta: block,
+            replicas: self.namenode.locations(block.id),
+            payload: self.store.payload(block.id),
+        }
+    }
+
+    /// `block` of this file with its payload looked up.
+    fn payload(&self, block: &'a BlockMeta) -> (&'a BlockMeta, Option<&'a [u8]>) {
+        (block, self.store.payload(block.id))
+    }
+}
+
+/// A block of an open file, resolved: where its replicas live and its
+/// payload, if the store still holds it.
+#[derive(Clone, Copy)]
+struct BlockView<'a> {
+    meta: &'a BlockMeta,
+    replicas: &'a [NodeId],
+    payload: Option<&'a [u8]>,
+}
+
+/// The indices of the blocks that overlap `[offset, end)`.  Blocks are
+/// contiguous and in file order (`DfsWriter` cuts them so).
+fn overlapping(blocks: &[BlockMeta], offset: u64, end: u64) -> Range<usize> {
+    let first = blocks.partition_point(|b| b.file_offset + b.len <= offset);
+    first..first + blocks[first..].partition_point(|b| b.file_offset < end)
+}
+
+/// The bytes of `[offset, end)` as borrowed slices of the payloads of the
+/// blocks it overlaps, given as `(block, payload)` in file order.  The
+/// payloads must be there: [`Dfs::read_step`] checked them.
+fn pieces<'a>(
+    blocks: impl Iterator<Item = (&'a BlockMeta, Option<&'a [u8]>)>,
+    offset: u64,
+    end: u64,
+) -> impl Iterator<Item = &'a [u8]> {
+    blocks.map(move |(block, payload)| {
+        let data = payload.expect("payload checked by the read step, under the same store lock");
+        let from = offset.saturating_sub(block.file_offset) as usize;
+        let to = (end.min(block.file_offset + block.len) - block.file_offset) as usize;
+        &data[from..to]
+    })
+}
+
+/// Bound on retained stream heads per file.  Streaming readers keep the
+/// multiset size constant (each read consumes one head and inserts one), so
+/// the cap is only approached by long runs of random probes — which are
+/// sequential driver code, keeping the cap deterministic.  At the cap, new
+/// heads are simply not recorded: later reads at those offsets charge a seek,
+/// which is what a cold random probe pays anyway.
+const MAX_STREAM_HEADS: usize = 4096;
+
+/// Moves a file's stream `heads` past a read of `[offset, end)`: the read
+/// continues a stream if it starts at a head, which it consumes, and it
+/// leaves a head at `end`.  Returns whether it continued a stream.
+fn continue_stream(heads: &mut HashMap<u64, u32>, offset: u64, end: u64) -> bool {
+    let sequential = match heads.get_mut(&offset) {
+        Some(count) if *count > 0 => {
+            *count -= 1;
+            if *count == 0 {
+                heads.remove(&offset);
+            }
+            true
+        }
+        _ => false,
+    };
+    if heads.len() < MAX_STREAM_HEADS {
+        *heads.entry(end).or_insert(0) += 1;
+    }
+    sequential
+}
+
+/// A file opened for a run of line probes by [`Dfs::probe_lines`]: the
+/// file is resolved once, and the file's stream heads are taken out of the
+/// DFS for the session and put back at its end.
+pub struct LineProbes<'a> {
+    dfs: &'a Dfs,
+    file: OpenFile<'a>,
+    phase: Phase,
+    /// Bytes per charged read: `max(io_chunk, 16)`.
+    chunk: u64,
+    /// Every block of the file, resolved, in file order — built by the first
+    /// [`LineProbes::read_ahead`], so that a session of many probes looks
+    /// each block up once and a session of one allocates nothing.  Empty
+    /// until then, when each read looks its blocks up itself.
+    table: Vec<BlockView<'a>>,
+    /// The file's stream heads; `None` while the file has none on record.
+    heads: Option<HashMap<u64, u32>>,
+    /// A line that spans pieces, assembled.
+    line: Vec<u8>,
+    bytes_read: u64,
+}
+
+impl LineProbes<'_> {
+    /// Bytes this session has charged as read.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// The line containing or starting after `offset`, as
+    /// [`Dfs::read_line_at`] defines it, with the line's bytes borrowed.
+    ///
+    /// The probe is *charged* as a buffered scan — reads of
+    /// `max(io_chunk, 16)` bytes starting one byte before `offset` (that byte
+    /// tells whether `offset` is already a line start), continuing
+    /// sequentially until the line's newline or EOF, so each probe costs one
+    /// seek — but it scans the block payloads in place and copies a line
+    /// only when it spans two reads or blocks.
+    pub fn probe(&mut self, offset: u64) -> Result<Option<(u64, &[u8])>> {
+        let file_len = self.file.meta.len;
+        if offset >= file_len {
+            return Ok(None);
+        }
+        // The line starts after the first newline at or after
+        // `offset - 1`; at offset 0 it starts right there.
+        let mut line_start = (offset == 0).then_some(0);
+        self.line.clear();
+        let mut pos = offset.saturating_sub(1);
+        while pos < file_len {
+            let end = (pos + self.chunk).min(file_len);
+            // From the table once built, else looked up (replicas only for
+            // the liveness check).
+            let (table, file) = (&self.table, self.file);
+            let blocks = overlapping(&file.meta.blocks, pos, end);
+            let views = blocks.clone().map(|i| match table.get(i) {
+                Some(view) => *view,
+                None => file.view(&file.meta.blocks[i]),
+            });
+            let heads = &mut self.heads;
+            self.dfs.read_step(views, self.phase, end - pos, || {
+                continue_stream(heads.get_or_insert_with(HashMap::new), pos, end)
+            })?;
+            self.bytes_read += end - pos;
+            let payloads = blocks.map(|i| match table.get(i) {
+                Some(view) => (view.meta, view.payload),
+                None => file.payload(&file.meta.blocks[i]),
+            });
+            for mut piece in pieces(payloads, pos, end) {
+                let piece_start = pos;
+                pos += piece.len() as u64;
+                if line_start.is_none() {
+                    let Some(nl) = piece.iter().position(|b| *b == b'\n') else {
+                        continue;
+                    };
+                    let start = piece_start + nl as u64 + 1;
+                    if start >= file_len {
+                        return Ok(None);
+                    }
+                    line_start = Some(start);
+                    piece = &piece[nl + 1..];
+                }
+                if let Some(nl) = piece.iter().position(|b| *b == b'\n') {
+                    let line = if self.line.is_empty() {
+                        &piece[..nl]
+                    } else {
+                        self.line.extend_from_slice(&piece[..nl]);
+                        &self.line[..]
+                    };
+                    return Ok(line_start.map(|start| (start, line)));
+                }
+                self.line.extend_from_slice(piece);
+            }
+        }
+        // EOF before a newline: what was read is the (final) line — or, if
+        // the scan never reached a line start, there is no line.
+        Ok(line_start.map(|start| (start, &self.line[..])))
+    }
+
+    /// Reads the first byte that a probe at each of `offsets` reads, and
+    /// drops it.  A probe's wait is mostly one cache miss on that byte; read
+    /// back to back, the misses of a run of upcoming probes overlap instead
+    /// of queueing.  It charges nothing, checks no liveness and moves no
+    /// stream head, so it changes nothing a probe returns or charges.
+    pub fn read_ahead(&mut self, offsets: impl IntoIterator<Item = u64>) {
+        if self.table.is_empty() {
+            let file = self.file;
+            self.table = file.meta.blocks.iter().map(|b| file.view(b)).collect();
+        }
+        let mut folded = 0u8;
+        for offset in offsets {
+            let at = offset.saturating_sub(1);
+            let block = overlapping(&self.file.meta.blocks, at, at + 1).start;
+            if let Some(BlockView {
+                meta,
+                payload: Some(data),
+                ..
+            }) = self.table.get(block)
+            {
+                let byte = data.get((at - meta.file_offset) as usize);
+                folded ^= byte.copied().unwrap_or(0);
+            }
+        }
+        std::hint::black_box(folded);
+    }
 }
 
 /// Streaming writer that cuts a file into blocks as data arrives.
