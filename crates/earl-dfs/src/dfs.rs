@@ -214,19 +214,16 @@ impl Dfs {
                 return Ok(Bytes::new());
             }
             let end = offset + len;
-            let blocks = &file.meta.blocks[overlapping(&file.meta.blocks, offset, end)];
-            let views = blocks.iter().map(|block| file.view(block));
-            self.read_step(views, phase, len, || {
-                let mut cursors = self.inner.read_cursors.write();
-                let heads = if let Some(heads) = cursors.get_mut(file.path) {
-                    heads
-                } else {
-                    cursors.entry(file.path.clone()).or_default()
-                };
-                continue_stream(heads, offset, end)
+            let views: Vec<BlockView<'_>> = file.meta.blocks
+                [overlapping(&file.meta.blocks, offset, end)]
+            .iter()
+            .map(|block| file.view(block))
+            .collect();
+            self.read_step(views.iter().copied(), phase, len, || {
+                self.continue_file_stream(file.path, offset, end)
             })?;
             let mut out = Vec::with_capacity(len as usize);
-            let payloads = blocks.iter().map(|block| file.payload(block));
+            let payloads = views.iter().map(|view| (view.meta, view.payload));
             for piece in pieces(payloads, offset, end) {
                 out.extend_from_slice(piece);
             }
@@ -359,9 +356,64 @@ impl Dfs {
         heads
     }
 
-    /// Opens a buffered line reader over an input split.
+    /// Opens a line reader over an input split: a [`Dfs::split_lines`]
+    /// session whose lines it hands out as owned strings.
     pub fn open_split(&self, split: InputSplit, phase: Phase) -> LineRecordReader {
         LineRecordReader::new(self.clone(), split, phase)
+    }
+
+    /// Reads the lines of `split` in one session and lends each one, with
+    /// the file offset it starts at, to `line`: the exact job's read path.
+    /// Returns the bytes read.
+    ///
+    /// The lines are Hadoop's `LineRecordReader`'s (see
+    /// [`crate::line_reader`]): a split past offset 0 first reads the byte
+    /// before it and, unless that byte is a newline, skips the line under way,
+    /// which belongs to the split before; then every line that starts inside
+    /// the split is read to its newline or EOF, past the split's end if need
+    /// be.  A line is lent as borrowed block bytes, put together in one
+    /// reused buffer when it spans blocks, and copied only when it is not
+    /// UTF-8 (lossily, as `String::from_utf8_lossy` does).
+    ///
+    /// The file is resolved once and each block it reaches once.  The bytes
+    /// are charged as a buffered reader reads them: the byte before the
+    /// split, then chunks of `max(io_chunk, 16)` bytes from the split's start
+    /// on, each a read step of its own (liveness, stream head, charge and
+    /// failure poll) taken just before the scan needs its bytes.  The stream
+    /// heads stay shared, so concurrent sessions on one file interleave as
+    /// range reads would.  A split at offset 0 of a file that does not exist
+    /// reads nothing.
+    ///
+    /// The session holds the metadata read locks until it returns, so `line`
+    /// must not read through this `Dfs`.  Lines lent before an error stay
+    /// lent: a caller that drops a failed split's output drops them itself.
+    pub fn split_lines(
+        &self,
+        split: &InputSplit,
+        phase: Phase,
+        line: impl FnMut(u64, &str),
+    ) -> Result<u64> {
+        let read = self.with_file(&split.path, |file| {
+            let blocks = &file.meta.blocks;
+            let before = split.start.saturating_sub(1);
+            SplitRead {
+                dfs: self,
+                file: *file,
+                phase,
+                chunk: self.inner.config.io_chunk.max(16),
+                first: overlapping(blocks, before, before + 1).start,
+                views: Vec::new(),
+                at: 0,
+                charged: split.start,
+                bytes_read: 0,
+                spanning: Vec::new(),
+            }
+            .run(split, line)
+        });
+        match read {
+            Err(DfsError::FileNotFound(_)) if split.start == 0 => Ok(0),
+            read => read,
+        }
     }
 
     // ----- splits -----------------------------------------------------------
@@ -512,6 +564,17 @@ impl Dfs {
         Ok(())
     }
 
+    /// [`continue_stream`] on the stream heads of `path`, under their lock.
+    fn continue_file_stream(&self, path: &DfsPath, offset: u64, end: u64) -> bool {
+        let mut cursors = self.inner.read_cursors.write();
+        let heads = if let Some(heads) = cursors.get_mut(path) {
+            heads
+        } else {
+            cursors.entry(path.clone()).or_default()
+        };
+        continue_stream(heads, offset, end)
+    }
+
     fn place_replicas(&self, count: u32) -> Result<Vec<NodeId>> {
         let available = self.inner.cluster.available_nodes();
         if available.is_empty() {
@@ -614,6 +677,13 @@ struct BlockView<'a> {
     meta: &'a BlockMeta,
     replicas: &'a [NodeId],
     payload: Option<&'a [u8]>,
+}
+
+impl BlockView<'_> {
+    /// Offset one past the block's last byte.
+    fn end(&self) -> u64 {
+        self.meta.file_offset + self.meta.len
+    }
 }
 
 /// The indices of the blocks that overlap `[offset, end)`.  Blocks are
@@ -788,6 +858,127 @@ impl LineProbes<'_> {
             }
         }
         std::hint::black_box(folded);
+    }
+}
+
+/// One split being read by [`Dfs::split_lines`].
+struct SplitRead<'a> {
+    dfs: &'a Dfs,
+    file: OpenFile<'a>,
+    phase: Phase,
+    /// Bytes per charged chunk: `max(io_chunk, 16)`.
+    chunk: u64,
+    /// The file's index of `views[0]`: the block holding the split's first
+    /// byte, or the byte before it.
+    first: usize,
+    /// The blocks that the charged reads reached, from `first` on, each
+    /// resolved once.
+    views: Vec<BlockView<'a>>,
+    /// The index in `views` of the block the scan is in.
+    at: usize,
+    /// The end of the charged chunks: the next chunk starts here.
+    charged: u64,
+    bytes_read: u64,
+    /// A line that spans blocks, put together.
+    spanning: Vec<u8>,
+}
+
+impl SplitRead<'_> {
+    fn run(mut self, split: &InputSplit, mut line: impl FnMut(u64, &str)) -> Result<u64> {
+        let file_len = self.file.meta.len;
+        let mut pos = split.start;
+        if pos > 0 {
+            if pos > file_len {
+                return Err(DfsError::OutOfBounds {
+                    offset: pos,
+                    len: file_len,
+                });
+            }
+            self.read(pos - 1, pos)?;
+            if self.bytes(pos - 1, pos) != b"\n" {
+                // The line under way belongs to the split before.
+                let (newline, found) = self.scan(pos)?;
+                if !found {
+                    return Ok(self.bytes_read);
+                }
+                pos = newline + 1;
+            }
+        }
+        // A line belongs to this split if it starts before the split's end.
+        while pos < split.end() && pos < file_len {
+            let (stop, found) = self.scan(pos)?;
+            line(pos, &String::from_utf8_lossy(self.bytes(pos, stop)));
+            pos = stop + u64::from(found);
+        }
+        Ok(self.bytes_read)
+    }
+
+    /// One read step over `[pos, end)`, resolving the blocks it reaches for
+    /// the first time.
+    fn read(&mut self, pos: u64, end: u64) -> Result<()> {
+        let blocks = overlapping(&self.file.meta.blocks, pos, end);
+        while self.first + self.views.len() < blocks.end {
+            let block = &self.file.meta.blocks[self.first + self.views.len()];
+            self.views.push(self.file.view(block));
+        }
+        let views = &self.views[blocks.start - self.first..blocks.end - self.first];
+        let (dfs, path) = (self.dfs, self.file.path);
+        dfs.read_step(views.iter().copied(), self.phase, end - pos, || {
+            dfs.continue_file_stream(path, pos, end)
+        })?;
+        self.bytes_read += end - pos;
+        Ok(())
+    }
+
+    /// Scans from `from`, which is at most `charged`, to the next newline,
+    /// charging the next chunk whenever the scan reaches the end of the
+    /// charged bytes.  Returns where the scan stopped — the newline, or EOF
+    /// — and whether it found a newline.  Leaves `at` at the block it
+    /// stopped in.
+    fn scan(&mut self, mut from: u64) -> Result<(u64, bool)> {
+        let file_len = self.file.meta.len;
+        loop {
+            if from == self.charged {
+                if from == file_len {
+                    return Ok((from, false));
+                }
+                let end = (from + self.chunk).min(file_len);
+                self.read(from, end)?;
+                self.charged = end;
+            }
+            while self.views[self.at].end() <= from {
+                self.at += 1;
+            }
+            let view = self.views[self.at];
+            let stop = self.charged.min(view.end());
+            let data = view.payload.expect("payload checked by the read step");
+            let offset = view.meta.file_offset;
+            let data = &data[(from - offset) as usize..(stop - offset) as usize];
+            if let Some(nl) = data.iter().position(|b| *b == b'\n') {
+                return Ok((from + nl as u64, true));
+            }
+            from = stop;
+        }
+    }
+
+    /// The charged bytes `[from, to)`, which end in the block at `at`:
+    /// borrowed when they lie in that one block, else put together in
+    /// `spanning`.
+    fn bytes(&mut self, from: u64, to: u64) -> &[u8] {
+        let mut first = self.at;
+        while self.views[first].meta.file_offset > from {
+            first -= 1;
+        }
+        let blocks = self.views[first..=self.at].iter();
+        let mut pieces = pieces(blocks.map(|view| (view.meta, view.payload)), from, to);
+        if first == self.at {
+            return pieces.next().unwrap_or_default();
+        }
+        self.spanning.clear();
+        for piece in pieces {
+            self.spanning.extend_from_slice(piece);
+        }
+        &self.spanning
     }
 }
 
@@ -1181,7 +1372,7 @@ mod tests {
     /// oracle: `read_line_at` buffering chunk copies fetched through a
     /// `read_range` that does its own liveness, stream-head and charge steps.
     impl Dfs {
-        fn reference_read_range(
+        pub(crate) fn reference_read_range(
             &self,
             phase: Phase,
             path: DfsPath,

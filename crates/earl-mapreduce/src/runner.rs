@@ -802,17 +802,14 @@ fn run_mapper<M: Mapper>(
     };
     let mut ctx = MapContext::sharded(num_shards);
     let mut records = 0u64;
-    let mut reader = dfs.open_split(split.clone(), Phase::Load);
-    loop {
-        match reader.next_line() {
-            Ok(Some((offset, line))) => mapper.map(offset, &line, &mut ctx),
-            Ok(None) => break,
-            Err(DfsError::BlockUnavailable(_)) if conf.failure_policy.is_degrade() => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e.into()),
-        }
+    let read = dfs.split_lines(split, Phase::Load, |offset, line| {
+        mapper.map(offset, line, &mut ctx);
         records += 1;
+    });
+    match read {
+        Ok(_) => {}
+        Err(DfsError::BlockUnavailable(_)) if conf.failure_policy.is_degrade() => return Ok(None),
+        Err(e) => return Err(e.into()),
     }
     // The map-side shuffle already happened inside `emit`.
     let (buffers, emitted) = ctx.into_shards();
