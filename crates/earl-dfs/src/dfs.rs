@@ -214,11 +214,8 @@ impl Dfs {
                 return Ok(Bytes::new());
             }
             let end = offset + len;
-            let views: Vec<BlockView<'_>> = file.meta.blocks
-                [overlapping(&file.meta.blocks, offset, end)]
-            .iter()
-            .map(|block| file.view(block))
-            .collect();
+            let blocks = &file.meta.blocks[overlapping(&file.meta.blocks, offset, end)];
+            let views: Vec<BlockView<'_>> = blocks.iter().map(|block| file.view(block)).collect();
             self.read_step(views.iter().copied(), phase, len, || {
                 self.continue_file_stream(file.path, offset, end)
             })?;

@@ -430,53 +430,52 @@ mod tests {
                 start > 0
             );
         }
-    }
 
-    #[test]
-    fn split_session_fails_like_the_line_reader_oracle() {
-        let content = small_content();
+        // Replication 1 over two nodes, one of them down: the splits that
+        // reach its blocks fail, some after lending lines.  A degrading job
+        // drops a failed split and reads on; a failing job stops.
+        let content = small;
         let len = content.len() as u64;
         for io_chunk in [16, 128, 4096] {
-            for degrade in [false, true] {
-                // Replication 1 over two nodes, one of them down: the splits
-                // that reach its blocks fail, some after lending lines.
-                for reconcile in [false, true] {
-                    let what = format!(
-                        "node 0 down, reconciled {reconcile}, chunk {io_chunk}, degrade {degrade}"
-                    );
-                    let build = || {
-                        let dfs = world(&content, 64, io_chunk, 1, FailureSchedule::None);
-                        dfs.cluster().fail_node(NodeId(0)).unwrap();
-                        if reconcile {
-                            assert!(!dfs.reconcile_failures().is_empty());
-                        }
-                        dfs
-                    };
+            for reconcile in [false, true] {
+                let what = format!("node 0 down, reconciled {reconcile}, chunk {io_chunk}");
+                let build = || {
+                    let dfs = world(&content, 64, io_chunk, 1, none());
+                    dfs.cluster().fail_node(NodeId(0)).unwrap();
+                    if reconcile {
+                        assert!(!dfs.reconcile_failures().is_empty());
+                    }
+                    dfs
+                };
+                for degrade in [false, true] {
+                    let what = format!("{what}, degrade {degrade}");
                     let (old, new) = (build(), build());
                     let failed =
                         assert_same_run(&old, &new, cut(len, 150).into_iter(), degrade, &what);
                     assert!(failed > 0, "{what}");
-                    // Every start in turn, stream heads accumulating.
-                    let (old, new) = (build(), build());
-                    let failed = (0..len)
-                        .filter(|start| assert_same_split(&old, &new, &split_at(*start, 40), &what))
-                        .count();
-                    // (A chunk of 128 bytes or more reaches both nodes' blocks.)
-                    let some_read = io_chunk > 16 || failed < len as usize;
-                    assert!(failed > 0 && some_read, "{what}: {failed}");
                 }
+                // Every start in turn, stream heads accumulating.
+                let (old, new) = (build(), build());
+                let failed = (0..len)
+                    .filter(|start| assert_same_split(&old, &new, &split_at(*start, 40), &what))
+                    .count();
+                // (A chunk of 128 bytes or more reaches both nodes' blocks.)
+                let some_read = io_chunk > 16 || failed < len as usize;
+                assert!(failed > 0 && some_read, "{what}: {failed}");
+            }
 
-                // A scheduled failure that a charge's poll fires part-way
-                // through the run: later reads find node 1 down.
-                let dry = world(&content, 64, io_chunk, 1, FailureSchedule::None);
-                let splits = cut(len, 60);
-                for split in &splits[..splits.len() / 2] {
-                    dry.split_lines(split, Phase::Map, |_, _| {}).unwrap();
-                }
-                let event = FailureEvent {
-                    node: NodeId(1),
-                    at: dry.cluster().now(),
-                };
+            // A scheduled failure that a charge's poll fires part-way through
+            // the run: later reads find node 1 down.
+            let dry = world(&content, 64, io_chunk, 1, none());
+            let splits = cut(len, 60);
+            for split in &splits[..splits.len() / 2] {
+                dry.split_lines(split, Phase::Map, |_, _| {}).unwrap();
+            }
+            let event = FailureEvent {
+                node: NodeId(1),
+                at: dry.cluster().now(),
+            };
+            for degrade in [false, true] {
                 let what = format!(
                     "node 1 fails at {:?}, chunk {io_chunk}, degrade {degrade}",
                     event.at
@@ -486,7 +485,7 @@ mod tests {
                     world(&content, 64, io_chunk, 1, schedule)
                 };
                 let (old, new) = (build(), build());
-                let failed = assert_same_run(&old, &new, splits.into_iter(), degrade, &what);
+                let failed = assert_same_run(&old, &new, splits.iter().cloned(), degrade, &what);
                 assert_eq!(new.cluster().failure_events(), vec![event], "{what}");
                 assert!(failed > 0, "{what}");
             }

@@ -15,7 +15,7 @@
 //!
 //! Each report is pinned at 1, 2 and 8 worker threads, and once more under
 //! `FailurePolicy::Degrade` with a node killed early in the job's map phase at
-//! replication 1, so some splits are lost part-way through their reads.
+//! replication 1, so the splits whose blocks it held are lost.
 //!
 //! An output-preserving change leaves this file unedited and green.  When a
 //! pin fails, the assertion prints the observed pin in hex, ready to paste —

@@ -23,11 +23,21 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Counts one allocation if this thread is counting.  The thread-locals are
+/// const-initialised `Cell`s with no destructor, so reaching them never
+/// allocates; `try_with` keeps a thread's teardown from panicking here.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method passes its arguments unchanged to `System`, whose
+// methods have the same contracts, so the caller's guarantees are the ones
+// `System` needs; `count` neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
+        count();
         System.alloc(layout)
     }
 
@@ -36,9 +46,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
